@@ -110,11 +110,16 @@ def comprehensive_value(
 def comprehensive_values(
     agent: AgentSpec,
     grid: Grid,
-    x_social: float,
+    x_social,
     future_mean: float | None = None,
 ) -> np.ndarray:
-    """Comprehensive utility over every grid point (vectorized)."""
-    if x_social < 0:
+    """Comprehensive utility over every grid point (vectorized).
+
+    ``x_social`` is one social choice, giving one value per grid point, or a
+    column of them (shape ``(rows, 1)``), giving one row per social choice.
+    Rows do not depend on how many are computed together.
+    """
+    if (np.asarray(x_social) < 0).any():
         raise DomainError(f"social choice must be nonnegative, got {x_social}")
     if future_mean is None:
         future_mean = belief_mean(agent)

@@ -100,34 +100,54 @@ def consideration_interval(
         raise ClosedFormUnavailable(
             "the interval form needs a strictly increasing current-distance cost"
         )
-    peak = u.peak
-    if abs(x_social - peak) <= EXACT_TOL:
-        return ClosedInterval(peak, peak)
-    return ClosedInterval(min(x_social, peak), max(x_social, peak))
+    lo, hi = consideration_bounds(u.peak, x_social)
+    return ClosedInterval(float(lo), float(hi))
 
 
-def interval_grid_indices(interval: ClosedInterval, grid: Grid) -> np.ndarray:
-    """Indices of the grid points identified with ``interval``.
+def consideration_bounds(peak: float, x_social) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints of the consideration interval for each social choice (vectorized).
+
+    The closed form behind ``consideration_interval``, without its
+    precondition checks: the interval runs between ``x_social`` and ``peak``
+    and degenerates to ``peak`` when the two coincide within ``EXACT_TOL``.
+    """
+    x_social = np.asarray(x_social, dtype=float)
+    at_peak = np.abs(x_social - peak) <= EXACT_TOL
+    lo = np.where(at_peak, peak, np.minimum(x_social, peak))
+    hi = np.where(at_peak, peak, np.maximum(x_social, peak))
+    return lo, hi
+
+
+def interval_index_bounds(lo, hi, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """First and last grid index identified with each interval ``[lo, hi]`` (vectorized).
 
     Endpoints snap to the nearest grid point, with exact half-step ties
     rounding inward; this is precisely the boundary behaviour of the pairwise
-    dominance oracle on the grid, so the returned set equals
+    dominance oracle on the grid, so the indexed set equals
     ``maximal_set_grid`` under the closed-form preconditions.  A degenerate
     interval maps to the nearest grid point (two points if exactly halfway
-    between neighbours, matching the mutual-weak-dominance tie).
+    between neighbours, matching the mutual-weak-dominance tie).  A sub-cell
+    interval whose endpoints both snapped across the midpoint collapses to
+    the point nearest the interval's centre.
     """
-    pts = grid.points
-    if interval.hi - interval.lo <= 0.0:
-        dist = np.abs(pts - interval.lo)
-        return np.flatnonzero(dist == dist.min())
-    i_lo = grid.nearest_index(interval.lo, tie_up=True)
-    i_hi = grid.nearest_index(interval.hi, tie_up=False)
-    if i_lo > i_hi:
-        # Sub-cell interval whose endpoints both snapped across the midpoint;
-        # collapse to the point nearest the interval's centre.
-        mid = 0.5 * (interval.lo + interval.hi)
-        return np.array([grid.nearest_index(mid, tie_up=True)])
-    return np.arange(i_lo, i_hi + 1)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    degenerate = hi - lo <= 0.0
+    up = grid.nearest_indices(lo, tie_up=True)
+    i_lo = np.where(degenerate, grid.nearest_indices(lo, tie_up=False), up)
+    i_hi = np.where(degenerate, up, grid.nearest_indices(hi, tie_up=False))
+    crossed = i_lo > i_hi
+    if crossed.any():
+        centre = grid.nearest_indices(0.5 * (lo + hi), tie_up=True)
+        i_lo = np.where(crossed, centre, i_lo)
+        i_hi = np.where(crossed, centre, i_hi)
+    return i_lo, i_hi
+
+
+def interval_grid_indices(interval: ClosedInterval, grid: Grid) -> np.ndarray:
+    """Indices of the grid points identified with ``interval`` (see ``interval_index_bounds``)."""
+    i_lo, i_hi = interval_index_bounds(interval.lo, interval.hi, grid)
+    return np.arange(int(i_lo), int(i_hi) + 1)
 
 
 def interval_grid_points(interval: ClosedInterval, grid: Grid) -> np.ndarray:

@@ -11,23 +11,29 @@ aggregated beliefs.  Two equilibrium notions are supported:
   over, the consideration set induced by the others' choices.
 
 For two agents the search is exhaustive on the grid (every profile tested);
-for more agents a best-response iteration from a start lattice finds fixed
-points without any completeness claim.
+for more agents a simultaneous best-response iteration from a start lattice
+finds fixed points without any completeness claim.  Every start is iterated
+at once, one row per start, in blocks of rows.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .choice import comprehensive_value, comprehensive_values
-from .consideration import ClosedInterval, consideration_interval, interval_grid_indices
+from .consideration import (
+    ClosedInterval,
+    consideration_bounds,
+    consideration_interval,
+    interval_grid_indices,
+    interval_index_bounds,
+)
 from .errors import (
     ClosedFormUnavailable,
     DomainError,
@@ -55,17 +61,9 @@ START_LATTICE_POINTS = 11
 #: The default lattice has START_LATTICE_POINTS**n starts; cap n to keep it sane.
 MAX_LATTICE_AGENTS = 4
 _MAX_ITERATIONS = 500
-
-
-def worker_count() -> int:
-    """Worker count for parallel scans (env ``DEFERRAL_WORKERS``, default cores)."""
-    raw = os.environ.get("DEFERRAL_WORKERS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+#: Cap on the cells (rows x grid points) of one payoff block in the lattice
+#: search; it bounds the search's memory whatever the number of starts.
+_BLOCK_CELLS = 1 << 14
 
 
 class EquilibriumKind(enum.Enum):
@@ -107,18 +105,37 @@ class BestResponseCurve:
 # aggregation
 
 
-def _reference_point(game: GameSpec, i: int, others: Sequence[float]) -> float:
+def _social_weights(game: GameSpec, i: int) -> tuple[list[float], float]:
+    """Weights of the other agents' choices in agent ``i``'s reference point, and their sum."""
     agg = game.choice_aggregator
     if isinstance(agg, MeanChoice):
-        return float(np.mean(others))
-    weights = list(agg.weights)
-    del weights[i]
+        weights = [1.0] * (game.n - 1)
+    else:
+        weights = list(agg.weights)
+        del weights[i]
     total = sum(weights)
     if total <= 0:
         raise SpecValidationError([Violation(
             "AggregatorWeightsInvalid",
             f"choice weights over agents other than {i} sum to {total}")])
-    return float(np.dot(weights, others) / total)
+    return weights, total
+
+
+def _reference_points(others: np.ndarray, weights: Sequence[float], total: float) -> np.ndarray:
+    """Weighted mean of each row of ``others`` (rows x n-1), summed left to right.
+
+    Element-wise arithmetic only, so a row's value does not depend on how
+    many rows are computed together.
+    """
+    acc = weights[0] * others[:, 0]
+    for j in range(1, len(weights)):
+        acc = acc + weights[j] * others[:, j]
+    return acc / total
+
+
+def _reference_point(game: GameSpec, i: int, others: Sequence[float]) -> float:
+    weights, total = _social_weights(game, i)
+    return float(_reference_points(np.array([others], dtype=float), weights, total)[0])
 
 
 def aggregate_choices(game: GameSpec, i: int, profile: Sequence[float]) -> float:
@@ -347,30 +364,23 @@ def default_tolerance(game: GameSpec, payoff_scale: float, lipschitz_step: float
     return lipschitz_step
 
 
-def _matrix_tolerance(game: GameSpec, matrices: Sequence[np.ndarray], tolerance: float | None) -> float:
+def _matrix_tolerance(game: GameSpec, tables: Sequence[np.ndarray], tolerance: float | None) -> float:
+    """``tolerance``, else the default for payoff tables indexed by own choice first.
+
+    The exact-family rule never reads the Lipschitz step, so it is only
+    computed for the other families.
+    """
     if tolerance is not None:
         return tolerance
-    scale = max(float(np.abs(m).max()) for m in matrices)
-    lipschitz = max(float(np.abs(np.diff(m, axis=0)).max()) for m in matrices)
+    scale = max(float(np.abs(t).max()) for t in tables)
+    if is_exact_family(game):
+        return default_tolerance(game, scale, 0.0)
+    lipschitz = max(float(np.abs(np.diff(t, axis=0)).max()) for t in tables)
     return default_tolerance(game, scale, lipschitz)
 
 
 # ---------------------------------------------------------------------------
 # classification
-
-
-def _slice_bounds(peak: float, grid: Grid, j: int) -> tuple[int, int]:
-    """Index bounds of the consideration slice against opponent grid index ``j``.
-
-    Fast path equivalent to ``interval_grid_indices(consideration_interval(...))``
-    when the opponent's value is itself a grid point.
-    """
-    xj = grid.points[j]
-    if abs(xj - peak) <= EXACT_TOL:
-        return j, j
-    if xj > peak:
-        return grid.nearest_index(peak, tie_up=True), j
-    return j, grid.nearest_index(peak, tie_up=False)
 
 
 def _deferral_data(game: GameSpec, i: int, x_social: float, grid: Grid):
@@ -407,12 +417,9 @@ def classify_profile(
         x_social = aggregate_choices(game, i, profile)
         future = aggregate_beliefs(game, i).mean()
         socials.append(x_social)
-        vectors.append(_payoff_vector(game, i, x_social, grid))
+        vectors.append(comprehensive_values(game.agents[i], grid, x_social, future))
         values.append(comprehensive_value(game.agents[i], profile[i], x_social, future))
-    if tolerance is None:
-        scale = max(float(np.abs(v).max()) for v in vectors)
-        lipschitz = max(float(np.abs(np.diff(v)).max()) for v in vectors)
-        tolerance = default_tolerance(game, scale, lipschitz)
+    tolerance = _matrix_tolerance(game, vectors, tolerance)
 
     standard_regrets = [max(0.0, float(vec.max()) - val) for vec, val in zip(vectors, values)]
     standard_ok = max(standard_regrets) <= tolerance
@@ -471,19 +478,18 @@ class _TwoPlayerTables:
     def prepare_deferral(self) -> None:
         if self._deferral_ready:
             return
-        m = self.grid.steps + 1
-        self.lo = [np.empty(m, dtype=int), np.empty(m, dtype=int)]
-        self.hi = [np.empty(m, dtype=int), np.empty(m, dtype=int)]
-        self.rbest = [np.empty(m), np.empty(m)]
+        self.lo, self.hi, self.rbest = [], [], []
         for a in (0, 1):
             agent = self.game.agents[a]
             peak = agent.utility.peak
             consideration_interval(agent.utility, agent.c1, peak)  # precondition check
-            for j in range(m):
-                lo, hi = _slice_bounds(peak, self.grid, j)
-                self.lo[a][j] = lo
-                self.hi[a][j] = hi
-                self.rbest[a][j] = self.P[a][lo : hi + 1, j].max()
+            # column j's opponent plays grid point j
+            lo, hi = interval_index_bounds(*consideration_bounds(peak, self.grid.points), self.grid)
+            P = self.P[a]
+            self.lo.append(lo)
+            self.hi.append(hi)
+            self.rbest.append(np.array(
+                [P[l : h + 1, j].max() for j, (l, h) in enumerate(zip(lo.tolist(), hi.tolist()))]))
         self._deferral_ready = True
 
     def standard_mask(self) -> np.ndarray:
@@ -575,48 +581,103 @@ def _default_lattice(game: GameSpec) -> list[Profile]:
     return [tuple(p) for p in itertools.product(axis, repeat=game.n)]
 
 
-def _iterate_from(game, grid, start, restricted) -> Profile | None:
-    n = game.n
-    current = tuple(grid.points[grid.nearest_index(x)] for x in start)
-    for _ in range(_MAX_ITERATIONS):
-        responses = []
-        for i in range(n):
-            others = [x for j, x in enumerate(current) if j != i]
+def _lattice_sweep(game: GameSpec, grid: Grid, restricted: bool):
+    """Simultaneous best-response map on rows of grid-index profiles.
+
+    The returned function maps a (rows x n) int array to each agent's
+    smallest grid best response (restricted to their consideration slice
+    when ``restricted``) against the row's other choices: the rule of
+    ``best_response(...)[0]`` and ``deferral_best_response(...)[0]``, with
+    bit-identical payoffs.  Aggregated beliefs and aggregator weights are
+    computed once here, and the consideration preconditions are checked
+    once per agent, so their errors propagate before any iteration.
+    """
+    pts = grid.points
+    own = np.arange(len(pts))[None, :]
+    agents = []
+    for i, agent in enumerate(game.agents):
+        weights, total = _social_weights(game, i)
+        if restricted:
+            consideration_interval(agent.utility, agent.c1, 0.0)  # precondition check
+        others = [j for j in range(game.n) if j != i]
+        agents.append((agent, others, weights, total, aggregate_beliefs(game, i).mean()))
+
+    def sweep(state: np.ndarray) -> np.ndarray:
+        xs = pts[state]
+        updated = np.empty_like(state)
+        for i, (agent, others, weights, total, future) in enumerate(agents):
+            socials = _reference_points(xs[:, others], weights, total)
+            vals = np.broadcast_to(
+                comprehensive_values(agent, grid, socials[:, None], future), (len(state), len(pts)))
             if restricted:
-                responses.append(deferral_best_response(game, i, others, grid)[0])
-            else:
-                responses.append(best_response(game, i, others, grid)[0])
-        updated = tuple(responses)
-        if updated == current:
-            return current
-        current = updated
-    return None
+                i_lo, i_hi = interval_index_bounds(*consideration_bounds(agent.utility.peak, socials), grid)
+                vals = np.where((own >= i_lo[:, None]) & (own <= i_hi[:, None]), vals, -np.inf)
+            best = vals.max(axis=1)
+            updated[:, i] = np.argmax(vals >= (best - EXACT_TOL)[:, None], axis=1)
+        return updated
+
+    return sweep
+
+
+def _iterate_block(sweep, state: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Iterate ``sweep`` on a block of rows until every row retires.
+
+    A row retires as a fixed point when a sweep leaves it unchanged, and as a
+    2-cycle when a sweep returns it to its state from two sweeps earlier (the
+    map is deterministic, so it can never converge).  Rows still moving
+    after ``_MAX_ITERATIONS`` sweeps hit the cap.  Returns the fixed rows
+    and the numbers of cycled and capped rows.
+    """
+    fixed = []
+    cycled = 0
+    previous = np.full_like(state, -1)
+    for _ in range(_MAX_ITERATIONS):
+        if not len(state):
+            break
+        updated = sweep(state)
+        done = (updated == state).all(axis=1)
+        cycle = ~done & (updated == previous).all(axis=1)
+        fixed.append(state[done])
+        cycled += int(cycle.sum())
+        moving = ~(done | cycle)
+        previous, state = state[moving], updated[moving]
+    return np.concatenate(fixed), cycled, len(state)
 
 
 def _lattice_find(game, grid, tolerance, restricted, starts):
-    if starts is None:
-        starts = _default_lattice(game)
-    workers = min(worker_count(), len(starts)) or 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fixed = list(pool.map(lambda s: _iterate_from(game, grid, s, restricted), starts))
-    else:
-        fixed = [_iterate_from(game, grid, s, restricted) for s in starts]
-    seen: set[Profile] = set()
-    certificates = []
+    starts = np.asarray(_default_lattice(game) if starts is None else starts, dtype=float)
+    if not len(starts):
+        return []
+    if starts.ndim != 2 or starts.shape[1] != game.n:
+        raise DomainError(f"starts must be profiles of {game.n} choices, got shape {starts.shape}")
+    sweep = _lattice_sweep(game, grid, restricted)
+    state = grid.nearest_indices(starts)
+    rows = max(1, _BLOCK_CELLS // len(grid.points))
+    fixed, cycled, capped = [], 0, 0
+    for first in range(0, len(state), rows):
+        block_fixed, block_cycled, block_capped = _iterate_block(sweep, state[first : first + rows])
+        fixed.append(block_fixed)
+        cycled += block_cycled
+        capped += block_capped
+    if cycled or capped:
+        search = "after-deferral" if restricted else "standard"
+        warnings.warn(
+            f"{search} best-response iteration: {len(state) - cycled - capped} of {len(state)} "
+            f"starts converged, {cycled} cycled, {capped} hit the {_MAX_ITERATIONS}-sweep cap",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     wanted = (
         (EquilibriumKind.AFTER_DEFERRAL, EquilibriumKind.BOTH)
         if restricted
         else (EquilibriumKind.STANDARD, EquilibriumKind.BOTH)
     )
-    for profile in fixed:
-        if profile is None or profile in seen:
-            continue
-        seen.add(profile)
-        cert = classify_profile(game, profile, grid, tolerance)
+    certificates = []
+    # unique rows come sorted, and grid points ascend, so profiles come sorted
+    for row in np.unique(np.concatenate(fixed), axis=0):
+        cert = classify_profile(game, tuple(float(x) for x in grid.points[row]), grid, tolerance)
         if cert is not None and cert.kind in wanted:
             certificates.append(cert)
-    certificates.sort(key=lambda c: c.profile)
     return certificates
 
 
@@ -633,10 +694,12 @@ def find_equilibria(
     """All standard equilibria on the grid.
 
     Exhaustive (hence complete on the grid) for two agents; best-response
-    iteration from a start lattice otherwise.  An empty list is a legal
-    outcome on coarse grids.  Certificates are sorted by profile and carry
-    the stronger ``BOTH`` kind when the profile also survives the
-    after-deferral test.
+    iteration from a start lattice otherwise, which emits one
+    ``RuntimeWarning`` with the counts when some starts cycle or hit the
+    iteration cap instead of converging.  An empty list is a legal outcome
+    on coarse grids.  Certificates are sorted by profile and carry the
+    stronger ``BOTH`` kind when the profile also survives the after-deferral
+    test.
     """
     if game.n == 2:
         return _two_player_find(game, grid, tolerance, "standard")
@@ -652,7 +715,9 @@ def find_equilibria_after_deferral(
     """All equilibria after deferral on the grid (two-agent case exhaustive).
 
     Requires the closed-form consideration interval for every agent
-    (strictly increasing current-distance costs).
+    (strictly increasing current-distance costs).  For more than two agents
+    the iteration warns about non-converging starts as ``find_equilibria``
+    does.
     """
     if game.n == 2:
         return _two_player_find(game, grid, tolerance, "deferral")

@@ -58,26 +58,22 @@ class Grid:
         return self.x_max / self.steps
 
     def nearest_index(self, x: float, *, tie_up: bool = True) -> int:
-        """Index of the grid point nearest to ``x``.
+        """Index of the grid point nearest to ``x`` (see ``nearest_indices``)."""
+        return int(self.nearest_indices(x, tie_up=tie_up))
+
+    def nearest_indices(self, x, *, tie_up: bool = True) -> np.ndarray:
+        """Index of the grid point nearest to each entry of ``x`` (vectorized).
 
         Points outside ``[0, x_max]`` clamp to the boundary.  An exact
         half-step tie resolves upward when ``tie_up`` and downward otherwise;
         the two conventions together make interval snapping round inward.
         """
         pts = self.points
-        if x <= pts[0]:
-            return 0
-        if x >= pts[-1]:
-            return self.steps
-        j = int(np.searchsorted(pts, x))
-        if pts[j] == x:
-            return j
+        x = np.asarray(x, dtype=float)
+        j = np.clip(np.searchsorted(pts, x), 1, self.steps)
         below, above = x - pts[j - 1], pts[j] - x
-        if below < above:
-            return j - 1
-        if above < below:
-            return j
-        return j if tie_up else j - 1
+        idx = np.where(below < above, j - 1, j) if tie_up else np.where(above < below, j, j - 1)
+        return np.where(x <= pts[0], 0, np.where(x >= pts[-1], self.steps, idx))
 
     def index_of(self, x: float) -> int:
         """Index of ``x`` as an exact grid point, else ``GridLookupError``."""
@@ -116,9 +112,17 @@ class Tabulated:
     values: tuple[float, ...]
     grid: Grid
 
-    @property
+    @cached_property
     def peak(self) -> float:
         return self.grid.points[int(np.argmax(self.values))]
+
+    @cached_property
+    def is_quasiconcave(self) -> bool:
+        """Whether the values rise strictly to a unique peak then fall strictly."""
+        vals = self.values
+        peak = int(np.argmax(vals))
+        return (all(vals[j] < vals[j + 1] for j in range(peak))
+                and all(vals[j] > vals[j + 1] for j in range(peak, len(vals) - 1)))
 
 
 UtilityFunction = Union[Quadratic, Tabulated]
@@ -332,10 +336,7 @@ def _validate_utility(u: UtilityFunction, out: list[Violation], where: str) -> N
     if len(vals) == 0:
         out.append(Violation("EmptyTabulation", f"{where}: no values"))
         return
-    peak = int(np.argmax(vals))
-    increasing = all(vals[j] < vals[j + 1] for j in range(peak))
-    decreasing = all(vals[j] > vals[j + 1] for j in range(peak, len(vals) - 1))
-    _check(out, increasing and decreasing, "NotQuasiconcave",
+    _check(out, u.is_quasiconcave, "NotQuasiconcave",
            f"{where}: values must rise strictly to a unique peak then fall strictly")
 
 

@@ -153,3 +153,18 @@ def test_degenerate_interval_midcell_keeps_both_neighbours():
     closed = d.interval_grid_points(d.consideration_interval(u, d.LinearCost(1.0), 3.5), grid)
     assert np.array_equal(oracle, closed)
     assert list(oracle) == [3.0, 4.0]
+
+
+def test_index_bounds_of_many_intervals_match_one_at_a_time():
+    # degenerate, half-step tie, sub-cell, clipped and ordinary intervals in one call
+    from deferral.consideration import interval_index_bounds
+
+    grid = d.Grid(8.0, 32)
+    h = grid.step / 2  # exact in binary, so 1 + h ties between two grid points
+    lo = np.array([1.0, 1.0 + h, 2.0 + 0.2 * h, 3.0 - h, -1.0, 7.9, 2.3, 0.0])
+    hi = np.array([1.0, 1.0 + h, 2.0 + 0.6 * h, 3.0 + h, 0.5, 9.0, 4.1, 8.0])
+    i_lo, i_hi = interval_index_bounds(lo, hi, grid)
+    for k in range(len(lo)):
+        one = d.interval_grid_indices(d.ClosedInterval(float(lo[k]), float(hi[k])), grid)
+        assert list(range(i_lo[k], i_hi[k] + 1)) == one.tolist()
+    assert d.interval_grid_indices(d.ClosedInterval(1.0 + h, 1.0 + h), grid).tolist() == [4, 5]

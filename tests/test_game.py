@@ -1,8 +1,14 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import deferral as d
 from conftest import point_mass, quad_agent, two_agent_game
+from deferral.game import _BLOCK_CELLS, START_LATTICE_POINTS
 
 
 def _three_agent_game(aggregator=None):
@@ -346,3 +352,147 @@ class TestLatticeSearch:
         game = d.GameSpec(agents=(agent,) * 5, x_max=4.0)
         with pytest.raises(d.MethodUnsupported):
             d.find_equilibria(game, d.Grid(4.0, 50))
+
+
+def _oracle_certificates(game, grid, starts, restricted):
+    """Certificates of the fixed points reached from each start, one start at a time.
+
+    Iterates the public best responses (smallest of the argmax set) until a
+    state repeats: a state that maps to itself is a fixed point, any other
+    repeat a cycle.  Every state on a path shares the path's outcome.
+    """
+    respond = d.deferral_best_response if restricted else d.best_response
+    wanted = (d.EquilibriumKind.AFTER_DEFERRAL if restricted else d.EquilibriumKind.STANDARD,
+              d.EquilibriumKind.BOTH)
+    outcome = {}
+    for start in starts:
+        state = tuple(float(grid.points[grid.nearest_index(x)]) for x in start)
+        path = []
+        while state not in outcome and state not in path:
+            path.append(state)
+            state = tuple(respond(game, i, state[:i] + state[i + 1:], grid)[0] for i in range(game.n))
+        result = outcome[state] if state in outcome else (state if state == path[-1] else None)
+        outcome.update(dict.fromkeys(path, result))
+    certs = [d.classify_profile(game, p, grid) for p in sorted({p for p in outcome.values() if p})]
+    return [c for c in certs if c is not None and c.kind in wanted]
+
+
+def _lattice(game):
+    axis = np.linspace(0.0, game.x_max, START_LATTICE_POINTS)
+    return list(itertools.product(axis, repeat=game.n))
+
+
+def _searches_match_oracle(game, grid, starts=None):
+    oracle_starts = _lattice(game) if starts is None else starts
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # cycling starts are legal here
+        standard = d.find_equilibria(game, grid, starts=starts)
+        deferred = d.find_equilibria_after_deferral(game, grid, starts=starts)
+    assert standard == _oracle_certificates(game, grid, oracle_starts, False)
+    assert deferred == _oracle_certificates(game, grid, oracle_starts, True)
+
+
+_small_quadratic_agent = st.builds(
+    lambda a, b, k, d1, d2, beliefs: d.AgentSpec(
+        utility=d.Quadratic(a, b, k), c1=d.LinearCost(d1), c2=d.LinearCost(d2),
+        beliefs=tuple(point_mass(v) for v in beliefs)),
+    a=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+    b=st.integers(0, 12).map(float),
+    k=st.integers(-3, 3).map(float),
+    d1=st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0]),
+    d2=st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, 8.0]),
+    beliefs=st.lists(st.integers(0, 8), min_size=2, max_size=2),
+)
+
+
+class TestBatchedLatticeMatchesOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        agents=st.lists(_small_quadratic_agent, min_size=3, max_size=3),
+        aggregator=st.sampled_from([d.MeanChoice(), d.WeightedChoice(weights=(0.5, 0.3, 0.2))]),
+        steps=st.sampled_from([40, 64, 80]),
+        starts=st.lists(st.tuples(*[st.floats(0.0, 8.0)] * 3), min_size=30, max_size=100),
+    )
+    def test_three_agent_games(self, agents, aggregator, steps, starts):
+        game = d.GameSpec(agents=tuple(agents), x_max=8.0, choice_aggregator=aggregator)
+        _searches_match_oracle(game, d.Grid(8.0, steps), starts)
+
+    def test_three_agent_default_lattice(self):
+        game = d.GameSpec(agents=tuple(
+            d.AgentSpec(utility=d.Quadratic(a, b, 0.0), c1=d.LinearCost(d1), c2=d.LinearCost(1.0),
+                        beliefs=(point_mass(5.0), point_mass(1.0)))
+            for a, b, d1 in ((1.0, 4.0, 1.0), (0.5, 6.0, 2.0), (2.0, 2.0, 3.0))), x_max=8.0)
+        grid = d.Grid(8.0, 40)
+        assert START_LATTICE_POINTS**3 > _BLOCK_CELLS // (grid.steps + 1)
+        _searches_match_oracle(game, grid)
+
+    def test_four_agents_over_several_row_blocks(self):
+        agents = tuple(
+            d.AgentSpec(utility=d.Quadratic(a, b, 0.0), c1=d.LinearCost(d1), c2=d.LinearCost(1.0),
+                        beliefs=(point_mass(3.0),) * 3)
+            for a, b, d1 in ((1.0, 4.0, 2.0), (2.0, 12.0, 1.0), (0.5, 5.0, 3.0), (1.5, 3.0, 0.5)))
+        game = d.GameSpec(agents=agents, x_max=8.0,
+                          choice_aggregator=d.WeightedChoice(weights=(0.1, 0.2, 0.3, 0.4)))
+        grid = d.Grid(8.0, 400)
+        starts = [tuple(p) for p in np.random.default_rng(5).uniform(0.0, 8.0, (150, 4))]
+        assert len(starts) > _BLOCK_CELLS // (grid.steps + 1)
+        _searches_match_oracle(game, grid, starts)
+
+    def test_explicit_off_grid_starts(self):
+        game = d.GameSpec(agents=tuple(
+            d.AgentSpec(utility=d.Quadratic(a, b, 1.0), c1=d.LinearCost(2.0), c2=d.LinearCost(0.5),
+                        beliefs=(point_mass(6.0), point_mass(2.0)))
+            for a, b in ((1.0, 2.0), (1.0, 8.0), (2.0, 10.0))), x_max=8.0)
+        grid = d.Grid(8.0, 40)
+        half = grid.step / 2
+        # half-step ties, points beyond both ends and arbitrary interior points
+        starts = [(half, 3 * half, 7.0 + half), (-1.0, 9.0, 4.0), (0.123, 5.4321, 7.77),
+                  (8.0 - half, half, 2.0 + half)]
+        _searches_match_oracle(game, grid, starts)
+
+
+class TestLatticeConvergenceCounts:
+    def test_cycling_starts_are_counted(self):
+        # From the reported game that lost 154 standard and 243 restricted
+        # starts without a trace: every lost start sits on a 2-cycle.
+        agents = tuple(
+            d.AgentSpec(utility=d.Quadratic(a, b, k), c1=d.LinearCost(c1), c2=d.LinearCost(c2),
+                        beliefs=tuple(point_mass(v) for v in beliefs))
+            for a, b, k, c1, c2, beliefs in ((2, 8, 5, 3, 1, [4, 5]), (1, 5, 0, 2, 1, [3, 4]),
+                                             (1.5, 9, 2, 4, 2, [5, 3])))
+        game = d.GameSpec(agents=agents, x_max=8.0)
+        grid = d.Grid(8.0, 400)
+        with pytest.warns(RuntimeWarning, match=r"standard best-response iteration: "
+                          r"1177 of 1331 starts converged, 154 cycled, 0 hit the 500-sweep cap"):
+            standard = d.find_equilibria(game, grid)
+        with pytest.warns(RuntimeWarning, match=r"after-deferral best-response iteration: "
+                          r"1088 of 1331 starts converged, 243 cycled, 0 hit the 500-sweep cap"):
+            deferred = d.find_equilibria_after_deferral(game, grid)
+        # the certificates the per-start iteration found on this game
+        diagonal = {
+            "standard": [2.34, 2.38, 2.4, 2.44, 2.46, 2.48, 2.5, 2.52, 2.54, 2.56, 2.58, 2.6, 2.62,
+                         2.64, 2.66, 2.68, 2.7, 2.72, 2.74, 2.76, 2.78, 2.8, 2.86, 2.88, 2.92, 2.94,
+                         3.0],
+            "deferred": [2.34, 2.38, 2.4, 2.44, 2.46, 2.48, 2.5, 2.58, 2.62, 2.66, 2.7, 2.74, 2.76,
+                         2.8, 2.84, 2.88, 2.92, 3.0],
+        }
+        for certs, xs in ((standard, diagonal["standard"]), (deferred, diagonal["deferred"])):
+            assert [c.profile for c in certs] == [(x, x, x) for x in xs]
+            assert all(c.kind is d.EquilibriumKind.BOTH and c.max_regret == 0.0 for c in certs)
+
+    def test_converging_search_is_silent(self):
+        agent = d.AgentSpec(utility=d.Quadratic(2, 4, 5), c1=d.LinearCost(4.0), c2=d.ZeroCost(),
+                            beliefs=(point_mass(1.0), point_mass(1.0)))
+        game = d.GameSpec(agents=(agent,) * 3, x_max=4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d.find_equilibria(game, d.Grid(4.0, 200))
+            assert d.find_equilibria_after_deferral(game, d.Grid(4.0, 200))
+
+    def test_starts_must_match_agent_count(self):
+        agent = d.AgentSpec(utility=d.Quadratic(2, 4, 5), c1=d.LinearCost(4.0), c2=d.ZeroCost(),
+                            beliefs=(point_mass(1.0), point_mass(1.0)))
+        game = d.GameSpec(agents=(agent,) * 3, x_max=4.0)
+        with pytest.raises(d.DomainError):
+            d.find_equilibria(game, d.Grid(4.0, 40), starts=[(1.0, 2.0)])
+        assert d.find_equilibria(game, d.Grid(4.0, 40), starts=[]) == []

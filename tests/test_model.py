@@ -178,3 +178,14 @@ def test_require_valid_raises_with_all_violations():
         d.model.require_valid(agent)
     codes = {v.code for v in err.value.violations}
     assert codes == {"NonPositiveCurvature", "NegativeWeight"}
+
+
+def test_tabulated_verdict_is_cached_and_still_enforced():
+    grid = d.Grid(1.0, 4)
+    bad = d.Tabulated(values=(0.0, 1.0, 1.0, 0.5, 0.0), grid=grid)
+    for _ in range(2):
+        with pytest.raises(d.SpecValidationError):
+            d.consideration_interval(bad, d.LinearCost(1.0), 0.5)
+    good = d.Tabulated(values=(0.0, 1.0, 2.0, 0.5, 0.0), grid=grid)
+    assert d.consideration_interval(good, d.LinearCost(1.0), 0.0) == d.ClosedInterval(0.0, 0.5)
+    assert good.peak == 0.5 and good.is_quasiconcave and not bad.is_quasiconcave
