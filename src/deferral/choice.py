@@ -102,8 +102,8 @@ def comprehensive_value(
     w = agent.form
     return (
         w.w_u * eval_utility(agent.utility, x)
-        - w.w_1 * eval_cost(agent.c1, abs(x - x_social))
         - w.w_2 * eval_cost(agent.c2, abs(x - future_mean))
+        - w.w_1 * eval_cost(agent.c1, abs(x - x_social))
     )
 
 
@@ -116,8 +116,11 @@ def comprehensive_values(
     """Comprehensive utility over every grid point (vectorized).
 
     ``x_social`` is one social choice, giving one value per grid point, or a
-    column of them (shape ``(rows, 1)``), giving one row per social choice.
-    Rows do not depend on how many are computed together.
+    column of them (shape ``(rows, 1)``), giving one row per social choice;
+    with ``w_1 == 0`` the result stays one row.  Rows do not depend on how
+    many are computed together.  This and ``comprehensive_value`` subtract
+    the future-distance cost before the current-distance one, so every
+    payoff the solver compares is summed in the same order.
     """
     if (np.asarray(x_social) < 0).any():
         raise DomainError(f"social choice must be nonnegative, got {x_social}")
@@ -125,10 +128,10 @@ def comprehensive_values(
         future_mean = belief_mean(agent)
     w = agent.form
     vals = w.w_u * utility_values(agent.utility, grid)
-    if w.w_1 != 0.0:
-        vals = vals - w.w_1 * cost_values_at(agent.c1, grid, x_social)
     if w.w_2 != 0.0:
         vals = vals - w.w_2 * cost_values_at(agent.c2, grid, future_mean)
+    if w.w_1 != 0.0:
+        vals = vals - w.w_1 * cost_values_at(agent.c1, grid, x_social)
     return vals
 
 

@@ -37,7 +37,7 @@ from .game import (
 )
 from .model import Grid, PowerCost
 from .output import fmt, write_csv
-from .reproduce import CASES, run_case
+from .reproduce import CASES, run_case, write_curve, write_equilibria
 from .scenario import Scenario, load_profile, load_scenario
 from .welfare import deferral_loss
 
@@ -151,10 +151,7 @@ def _cmd_best_response(args) -> int:
         game, args.agent - 1, _parse_sweep(args.sweep), grid, method=args.method
     )
     out = _outdir(args, scenario)
-    path = write_csv(out / f"best_response_agent{args.agent}.csv",
-                     ["opponent", "best_response", "tie_count"],
-                     [(fmt(x), fmt(s[0]), str(len(s)))
-                      for x, s in zip(curve.opponent_values, curve.argmax_sets)])
+    path = write_curve(out / f"best_response_agent{args.agent}.csv", curve)
     print(f"best-response curve for agent {args.agent}: {len(curve.opponent_values)} "
           f"samples -> {path}")
     return 0
@@ -185,9 +182,7 @@ def _cmd_equilibria(args) -> int:
         certs = find_equilibria(game, grid, scenario.tolerance)
         name = "equilibria.csv"
     out = _outdir(args, scenario)
-    header = [f"x_{i + 1}" for i in range(game.n)] + ["kind", "max_regret"]
-    rows = [[fmt(x) for x in c.profile] + [c.kind.value, fmt(c.max_regret)] for c in certs]
-    path = write_csv(out / name, header, rows)
+    path = write_equilibria(out / name, certs, game.n)
     _print_certificates(certs)
     print(f"spatial tolerance: one grid step = {fmt(grid.step)}")
     print(f"wrote {path}")

@@ -50,8 +50,6 @@ from .model import (
     Quadratic,
     Violation,
     ZeroCost,
-    eval_cost,
-    utility_values,
 )
 
 Profile = tuple[float, ...]
@@ -187,27 +185,6 @@ def payoff(game: GameSpec, i: int, profile: Sequence[float]) -> float:
     return comprehensive_value(game.agents[i], profile[i], x_social, future)
 
 
-def _payoff_vector(game: GameSpec, i: int, x_social: float, grid: Grid) -> np.ndarray:
-    future = aggregate_beliefs(game, i).mean()
-    return comprehensive_values(game.agents[i], grid, x_social, future)
-
-
-def _payoff_matrix(game: GameSpec, i: int, grid: Grid) -> np.ndarray:
-    """Two-agent payoff table ``P[own_index, opponent_index]``."""
-    agent = game.agents[i]
-    future = aggregate_beliefs(game, i).mean()
-    pts = grid.points
-    w = agent.form
-    vals = (w.w_u * utility_values(agent.utility, grid))[:, None]
-    if w.w_2 != 0.0:
-        vals = vals - w.w_2 * np.asarray(eval_cost(agent.c2, np.abs(pts - future)))[:, None]
-    if w.w_1 != 0.0:
-        vals = vals - w.w_1 * np.asarray(eval_cost(agent.c1, np.abs(pts[:, None] - pts[None, :])))
-    else:
-        vals = vals + np.zeros((1, len(pts)))
-    return vals
-
-
 # ---------------------------------------------------------------------------
 # best responses
 
@@ -300,7 +277,7 @@ def best_response(
         return _exact_best_response(game, i, x_social, grid)
     if method != "grid":
         raise MethodUnsupported(f"unknown best-response method {method!r}")
-    vals = _payoff_vector(game, i, x_social, grid)
+    vals = comprehensive_values(game.agents[i], grid, x_social, aggregate_beliefs(game, i).mean())
     best = float(vals.max())
     return tuple(float(x) for x in grid.points[vals >= best - EXACT_TOL])
 
@@ -316,7 +293,7 @@ def deferral_best_response(
     agent = game.agents[i]
     interval = consideration_interval(agent.utility, agent.c1, x_social)
     idx = interval_grid_indices(interval, grid)
-    vals = _payoff_vector(game, i, x_social, grid)[idx]
+    vals = comprehensive_values(agent, grid, x_social, aggregate_beliefs(game, i).mean())[idx]
     best = float(vals.max())
     return tuple(float(x) for x in grid.points[idx[vals >= best - EXACT_TOL]])
 
@@ -365,7 +342,7 @@ def default_tolerance(game: GameSpec, payoff_scale: float, lipschitz_step: float
 
 
 def _matrix_tolerance(game: GameSpec, tables: Sequence[np.ndarray], tolerance: float | None) -> float:
-    """``tolerance``, else the default for payoff tables indexed by own choice first.
+    """``tolerance``, else the default for payoff tables indexed by own choice last.
 
     The exact-family rule never reads the Lipschitz step, so it is only
     computed for the other families.
@@ -375,7 +352,7 @@ def _matrix_tolerance(game: GameSpec, tables: Sequence[np.ndarray], tolerance: f
     scale = max(float(np.abs(t).max()) for t in tables)
     if is_exact_family(game):
         return default_tolerance(game, scale, 0.0)
-    lipschitz = max(float(np.abs(np.diff(t, axis=0)).max()) for t in tables)
+    lipschitz = max(float(np.abs(np.diff(t, axis=-1)).max()) for t in tables)
     return default_tolerance(game, scale, lipschitz)
 
 
@@ -394,6 +371,39 @@ def _deferral_data(game: GameSpec, i: int, x_social: float, grid: Grid):
     return interval, idx, lo_eff, hi_eff
 
 
+def _regret(best: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Largest ``max(0, best - value)`` over the agents (last axis) of each profile."""
+    return np.maximum(0.0, best - values).max(axis=-1)
+
+
+_KINDS = {
+    (True, False): EquilibriumKind.STANDARD,
+    (False, True): EquilibriumKind.AFTER_DEFERRAL,
+    (True, True): EquilibriumKind.BOTH,
+}
+
+
+def _certificates(profiles, values, best, rbest, standard, deferral, intervals):
+    """Certificates of profiles that passed at least one equilibrium test.
+
+    ``profiles``, ``values``, ``best`` and ``rbest`` have one row per profile
+    and one column per agent: the choices, each agent's payoff, and their
+    best payoff over the grid and over their consideration slice (``rbest``
+    is ``None`` when the slices are unavailable).  ``standard`` and
+    ``deferral`` are the caller's verdicts, one per profile; the kind follows
+    from them, and ``max_regret`` is the largest regret over the tests
+    passed.  ``intervals`` holds each profile's consideration intervals.
+    """
+    regret = np.where(standard, _regret(best, values), -np.inf)
+    if rbest is not None:
+        regret = np.maximum(regret, np.where(deferral, _regret(rbest, values), -np.inf))
+    return [
+        EquilibriumCertificate(tuple(p), _KINDS[s, d], r, iv)
+        for p, s, d, r, iv in zip(
+            profiles.tolist(), standard.tolist(), deferral.tolist(), regret.tolist(), intervals)
+    ]
+
+
 def classify_profile(
     game: GameSpec,
     profile: Sequence[float],
@@ -409,162 +419,111 @@ def classify_profile(
     and only standard classification is possible.
     """
     _check_profile(game, profile)
-    n = game.n
     values = []
     vectors = []
     socials = []
-    for i in range(n):
+    for i in range(game.n):
         x_social = aggregate_choices(game, i, profile)
         future = aggregate_beliefs(game, i).mean()
         socials.append(x_social)
         vectors.append(comprehensive_values(game.agents[i], grid, x_social, future))
         values.append(comprehensive_value(game.agents[i], profile[i], x_social, future))
     tolerance = _matrix_tolerance(game, vectors, tolerance)
+    values = np.array([values])
+    best = np.array([[v.max() for v in vectors]])
+    standard = _regret(best, values) <= tolerance
 
-    standard_regrets = [max(0.0, float(vec.max()) - val) for vec, val in zip(vectors, values)]
-    standard_ok = max(standard_regrets) <= tolerance
-
-    deferral_ok = False
-    deferral_regrets: list[float] = []
-    intervals: tuple[ClosedInterval, ...] | None = None
+    deferral = np.zeros(1, dtype=bool)
+    rbest = intervals = None
     try:
-        data = [_deferral_data(game, i, socials[i], grid) for i in range(n)]
+        data = [_deferral_data(game, i, socials[i], grid) for i in range(game.n)]
     except ClosedFormUnavailable:
         data = None
     if data is not None:
         intervals = tuple(d[0] for d in data)
-        member = all(d[2] <= profile[i] <= d[3] for i, d in enumerate(data))
-        if member:
-            deferral_regrets = [
-                max(0.0, float(vectors[i][d[1]].max()) - values[i]) for i, d in enumerate(data)
-            ]
-            deferral_ok = max(deferral_regrets) <= tolerance
+        rbest = np.array([[v[d[1]].max() for v, d in zip(vectors, data)]])
+        if all(d[2] <= x <= d[3] for x, d in zip(profile, data)):
+            deferral = _regret(rbest, values) <= tolerance
 
-    if standard_ok and deferral_ok:
-        kind = EquilibriumKind.BOTH
-        regret = max(standard_regrets + deferral_regrets)
-    elif standard_ok:
-        kind = EquilibriumKind.STANDARD
-        regret = max(standard_regrets)
-    elif deferral_ok:
-        kind = EquilibriumKind.AFTER_DEFERRAL
-        regret = max(deferral_regrets)
-    else:
+    if not (standard[0] or deferral[0]):
         return None
-    return EquilibriumCertificate(
-        profile=tuple(float(x) for x in profile),
-        kind=kind,
-        max_regret=regret,
-        per_agent_consideration=intervals,
-    )
+    return _certificates(
+        np.array([profile], dtype=float), values, best, rbest, standard, deferral, [intervals])[0]
 
 
 # ---------------------------------------------------------------------------
 # exhaustive two-agent search
 
 
-class _TwoPlayerTables:
-    """Shared payoff tables and per-column statistics for a two-agent grid game."""
-
-    def __init__(self, game: GameSpec, grid: Grid, tolerance: float | None):
-        self.game = game
-        self.grid = grid
-        # P[a][own, opp]
-        self.P = [_payoff_matrix(game, 0, grid), _payoff_matrix(game, 1, grid)]
-        self.best = [m.max(axis=0) for m in self.P]
-        self.tol = _matrix_tolerance(game, self.P, tolerance)
-        self._deferral_ready = False
-
-    def prepare_deferral(self) -> None:
-        if self._deferral_ready:
-            return
-        self.lo, self.hi, self.rbest = [], [], []
-        for a in (0, 1):
-            agent = self.game.agents[a]
-            peak = agent.utility.peak
-            consideration_interval(agent.utility, agent.c1, peak)  # precondition check
-            # column j's opponent plays grid point j
-            lo, hi = interval_index_bounds(*consideration_bounds(peak, self.grid.points), self.grid)
-            P = self.P[a]
-            self.lo.append(lo)
-            self.hi.append(hi)
-            self.rbest.append(np.array(
-                [P[l : h + 1, j].max() for j, (l, h) in enumerate(zip(lo.tolist(), hi.tolist()))]))
-        self._deferral_ready = True
-
-    def standard_mask(self) -> np.ndarray:
-        ok0 = self.P[0] >= self.best[0][None, :] - self.tol
-        ok1 = self.P[1].T >= self.best[1][:, None] - self.tol
-        return ok0 & ok1
-
-    def deferral_mask(self) -> np.ndarray:
-        self.prepare_deferral()
-        m = self.grid.steps + 1
-        own = np.arange(m)[:, None]
-        opp = np.arange(m)[None, :]
-        member0 = (own >= self.lo[0][None, :]) & (own <= self.hi[0][None, :])
-        member1 = (opp >= self.lo[1][:, None]) & (opp <= self.hi[1][:, None])
-        ok0 = self.P[0] >= self.rbest[0][None, :] - self.tol
-        ok1 = self.P[1].T >= self.rbest[1][:, None] - self.tol
-        return member0 & member1 & ok0 & ok1
-
-    def intervals(self, i1: int, i2: int) -> tuple[ClosedInterval, ...]:
-        pts = self.grid.points
-        return (
-            consideration_interval(self.game.agents[0].utility, self.game.agents[0].c1, pts[i2]),
-            consideration_interval(self.game.agents[1].utility, self.game.agents[1].c1, pts[i1]),
-        )
-
-    def certificate(self, i1: int, i2: int, standard: bool, deferral: bool) -> EquilibriumCertificate:
-        pts = self.grid.points
-        regrets = []
-        intervals = None
-        if standard:
-            regrets += [
-                max(0.0, float(self.best[0][i2] - self.P[0][i1, i2])),
-                max(0.0, float(self.best[1][i1] - self.P[1][i2, i1])),
-            ]
-        if deferral:
-            regrets += [
-                max(0.0, float(self.rbest[0][i2] - self.P[0][i1, i2])),
-                max(0.0, float(self.rbest[1][i1] - self.P[1][i2, i1])),
-            ]
-        try:
-            intervals = self.intervals(i1, i2)
-        except ClosedFormUnavailable:
-            intervals = None
-        if standard and deferral:
-            kind = EquilibriumKind.BOTH
-        elif standard:
-            kind = EquilibriumKind.STANDARD
-        else:
-            kind = EquilibriumKind.AFTER_DEFERRAL
-        return EquilibriumCertificate(
-            profile=(float(pts[i1]), float(pts[i2])),
-            kind=kind,
-            max_regret=max(regrets),
-            per_agent_consideration=intervals,
-        )
-
-
 def _two_player_find(game, grid, tolerance, want):
-    tables = _TwoPlayerTables(game, grid, tolerance)
-    standard = tables.standard_mask()
-    if want == "standard":
-        primary = standard
-        try:
-            deferral = tables.deferral_mask()
-        except ClosedFormUnavailable:
-            deferral = np.zeros_like(standard)
-    else:
-        deferral = tables.deferral_mask()  # propagate precondition failures
-        primary = deferral
-    certificates = []
-    for i1, i2 in np.argwhere(primary):
-        certificates.append(
-            tables.certificate(int(i1), int(i2), bool(standard[i1, i2]), bool(deferral[i1, i2]))
-        )
-    return certificates
+    """Test every grid profile ``(i1, i2)`` of a two-agent game at once.
+
+    Agent ``a``'s table ``tables[a][j, k]`` is their payoff for own grid
+    choice ``k`` against the opponent's grid choice ``j``: one kernel call
+    with every grid point as the social choice (one broadcast row when
+    ``w_1 == 0``).  Agent 0 plays ``i1`` against ``i2`` and agent 1 plays
+    ``i2`` against ``i1``, so verdicts ``ok[a][j, k]`` in that layout become
+    the profile mask ``ok[0].T & ok[1]``.
+    """
+    pts = grid.points
+    m = len(pts)
+    tables = [
+        np.broadcast_to(
+            comprehensive_values(agent, grid, pts[:, None], aggregate_beliefs(game, a).mean()), (m, m))
+        for a, agent in enumerate(game.agents)
+    ]
+    tol = _matrix_tolerance(game, tables, tolerance)
+    best = [t.max(axis=1) for t in tables]
+    ok = [t >= b[:, None] - tol for t, b in zip(tables, best)]
+    standard = ok[0].T & ok[1]
+
+    try:
+        bounds = []
+        for agent in game.agents:
+            consideration_interval(agent.utility, agent.c1, 0.0)  # precondition check
+            # row j's opponent plays grid point j
+            bounds.append(consideration_bounds(agent.utility.peak, pts))
+    except ClosedFormUnavailable:
+        if want == "deferral":
+            raise
+        bounds = None
+    rbest = None
+    deferral = np.zeros_like(standard)
+    if bounds is not None:
+        own = np.arange(m)
+        rbest, ok = [], []
+        for t, (lo, hi) in zip(tables, bounds):
+            i_lo, i_hi = interval_index_bounds(lo, hi, grid)
+            r = np.array([row[l : h + 1].max() for row, l, h in zip(t, i_lo.tolist(), i_hi.tolist())])
+            near = own >= i_lo[:, None]
+            near &= own <= i_hi[:, None]
+            near &= t >= r[:, None] - tol
+            rbest.append(r)
+            ok.append(near)
+        deferral = ok[0].T & ok[1]
+
+    i1, i2 = np.nonzero(standard if want == "standard" else deferral)
+    opp = (i2, i1)
+
+    def at_opponent(per_row):
+        return np.stack([x[o] for x, o in zip(per_row, opp)], axis=1)
+
+    intervals = [None] * len(i1)
+    if bounds is not None:
+        per_agent = [
+            [ClosedInterval(l, h) for l, h in zip(lo[o].tolist(), hi[o].tolist())]
+            for (lo, hi), o in zip(bounds, opp)
+        ]
+        intervals = list(zip(*per_agent))
+    return _certificates(
+        pts[np.stack([i1, i2], axis=1)],
+        np.stack([tables[0][i2, i1], tables[1][i1, i2]], axis=1),
+        at_opponent(best),
+        None if rbest is None else at_opponent(rbest),
+        standard[i1, i2],
+        deferral[i1, i2],
+        intervals,
+    )
 
 
 # ---------------------------------------------------------------------------

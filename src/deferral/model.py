@@ -26,16 +26,6 @@ from .errors import DomainError, GridLookupError, SpecValidationError
 EXACT_TOL = 1e-12
 
 
-def distance(x: float, y: float) -> float:
-    """Euclidean distance on the nonnegative half-line.
-
-    The model fixes the metric to ``|x - y|``; other metrics are out of scope.
-    """
-    if x < 0 or y < 0:
-        raise DomainError(f"distance arguments must be nonnegative, got ({x}, {y})")
-    return abs(x - y)
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid over ``[0, x_max]`` with points ``j * x_max / steps``.
@@ -207,7 +197,8 @@ class WeightedChoice:
     """Reference point = weighted mean of the others' choices.
 
     ``weights`` has one entry per agent (self included); for agent ``i`` the
-    entries over ``j != i`` are renormalized to sum to one.
+    entries over ``j != i`` are renormalized to sum to one, so they must not
+    all be zero.
     """
 
     weights: tuple[float, ...]
@@ -286,18 +277,6 @@ def cost_is_strictly_increasing(c: CostFunction) -> bool:
     if isinstance(c, ZeroCost):
         return False
     return c.d > 0
-
-
-def personal_optimum(u: UtilityFunction, grid: Grid) -> float:
-    """Maximizer of the personal utility alone, clamped to ``[0, x_max]``."""
-    if isinstance(u, Quadratic):
-        return min(max(u.peak, 0.0), grid.x_max)
-    return u.peak
-
-
-def rv_mean(v: FiniteRandomVariable) -> float:
-    """Probability-weighted mean of a finite-support belief."""
-    return v.mean()
 
 
 def belief_mean(agent: AgentSpec) -> float:
@@ -396,6 +375,11 @@ def _validate_game(g: GameSpec, out: list[Violation]) -> None:
         ok = len(w) == g.n and all(x >= 0 for x in w) and abs(sum(w) - 1.0) <= EXACT_TOL
         _check(out, ok, "AggregatorWeightsInvalid",
                f"choice weights must be {g.n} nonnegative values summing to 1")
+        if len(w) == g.n:
+            for i in range(g.n):
+                others = sum(x for j, x in enumerate(w) if j != i)
+                _check(out, others > 0, "AggregatorWeightsInvalid",
+                       f"agents[{i}]: choice weights over the other agents sum to {others}, need > 0")
     bw = g.belief_aggregator.weights
     if bw is not None:
         ok = len(bw) == g.n - 1 and all(x >= 0 for x in bw) and abs(sum(bw) - 1.0) <= EXACT_TOL

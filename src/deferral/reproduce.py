@@ -17,6 +17,7 @@ from pathlib import Path
 from .choice import comprehensive_value, detect_trap, second_stage_choice
 from .errors import PreconditionViolated
 from .game import (
+    BestResponseCurve,
     EquilibriumCertificate,
     EquilibriumKind,
     best_response_curve,
@@ -81,7 +82,8 @@ def load_bundled_scenario(name: str) -> Scenario:
     return parse_scenario(json.loads(text))
 
 
-def _write_equilibria(path: Path, certs: list[EquilibriumCertificate], n: int) -> Path:
+def write_equilibria(path: Path, certs: list[EquilibriumCertificate], n: int) -> Path:
+    """Write equilibrium certificates of an ``n``-agent game: profile, kind, max regret."""
     header = [f"x_{i + 1}" for i in range(n)] + ["kind", "max_regret"]
     rows = [
         [fmt(x) for x in c.profile] + [c.kind.value, fmt(c.max_regret)]
@@ -90,7 +92,8 @@ def _write_equilibria(path: Path, certs: list[EquilibriumCertificate], n: int) -
     return write_csv(path, header, rows)
 
 
-def _write_curve(path: Path, curve) -> Path:
+def write_curve(path: Path, curve: BestResponseCurve) -> Path:
+    """Write a best-response curve: opponent value, smallest best response, tie count."""
     rows = [
         (fmt(x), fmt(s[0]), str(len(s)))
         for x, s in zip(curve.opponent_values, curve.argmax_sets)
@@ -112,18 +115,22 @@ def _diagonal_extent(certs: list[EquilibriumCertificate]) -> tuple[float, float,
     return lo, hi, skew
 
 
-def _run_akerlof(scenario: Scenario, out: Path) -> CaseResult:
+def _run_pair(scenario: Scenario, out: Path):
+    """Both searches of a two-agent case and both best-response curves, written to CSV."""
     game, grid = scenario.game, scenario.grid
-    ref = REFERENCE["akerlof"]
     standard = find_equilibria(game, grid, scenario.tolerance)
     deferred = find_equilibria_after_deferral(game, grid, scenario.tolerance)
+    curves = [best_response_curve(game, i, _sweep(grid), grid) for i in (0, 1)]
     files = [
-        _write_equilibria(out / "equilibria.csv", standard, 2),
-        _write_equilibria(out / "deferral_equilibria.csv", deferred, 2),
-    ]
-    for i in (0, 1):
-        curve = best_response_curve(game, i, _sweep(grid), grid)
-        files.append(_write_curve(out / f"best_response_agent{i + 1}.csv", curve))
+        write_equilibria(out / "equilibria.csv", standard, 2),
+        write_equilibria(out / "deferral_equilibria.csv", deferred, 2),
+    ] + [write_curve(out / f"best_response_agent{i + 1}.csv", c) for i, c in enumerate(curves)]
+    return standard, deferred, curves, files
+
+
+def _run_akerlof(scenario: Scenario, out: Path) -> CaseResult:
+    ref = REFERENCE["akerlof"]
+    standard, deferred, _, files = _run_pair(scenario, out)
     s_lo, s_hi, s_skew = _diagonal_extent(standard)
     d_lo, d_hi, d_skew = _diagonal_extent(deferred)
     rows = (
@@ -143,17 +150,7 @@ def _run_akerlof(scenario: Scenario, out: Path) -> CaseResult:
 def _run_example42(scenario: Scenario, out: Path) -> CaseResult:
     game, grid = scenario.game, scenario.grid
     ref = REFERENCE["example42"]
-    standard = find_equilibria(game, grid, scenario.tolerance)
-    deferred = find_equilibria_after_deferral(game, grid, scenario.tolerance)
-    files = [
-        _write_equilibria(out / "equilibria.csv", standard, 2),
-        _write_equilibria(out / "deferral_equilibria.csv", deferred, 2),
-    ]
-    curves = []
-    for i in (0, 1):
-        curve = best_response_curve(game, i, _sweep(grid), grid)
-        curves.append(curve)
-        files.append(_write_curve(out / f"best_response_agent{i + 1}.csv", curve))
+    standard, deferred, curves, files = _run_pair(scenario, out)
     s_lo, s_hi, s_skew = _diagonal_extent(standard)
     d_lo, d_hi, d_skew = _diagonal_extent(deferred)
     ref_eq = ref["equilibrium"]

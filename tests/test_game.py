@@ -311,6 +311,18 @@ class TestClassifyProfile:
                 if cert is not None:
                     assert found.get(profile, cert.kind) is cert.kind
 
+    @pytest.mark.parametrize("fixture", ["akerlof_game", "example42_game", "belief_heavy_game"])
+    def test_search_certificates_equal_classification(self, fixture, request):
+        # Exact family only: elsewhere the two paths still pick different
+        # default tolerances (whole table against the profile's own vectors).
+        game = request.getfixturevalue(fixture)
+        grid = d.Grid(game.x_max, 400)
+        for finder in (d.find_equilibria, d.find_equilibria_after_deferral):
+            certs = finder(game, grid)
+            assert certs
+            for cert in certs:
+                assert d.classify_profile(game, cert.profile, grid) == cert
+
 
 class TestLatticeSearch:
     def test_three_agent_symmetric_game(self):

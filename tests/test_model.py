@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,31 +32,30 @@ class TestEvalUtility:
 
 
 class TestPersonalOptimum:
+    """The personal optimum is the utility's ``peak``."""
+
     def test_interior_peak(self):
-        assert d.personal_optimum(d.Quadratic(2, 4, 5), d.Grid(8.0, 800)) == 1.0
+        assert d.Quadratic(2, 4, 5).peak == 1.0
 
     def test_boundary_peak(self):
-        assert d.personal_optimum(d.Quadratic(1, 0, 0), d.Grid(8.0, 800)) == 0.0
+        assert d.Quadratic(1, 0, 0).peak == 0.0
 
     def test_tabulated_peak(self):
         grid = d.Grid(10.0, 100)
         u = d.Tabulated(values=tuple(-((x - 3.0) ** 2) for x in grid.points), grid=grid)
-        assert d.personal_optimum(u, grid) == 3.0
-
-    def test_peak_clamped_to_bound(self):
-        assert d.personal_optimum(d.Quadratic(0.5, 20, 0), d.Grid(8.0, 800)) == 8.0
+        assert u.peak == 3.0
 
 
 class TestRvMean:
     def test_point_mass(self):
-        assert d.rv_mean(point_mass(10.0)) == 10.0
+        assert point_mass(10.0).mean() == 10.0
 
     def test_degenerate_at_origin(self):
-        assert d.rv_mean(point_mass(0.0)) == 0.0
+        assert point_mass(0.0).mean() == 0.0
 
     def test_two_atom_mixture(self):
         rv = d.FiniteRandomVariable(atoms=((2.0, 0.5), (6.0, 0.5)))
-        assert d.rv_mean(rv) == 4.0
+        assert rv.mean() == 4.0
 
 
 class TestValidate:
@@ -97,6 +98,15 @@ class TestValidate:
         )
         assert "AggregatorWeightsInvalid" in [v.code for v in d.validate(game)]
 
+    def test_weighted_aggregator_needs_weight_on_others(self, akerlof_game):
+        # sums to 1 overall, but leaves agent 0 no weight on anyone else
+        game = replace(akerlof_game, choice_aggregator=d.WeightedChoice((1.0, 0.0)))
+        violations = d.validate(game)
+        assert [v.code for v in violations] == ["AggregatorWeightsInvalid"]
+        assert violations[0].message.startswith("agents[0]:")
+        with pytest.raises(d.SpecValidationError):
+            d.payoff(game, 0, (1.0, 1.0))
+
     def test_violations_returned_not_raised(self):
         assert isinstance(d.validate(quad_agent(a=-1.0)), list)
 
@@ -119,12 +129,6 @@ class TestGrid:
         assert g.nearest_index(0.49) == 0
         assert g.nearest_index(9.0) == 8
         assert g.nearest_index(-1.0) == 0
-
-
-@given(st.floats(0, 50), st.floats(0, 50))
-def test_distance_symmetric_nonnegative(x, y):
-    assert d.distance(x, y) == d.distance(y, x) >= 0.0
-    assert (d.distance(x, y) == 0.0) == (x == y)
 
 
 cost_variants = st.one_of(
@@ -159,7 +163,7 @@ def test_rv_mean_within_support(atoms):
         return
     total = sum(p for _, p in atoms)
     rv = d.FiniteRandomVariable(atoms=tuple((v, p / total) for v, p in atoms))
-    assert min(values) - 1e-9 <= d.rv_mean(rv) <= max(values) + 1e-9
+    assert min(values) - 1e-9 <= rv.mean() <= max(values) + 1e-9
 
 
 def test_belief_mean_uniform_mixture():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -104,6 +105,16 @@ class TestCliExitCodes:
 
     def test_io_failure_is_4(self, tmp_path, capsys):
         assert main(["choose", str(tmp_path / "missing.json")]) == 4
+
+    def test_weights_leaving_an_agent_no_reference_is_2(self, tmp_path, capsys):
+        data = json.loads(
+            (Path(__file__).resolve().parents[1] / "src/deferral/scenarios/akerlof.json").read_text())
+        data["steps"] = 40
+        data["choice_aggregator"] = {"variant": "weighted", "weights": [1.0, 0.0]}
+        scenario = _write(tmp_path, "g.json", data)
+        assert main(["equilibria", scenario, "--output-dir", str(tmp_path / "out")]) == 2
+        assert "AggregatorWeightsInvalid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_wrong_mode_is_2(self, tmp_path):
         scenario = _write(tmp_path, "s.json", _single_agent_scenario())
@@ -213,7 +224,37 @@ class TestCliOutputs:
                      "--deferred", deferred, "--output-dir", str(tmp_path / "out")]) == 3
 
 
+#: SHA-256 of every CSV that ``run_case`` writes; a change to any of these
+#: bytes must be deliberate.
+REPRODUCE_DIGESTS = {
+    "akerlof": {
+        "best_response_agent1.csv": "e935a69074a3d7bc59c819593db455191465321d50816a4b4adfad1faa657fe2",
+        "best_response_agent2.csv": "e935a69074a3d7bc59c819593db455191465321d50816a4b4adfad1faa657fe2",
+        "deferral_equilibria.csv": "a34a9cf6e13b2e4294ca760b3b9db1f3af097b09400334d5fb6edb22df50439d",
+        "discrepancy.csv": "fc7cebf5ee82399ab4b3fc32884b4f894b8c7a9d2da7a3f5317f2ac76fd87d9f",
+        "equilibria.csv": "a34a9cf6e13b2e4294ca760b3b9db1f3af097b09400334d5fb6edb22df50439d",
+    },
+    "example42": {
+        "best_response_agent1.csv": "fd1ef74ea62a1a49f164527805d07f24f0f5b9083e56231d8552ff5e84f02f91",
+        "best_response_agent2.csv": "92a24c40ec8efc63f41e608b0a7fbea3d2e319954172e55631aec8afb8437184",
+        "deferral_equilibria.csv": "d1a14bb9bb037c29bec95d4cc67aa352f6eacec9fc0d2edf65a657d3334320a6",
+        "discrepancy.csv": "f8dccb61613f40337c97195ffd67c83cbc1c5d3e229eb57d069f58be30d89316",
+        "equilibria.csv": "d1a14bb9bb037c29bec95d4cc67aa352f6eacec9fc0d2edf65a657d3334320a6",
+    },
+    "trap": {
+        "discrepancy.csv": "e0747c24dcdcdb617b70054a09f46a3e7dec771a29c5363fefd24d39ec6cd528",
+        "trap_report.csv": "2057e537e62d1deaddc74bec63c77c199a7fb089d004903d5f9f9c58bef7b149",
+    },
+}
+
+
 class TestReproduce:
+    @pytest.mark.parametrize("case", sorted(REPRODUCE_DIGESTS))
+    def test_reproduce_bytes_are_pinned(self, case, tmp_path):
+        result = run_case(case, tmp_path)
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in result.files}
+        assert digests == REPRODUCE_DIGESTS[case]
+
     def test_trap_case(self, tmp_path):
         result = run_case("trap", tmp_path / "trap")
         quantities = {r.quantity: r for r in result.rows}
