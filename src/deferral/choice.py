@@ -23,13 +23,13 @@ from .consideration import (
 )
 from .errors import DomainError
 from .model import (
-    EXACT_TOL,
     AgentSpec,
     Grid,
     belief_mean,
     cost_values_at,
     eval_cost,
     eval_utility,
+    near_best,
     utility_values,
 )
 
@@ -139,10 +139,9 @@ def second_stage_choice(agent: AgentSpec, x_social: float, grid: Grid) -> Choice
     """Maximize the comprehensive utility over the consideration interval."""
     interval = consideration_interval(agent.utility, agent.c1, x_social)
     idx = interval_grid_indices(interval, grid)
-    vals = comprehensive_values(agent, grid, x_social)[idx]
-    best = float(vals.max())
-    sel = idx[vals >= best - EXACT_TOL]
-    return ChoiceResult(chosen=tuple(float(x) for x in grid.points[sel]), value=best, constrained=True)
+    best, near = near_best(comprehensive_values(agent, grid, x_social)[idx])
+    return ChoiceResult(
+        chosen=tuple(float(x) for x in grid.points[idx[near]]), value=float(best), constrained=True)
 
 
 def unconstrained_optimum(agent: AgentSpec, x_social: float, grid: Grid) -> float:
@@ -155,14 +154,13 @@ def detect_trap(agent: AgentSpec, x_social: float, grid: Grid) -> TrapReport:
     """Check whether unconstrained maximization would leave the interval."""
     interval = consideration_interval(agent.utility, agent.c1, x_social)
     vals = comprehensive_values(agent, grid, x_social)
-    best_idx = int(np.argmax(vals))
-    x_hat = float(grid.points[best_idx])
-    ties = int(np.count_nonzero(vals >= vals[best_idx] - EXACT_TOL))
+    best, near = near_best(vals)
+    x_hat = float(grid.points[int(np.argmax(vals))])
     step = grid.step
     trapped = x_hat < interval.lo - step or x_hat > interval.hi + step
     if trapped:
         constrained = second_stage_choice(agent, x_social, grid)
-        gap = max(0.0, float(vals[best_idx]) - constrained.value)
+        gap = max(0.0, float(best) - constrained.value)
     else:
         gap = 0.0
     return TrapReport(
@@ -170,7 +168,7 @@ def detect_trap(agent: AgentSpec, x_social: float, grid: Grid) -> TrapReport:
         interval=interval,
         trapped=trapped,
         utility_gap=gap,
-        x_hat_tie_count=ties,
+        x_hat_tie_count=int(np.count_nonzero(near)),
     )
 
 
@@ -188,8 +186,7 @@ def two_criteria_certificate(
     certificate signals an implementation bug, not a model state.
     """
     survivors = maximal_indices_grid(agent.utility, agent.c1, x_social, grid)
-    vals = comprehensive_values(agent, grid, x_social)[survivors]
-    gamma = survivors[vals >= float(vals.max()) - EXACT_TOL]
+    gamma = survivors[near_best(comprehensive_values(agent, grid, x_social)[survivors])[1]]
     chosen = second_stage_choice(agent, x_social, grid)
     gamma_points = tuple(float(x) for x in grid.points[gamma])
     holds = gamma_points == chosen.chosen

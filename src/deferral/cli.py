@@ -16,18 +16,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .choice import detect_trap, second_stage_choice, two_criteria_certificate, unconstrained_optimum
+from .choice import detect_trap, second_stage_choice, two_criteria_certificate
 from .consideration import consideration_interval, maximal_set_grid
-from .errors import (
-    ClosedFormUnavailable,
-    DeferralError,
-    DomainError,
-    GridLookupError,
-    MethodUnsupported,
-    PreconditionViolated,
-    ScenarioError,
-    SpecValidationError,
-)
+from .errors import DeferralError, PreconditionViolated, ScenarioError, SpecValidationError
 from .game import (
     EquilibriumCertificate,
     best_response_curve,
@@ -45,25 +36,23 @@ DEFAULT_OUTPUT_DIR = "deferral_out"
 
 
 def _load(args) -> Scenario:
+    """The command's scenario, checked against its mode, with the grid and tolerance overrides."""
     scenario = load_scenario(args.scenario)
-    if getattr(args, "steps", None):
+    if scenario.mode != args.mode:
+        raise ScenarioError(f"'{args.command}' needs a {args.mode} scenario, got {scenario.mode}")
+    if args.steps:
         scenario = replace(scenario, grid=Grid(scenario.grid.x_max, args.steps))
-    if getattr(args, "tolerance", None) is not None:
+    if args.tolerance is not None:
         scenario = replace(scenario, tolerance=args.tolerance)
     return scenario
 
 
 def _outdir(args, scenario: Scenario) -> Path:
-    if getattr(args, "output_dir", None):
+    if args.output_dir:
         return Path(args.output_dir)
     if scenario.output_dir:
         return Path(scenario.output_dir)
     return Path(DEFAULT_OUTPUT_DIR)
-
-
-def _require_mode(scenario: Scenario, mode: str, command: str) -> None:
-    if scenario.mode != mode:
-        raise ScenarioError(f"'{command}' needs a {mode} scenario, got {scenario.mode}")
 
 
 def _warn_on_power_costs(scenario: Scenario) -> None:
@@ -78,9 +67,7 @@ def _warn_on_power_costs(scenario: Scenario) -> None:
                 )
 
 
-def _cmd_consider(args) -> int:
-    scenario = _load(args)
-    _require_mode(scenario, "single_agent", "consider")
+def _cmd_consider(args, scenario: Scenario) -> int:
     agent, grid, x_social = scenario.agent, scenario.grid, scenario.x_social
     interval = consideration_interval(agent.utility, agent.c1, x_social)
     points = maximal_set_grid(agent.utility, agent.c1, x_social, grid)
@@ -92,31 +79,26 @@ def _cmd_consider(args) -> int:
     return 0
 
 
-def _cmd_choose(args) -> int:
-    scenario = _load(args)
-    _require_mode(scenario, "single_agent", "choose")
+def _cmd_choose(args, scenario: Scenario) -> int:
     agent, grid, x_social = scenario.agent, scenario.grid, scenario.x_social
     result = second_stage_choice(agent, x_social, grid)
-    x_hat = unconstrained_optimum(agent, x_social, grid)
     trap = detect_trap(agent, x_social, grid)
     out = _outdir(args, scenario)
     write_csv(out / "choose.csv",
               ["chosen", "value", "tie_count", "x_hat", "trapped", "utility_gap",
                "interval_lo", "interval_hi"],
               [(fmt(result.canonical), fmt(result.value), str(len(result.chosen)),
-                fmt(x_hat), fmt(1.0 if trap.trapped else 0.0), fmt(trap.utility_gap),
+                fmt(trap.x_hat), fmt(1.0 if trap.trapped else 0.0), fmt(trap.utility_gap),
                 fmt(trap.interval.lo), fmt(trap.interval.hi))])
     print(f"chosen: {fmt(result.canonical)} (ties: {len(result.chosen)}) "
           f"value: {fmt(result.value)}")
-    print(f"unconstrained optimum: {fmt(x_hat)}")
+    print(f"unconstrained optimum: {fmt(trap.x_hat)}")
     print(f"trapped: {trap.trapped} utility gap: {fmt(trap.utility_gap)}")
     print(f"spatial tolerance: one grid step = {fmt(grid.step)}")
     return 0
 
 
-def _cmd_certify(args) -> int:
-    scenario = _load(args)
-    _require_mode(scenario, "single_agent", "certify")
+def _cmd_certify(args, scenario: Scenario) -> int:
     agent, grid, x_social = scenario.agent, scenario.grid, scenario.x_social
     cert = two_criteria_certificate(agent, x_social, grid)
     out = _outdir(args, scenario)
@@ -140,9 +122,7 @@ def _parse_sweep(spec: str) -> list[float]:
     return [lo + j * (hi - lo) / (n - 1) for j in range(n)]
 
 
-def _cmd_best_response(args) -> int:
-    scenario = _load(args)
-    _require_mode(scenario, "game", "best-response")
+def _cmd_best_response(args, scenario: Scenario) -> int:
     _warn_on_power_costs(scenario)
     game, grid = scenario.game, scenario.grid
     if not 1 <= args.agent <= game.n:
@@ -170,9 +150,7 @@ def _print_certificates(certs: list[EquilibriumCertificate]) -> None:
         print(f"  ... ({len(certs) - 12} more omitted; see CSV)")
 
 
-def _cmd_equilibria(args) -> int:
-    scenario = _load(args)
-    _require_mode(scenario, "game", "equilibria")
+def _cmd_equilibria(args, scenario: Scenario) -> int:
     _warn_on_power_costs(scenario)
     game, grid = scenario.game, scenario.grid
     if args.deferral:
@@ -189,9 +167,7 @@ def _cmd_equilibria(args) -> int:
     return 0
 
 
-def _cmd_loss(args) -> int:
-    scenario = _load(args)
-    _require_mode(scenario, "game", "loss")
+def _cmd_loss(args, scenario: Scenario) -> int:
     game, grid = scenario.game, scenario.grid
     standard_profile = load_profile(args.standard)
     deferred_profile = load_profile(args.deferred)
@@ -213,7 +189,7 @@ def _cmd_loss(args) -> int:
     return 0
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce(args, _scenario: None) -> int:
     out = Path(args.output_dir) if args.output_dir else Path(DEFAULT_OUTPUT_DIR) / args.case
     result = run_case(args.case, out)
     width = max(len(r.quantity) for r in result.rows)
@@ -235,35 +211,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, scenario_arg=True):
+    def add(name, func, help_text, mode):
+        """Register a command; ``mode`` is the scenario mode it loads, or ``None`` for none."""
         p = sub.add_parser(name, help=help_text)
-        if scenario_arg:
+        if mode is not None:
             p.add_argument("scenario", help="path to a scenario JSON file")
             p.add_argument("--steps", type=int, help="override the scenario grid resolution")
             p.add_argument("--tolerance", type=float, help="override the regret tolerance")
         p.add_argument("--output-dir", help="directory for CSV outputs")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, mode=mode)
         return p
 
-    add("consider", _cmd_consider, "consideration interval and grid maximal set")
-    add("choose", _cmd_choose, "second-stage choice, unconstrained optimum, trap report")
-    add("certify", _cmd_certify, "two-sequential-criteria certificate")
+    add("consider", _cmd_consider, "consideration interval and grid maximal set", "single_agent")
+    add("choose", _cmd_choose, "second-stage choice, unconstrained optimum, trap report",
+        "single_agent")
+    add("certify", _cmd_certify, "two-sequential-criteria certificate", "single_agent")
 
-    p = add("best-response", _cmd_best_response, "best-response curve over an opponent sweep")
+    p = add("best-response", _cmd_best_response, "best-response curve over an opponent sweep",
+            "game")
     p.add_argument("--agent", type=int, required=True, help="agent index (1-based)")
     p.add_argument("--sweep", required=True, help="opponent values as lo:hi:n")
     p.add_argument("--method", choices=("grid", "exact"), default="grid")
 
-    p = add("equilibria", _cmd_equilibria, "find equilibria (add --deferral for the constrained kind)")
+    p = add("equilibria", _cmd_equilibria,
+            "find equilibria (add --deferral for the constrained kind)", "game")
     p.add_argument("--deferral", action="store_true",
                    help="search for equilibria after deferral instead")
 
-    p = add("loss", _cmd_loss, "deferral loss between two equilibrium profiles")
+    p = add("loss", _cmd_loss, "deferral loss between two equilibrium profiles", "game")
     p.add_argument("--standard", required=True, help="JSON file with the standard-equilibrium profile")
     p.add_argument("--deferred", required=True, help="JSON file with the after-deferral profile")
 
     p = add("reproduce", _cmd_reproduce, "run a shipped case and write its discrepancy report",
-            scenario_arg=False)
+            None)
     p.add_argument("--case", choices=CASES, required=True)
     return parser
 
@@ -271,20 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, None if args.mode is None else _load(args))
     except (ScenarioError, SpecValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ClosedFormUnavailable, PreconditionViolated, MethodUnsupported,
-            DomainError, GridLookupError) as exc:
+    except DeferralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except DeferralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

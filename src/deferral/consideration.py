@@ -80,6 +80,20 @@ def one_many_compare(
     return DominanceVerdict(weak=weak, strict=weak and not reverse)
 
 
+def require_closed_form(u: UtilityFunction, c1: CostFunction) -> None:
+    """Raise unless the closed-form consideration interval applies to ``(u, c1)``.
+
+    The utility must be valid (else ``SpecValidationError``) and the
+    current-distance cost strictly increasing (else ``ClosedFormUnavailable``,
+    and only ``maximal_set_grid`` defines the consideration set).
+    """
+    require_valid(u)
+    if not cost_is_strictly_increasing(c1):
+        raise ClosedFormUnavailable(
+            "the interval form needs a strictly increasing current-distance cost"
+        )
+
+
 def consideration_interval(
     u: UtilityFunction,
     c1: CostFunction,
@@ -89,27 +103,23 @@ def consideration_interval(
 
     Returns the interval between the social choice and the personal optimum,
     degenerating to the optimum itself when the two coincide (within
-    ``EXACT_TOL``).  Requires a strictly increasing current-distance cost;
-    otherwise raises ``ClosedFormUnavailable`` and the caller must fall back
-    to ``maximal_set_grid``.
+    ``EXACT_TOL``).  Raises as ``require_closed_form`` does when the closed
+    form does not apply.
     """
     if x_social < 0:
         raise DomainError(f"social choice must be nonnegative, got {x_social}")
-    require_valid(u)
-    if not cost_is_strictly_increasing(c1):
-        raise ClosedFormUnavailable(
-            "the interval form needs a strictly increasing current-distance cost"
-        )
+    require_closed_form(u, c1)
     lo, hi = consideration_bounds(u.peak, x_social)
     return ClosedInterval(float(lo), float(hi))
 
 
-def consideration_bounds(peak: float, x_social) -> tuple[np.ndarray, np.ndarray]:
+def consideration_bounds(peak, x_social) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints of the consideration interval for each social choice (vectorized).
 
     The closed form behind ``consideration_interval``, without its
     precondition checks: the interval runs between ``x_social`` and ``peak``
     and degenerates to ``peak`` when the two coincide within ``EXACT_TOL``.
+    ``peak`` may be one peak per column of ``x_social``.
     """
     x_social = np.asarray(x_social, dtype=float)
     at_peak = np.abs(x_social - peak) <= EXACT_TOL

@@ -33,6 +33,7 @@ from .consideration import (
     consideration_interval,
     interval_grid_indices,
     interval_index_bounds,
+    require_closed_form,
 )
 from .errors import (
     ClosedFormUnavailable,
@@ -50,6 +51,7 @@ from .model import (
     Quadratic,
     Violation,
     ZeroCost,
+    near_best,
 )
 
 Profile = tuple[float, ...]
@@ -94,9 +96,6 @@ class BestResponseCurve:
     agent: int
     opponent_values: tuple[float, ...]
     argmax_sets: tuple[tuple[float, ...], ...]
-
-    def canonical(self) -> tuple[float, ...]:
-        return tuple(s[0] for s in self.argmax_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +277,7 @@ def best_response(
     if method != "grid":
         raise MethodUnsupported(f"unknown best-response method {method!r}")
     vals = comprehensive_values(game.agents[i], grid, x_social, aggregate_beliefs(game, i).mean())
-    best = float(vals.max())
-    return tuple(float(x) for x in grid.points[vals >= best - EXACT_TOL])
+    return tuple(float(x) for x in grid.points[near_best(vals)[1]])
 
 
 def deferral_best_response(
@@ -294,8 +292,7 @@ def deferral_best_response(
     interval = consideration_interval(agent.utility, agent.c1, x_social)
     idx = interval_grid_indices(interval, grid)
     vals = comprehensive_values(agent, grid, x_social, aggregate_beliefs(game, i).mean())[idx]
-    best = float(vals.max())
-    return tuple(float(x) for x in grid.points[idx[vals >= best - EXACT_TOL]])
+    return tuple(float(x) for x in grid.points[idx[near_best(vals)[1]]])
 
 
 def best_response_curve(
@@ -329,46 +326,44 @@ def is_exact_family(game: GameSpec) -> bool:
     )
 
 
-def default_tolerance(game: GameSpec, payoff_scale: float, lipschitz_step: float) -> float:
-    """Default regret tolerance.
+def _tolerance(game: GameSpec, tables: Sequence[np.ndarray], tolerance: float | None) -> float:
+    """``tolerance``, else the default regret tolerance for payoffs indexed by own choice last.
 
     For the exact (quadratic + linear) family the equilibria are exact and
-    only float noise must be absorbed; otherwise use a one-grid-step payoff
-    Lipschitz bound.
-    """
-    if is_exact_family(game):
-        return 1e-9 * (1.0 + abs(payoff_scale))
-    return lipschitz_step
-
-
-def _matrix_tolerance(game: GameSpec, tables: Sequence[np.ndarray], tolerance: float | None) -> float:
-    """``tolerance``, else the default for payoff tables indexed by own choice last.
-
-    The exact-family rule never reads the Lipschitz step, so it is only
-    computed for the other families.
+    only float noise must be absorbed: ``1e-9 * (1 + max|U|)`` over the
+    tables.  Otherwise a one-grid-step payoff Lipschitz bound: the largest
+    payoff change between neighbouring own choices.
     """
     if tolerance is not None:
         return tolerance
-    scale = max(float(np.abs(t).max()) for t in tables)
     if is_exact_family(game):
-        return default_tolerance(game, scale, 0.0)
-    lipschitz = max(float(np.abs(np.diff(t, axis=-1)).max()) for t in tables)
-    return default_tolerance(game, scale, lipschitz)
+        return 1e-9 * (1.0 + max(float(np.abs(t).max()) for t in tables))
+    return max(float(np.abs(np.diff(t, axis=-1)).max()) for t in tables)
 
 
 # ---------------------------------------------------------------------------
 # classification
 
 
-def _deferral_data(game: GameSpec, i: int, x_social: float, grid: Grid):
-    """Interval, slice indices and relaxed membership bounds for agent ``i``."""
-    agent = game.agents[i]
-    interval = consideration_interval(agent.utility, agent.c1, x_social)
-    idx = interval_grid_indices(interval, grid)
-    pts = grid.points
-    lo_eff = min(interval.lo, pts[idx[0]]) - EXACT_TOL
-    hi_eff = max(interval.hi, pts[idx[-1]]) + EXACT_TOL
-    return interval, idx, lo_eff, hi_eff
+def _consideration_slices(game: GameSpec, grid: Grid, socials: np.ndarray, tables):
+    """Every agent's consideration interval, grid slice and best payoff in it.
+
+    Row ``j`` of ``socials`` holds each agent's social choice (or one column
+    shared by all agents), and row ``j`` of ``tables[a]`` is agent ``a``'s
+    payoff over the grid against it.  Returns the interval bounds ``lo`` and
+    ``hi``, the first and last grid index of each slice, and each slice's
+    best payoff, all rows x n.  Raises unless every agent passes
+    ``require_closed_form``.
+    """
+    for agent in game.agents:
+        require_closed_form(agent.utility, agent.c1)
+    lo, hi = consideration_bounds(np.array([agent.utility.peak for agent in game.agents]), socials)
+    i_lo, i_hi = interval_index_bounds(lo, hi, grid)
+    rbest = np.stack([
+        np.array([row[l : h + 1].max() for row, l, h in zip(t, col_lo, col_hi)])
+        for t, col_lo, col_hi in zip(tables, i_lo.T.tolist(), i_hi.T.tolist())
+    ], axis=1)
+    return lo, hi, i_lo, i_hi, rbest
 
 
 def _regret(best: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -381,22 +376,28 @@ _KINDS = {
     (False, True): EquilibriumKind.AFTER_DEFERRAL,
     (True, True): EquilibriumKind.BOTH,
 }
+#: The ``(standard, after_deferral)`` pass verdicts behind each kind.
+_VERDICTS = {kind: verdicts for verdicts, kind in _KINDS.items()}
 
 
-def _certificates(profiles, values, best, rbest, standard, deferral, intervals):
+def _certificates(profiles, values, best, standard, deferral, slices):
     """Certificates of profiles that passed at least one equilibrium test.
 
-    ``profiles``, ``values``, ``best`` and ``rbest`` have one row per profile
-    and one column per agent: the choices, each agent's payoff, and their
-    best payoff over the grid and over their consideration slice (``rbest``
-    is ``None`` when the slices are unavailable).  ``standard`` and
-    ``deferral`` are the caller's verdicts, one per profile; the kind follows
-    from them, and ``max_regret`` is the largest regret over the tests
-    passed.  ``intervals`` holds each profile's consideration intervals.
+    ``profiles``, ``values`` and ``best`` have one row per profile and one
+    column per agent: the choices, each agent's payoff and their best payoff
+    over the grid.  ``standard`` and ``deferral`` are the caller's verdicts,
+    one per profile; the kind follows from them, and ``max_regret`` is the
+    largest regret over the tests passed.  ``slices`` is ``None`` when the
+    closed form is unavailable, else the arrays ``(rbest, lo, hi)`` shaped
+    like ``best``: each agent's best payoff over their consideration slice
+    and the bounds of their consideration interval.
     """
     regret = np.where(standard, _regret(best, values), -np.inf)
-    if rbest is not None:
+    intervals = [None] * len(profiles)
+    if slices is not None:
+        rbest, lo, hi = slices
         regret = np.maximum(regret, np.where(deferral, _regret(rbest, values), -np.inf))
+        intervals = [tuple(map(ClosedInterval, l, h)) for l, h in zip(lo.tolist(), hi.tolist())]
     return [
         EquilibriumCertificate(tuple(p), _KINDS[s, d], r, iv)
         for p, s, d, r, iv in zip(
@@ -428,34 +429,37 @@ def classify_profile(
         socials.append(x_social)
         vectors.append(comprehensive_values(game.agents[i], grid, x_social, future))
         values.append(comprehensive_value(game.agents[i], profile[i], x_social, future))
-    tolerance = _matrix_tolerance(game, vectors, tolerance)
+    tolerance = _tolerance(game, vectors, tolerance)
     values = np.array([values])
     best = np.array([[v.max() for v in vectors]])
     standard = _regret(best, values) <= tolerance
 
     deferral = np.zeros(1, dtype=bool)
-    rbest = intervals = None
     try:
-        data = [_deferral_data(game, i, socials[i], grid) for i in range(game.n)]
+        lo, hi, i_lo, i_hi, rbest = _consideration_slices(
+            game, grid, np.array([socials]), [v[None, :] for v in vectors])
     except ClosedFormUnavailable:
-        data = None
-    if data is not None:
-        intervals = tuple(d[0] for d in data)
-        rbest = np.array([[v[d[1]].max() for v, d in zip(vectors, data)]])
-        if all(d[2] <= x <= d[3] for x, d in zip(profile, data)):
+        slices = None
+    else:
+        slices = rbest, lo, hi
+        pts = grid.points
+        # a choice is a member when it lies in its interval or its grid slice, within EXACT_TOL
+        inside = (np.minimum(lo, pts[i_lo]) - EXACT_TOL <= profile) & (
+            profile <= np.maximum(hi, pts[i_hi]) + EXACT_TOL)
+        if inside.all():
             deferral = _regret(rbest, values) <= tolerance
 
     if not (standard[0] or deferral[0]):
         return None
-    return _certificates(
-        np.array([profile], dtype=float), values, best, rbest, standard, deferral, [intervals])[0]
+    profiles = np.array([profile], dtype=float)
+    return _certificates(profiles, values, best, standard, deferral, slices)[0]
 
 
 # ---------------------------------------------------------------------------
 # exhaustive two-agent search
 
 
-def _two_player_find(game, grid, tolerance, want):
+def _two_player_find(game, grid, tolerance, restricted):
     """Test every grid profile ``(i1, i2)`` of a two-agent game at once.
 
     Agent ``a``'s table ``tables[a][j, k]`` is their payoff for own grid
@@ -463,7 +467,8 @@ def _two_player_find(game, grid, tolerance, want):
     with every grid point as the social choice (one broadcast row when
     ``w_1 == 0``).  Agent 0 plays ``i1`` against ``i2`` and agent 1 plays
     ``i2`` against ``i1``, so verdicts ``ok[a][j, k]`` in that layout become
-    the profile mask ``ok[0].T & ok[1]``.
+    the profile mask ``ok[0].T & ok[1]``.  Returns the profiles that pass the
+    after-deferral test when ``restricted``, else the standard test.
     """
     pts = grid.points
     m = len(pts)
@@ -472,57 +477,37 @@ def _two_player_find(game, grid, tolerance, want):
             comprehensive_values(agent, grid, pts[:, None], aggregate_beliefs(game, a).mean()), (m, m))
         for a, agent in enumerate(game.agents)
     ]
-    tol = _matrix_tolerance(game, tables, tolerance)
-    best = [t.max(axis=1) for t in tables]
-    ok = [t >= b[:, None] - tol for t, b in zip(tables, best)]
+    tol = _tolerance(game, tables, tolerance)
+    best = np.stack([t.max(axis=1) for t in tables], axis=1)
+    ok = [t >= b[:, None] - tol for t, b in zip(tables, best.T)]
     standard = ok[0].T & ok[1]
 
-    try:
-        bounds = []
-        for agent in game.agents:
-            consideration_interval(agent.utility, agent.c1, 0.0)  # precondition check
-            # row j's opponent plays grid point j
-            bounds.append(consideration_bounds(agent.utility.peak, pts))
-    except ClosedFormUnavailable:
-        if want == "deferral":
-            raise
-        bounds = None
-    rbest = None
     deferral = np.zeros_like(standard)
-    if bounds is not None:
+    try:
+        # row j's opponent plays grid point j
+        lo, hi, i_lo, i_hi, rbest = _consideration_slices(game, grid, pts[:, None], tables)
+    except ClosedFormUnavailable:
+        rbest = None
+    else:
         own = np.arange(m)
-        rbest, ok = [], []
-        for t, (lo, hi) in zip(tables, bounds):
-            i_lo, i_hi = interval_index_bounds(lo, hi, grid)
-            r = np.array([row[l : h + 1].max() for row, l, h in zip(t, i_lo.tolist(), i_hi.tolist())])
-            near = own >= i_lo[:, None]
-            near &= own <= i_hi[:, None]
+        ok = []
+        for t, l, h, r in zip(tables, i_lo.T, i_hi.T, rbest.T):
+            near = own >= l[:, None]
+            near &= own <= h[:, None]
             near &= t >= r[:, None] - tol
-            rbest.append(r)
             ok.append(near)
         deferral = ok[0].T & ok[1]
 
-    i1, i2 = np.nonzero(standard if want == "standard" else deferral)
-    opp = (i2, i1)
-
-    def at_opponent(per_row):
-        return np.stack([x[o] for x, o in zip(per_row, opp)], axis=1)
-
-    intervals = [None] * len(i1)
-    if bounds is not None:
-        per_agent = [
-            [ClosedInterval(l, h) for l, h in zip(lo[o].tolist(), hi[o].tolist())]
-            for (lo, hi), o in zip(bounds, opp)
-        ]
-        intervals = list(zip(*per_agent))
+    i1, i2 = np.nonzero(deferral if restricted else standard)
+    # agent a's entry of a per-row array sits in column a of the opponent's row
+    at_opponent = np.stack([i2, i1], axis=1), np.arange(2)
     return _certificates(
         pts[np.stack([i1, i2], axis=1)],
         np.stack([tables[0][i2, i1], tables[1][i1, i2]], axis=1),
-        at_opponent(best),
-        None if rbest is None else at_opponent(rbest),
+        best[at_opponent],
         standard[i1, i2],
         deferral[i1, i2],
-        intervals,
+        None if rbest is None else (rbest[at_opponent], lo[at_opponent], hi[at_opponent]),
     )
 
 
@@ -548,16 +533,15 @@ def _lattice_sweep(game: GameSpec, grid: Grid, restricted: bool):
     when ``restricted``) against the row's other choices: the rule of
     ``best_response(...)[0]`` and ``deferral_best_response(...)[0]``, with
     bit-identical payoffs.  Aggregated beliefs and aggregator weights are
-    computed once here, and the consideration preconditions are checked
-    once per agent, so their errors propagate before any iteration.
+    computed once here, so their errors propagate before any iteration.  The
+    restricted map needs the closed-form preconditions, which
+    ``find_equilibria_after_deferral`` checks before any search.
     """
     pts = grid.points
     own = np.arange(len(pts))[None, :]
     agents = []
     for i, agent in enumerate(game.agents):
         weights, total = _social_weights(game, i)
-        if restricted:
-            consideration_interval(agent.utility, agent.c1, 0.0)  # precondition check
         others = [j for j in range(game.n) if j != i]
         agents.append((agent, others, weights, total, aggregate_beliefs(game, i).mean()))
 
@@ -571,8 +555,7 @@ def _lattice_sweep(game: GameSpec, grid: Grid, restricted: bool):
             if restricted:
                 i_lo, i_hi = interval_index_bounds(*consideration_bounds(agent.utility.peak, socials), grid)
                 vals = np.where((own >= i_lo[:, None]) & (own <= i_hi[:, None]), vals, -np.inf)
-            best = vals.max(axis=1)
-            updated[:, i] = np.argmax(vals >= (best - EXACT_TOL)[:, None], axis=1)
+            updated[:, i] = np.argmax(near_best(vals)[1], axis=1)
         return updated
 
     return sweep
@@ -626,16 +609,12 @@ def _lattice_find(game, grid, tolerance, restricted, starts):
             RuntimeWarning,
             stacklevel=3,
         )
-    wanted = (
-        (EquilibriumKind.AFTER_DEFERRAL, EquilibriumKind.BOTH)
-        if restricted
-        else (EquilibriumKind.STANDARD, EquilibriumKind.BOTH)
-    )
     certificates = []
     # unique rows come sorted, and grid points ascend, so profiles come sorted
     for row in np.unique(np.concatenate(fixed), axis=0):
         cert = classify_profile(game, tuple(float(x) for x in grid.points[row]), grid, tolerance)
-        if cert is not None and cert.kind in wanted:
+        # keep the profiles that pass the test this search iterates
+        if cert is not None and _VERDICTS[cert.kind][restricted]:
             certificates.append(cert)
     return certificates
 
@@ -661,7 +640,7 @@ def find_equilibria(
     test.
     """
     if game.n == 2:
-        return _two_player_find(game, grid, tolerance, "standard")
+        return _two_player_find(game, grid, tolerance, False)
     return _lattice_find(game, grid, tolerance, False, starts)
 
 
@@ -674,10 +653,12 @@ def find_equilibria_after_deferral(
     """All equilibria after deferral on the grid (two-agent case exhaustive).
 
     Requires the closed-form consideration interval for every agent
-    (strictly increasing current-distance costs).  For more than two agents
-    the iteration warns about non-converging starts as ``find_equilibria``
-    does.
+    (strictly increasing current-distance costs), checked before any search.
+    For more than two agents the iteration warns about non-converging starts
+    as ``find_equilibria`` does.
     """
+    for agent in game.agents:
+        require_closed_form(agent.utility, agent.c1)
     if game.n == 2:
-        return _two_player_find(game, grid, tolerance, "deferral")
+        return _two_player_find(game, grid, tolerance, True)
     return _lattice_find(game, grid, tolerance, True, starts)

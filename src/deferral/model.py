@@ -26,6 +26,17 @@ from .errors import DomainError, GridLookupError, SpecValidationError
 EXACT_TOL = 1e-12
 
 
+def near_best(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's best value (last axis) and the mask of values within ``EXACT_TOL`` of it.
+
+    This is the argmax tie rule of every grid search: the argmax set keeps
+    each point within ``EXACT_TOL`` of the best, and its smallest point is
+    the canonical one.
+    """
+    best = vals.max(axis=-1)
+    return best, vals >= np.expand_dims(best, -1) - EXACT_TOL
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid over ``[0, x_max]`` with points ``j * x_max / steps``.

@@ -230,18 +230,15 @@ def _run_trap(scenario: Scenario, out: Path) -> CaseResult:
     return CaseResult("trap", rows, tuple(files))
 
 
+_RUNNERS = {"akerlof": _run_akerlof, "example42": _run_example42, "trap": _run_trap}
+
+
 def run_case(case: str, output_dir: str | Path) -> CaseResult:
     """Run one reproduction case, writing result files and the discrepancy report."""
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}; choose from {', '.join(CASES)}")
-    scenario = load_bundled_scenario(case)
     out = Path(output_dir)
-    if case == "akerlof":
-        result = _run_akerlof(scenario, out)
-    elif case == "example42":
-        result = _run_example42(scenario, out)
-    else:
-        result = _run_trap(scenario, out)
+    result = _RUNNERS[case](load_bundled_scenario(case), out)
     report_path = write_csv(
         out / "discrepancy.csv",
         ["quantity", "oracle_value", "reference_value", "note"],

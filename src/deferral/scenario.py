@@ -202,27 +202,26 @@ def parse_scenario(data: dict) -> Scenario:
     return Scenario(mode=mode, grid=grid, tolerance=tolerance, output_dir=output_dir, game=game)
 
 
+def _read_json(path: str | Path):
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise _fail(f"{path}: not valid JSON ({exc})") from exc
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario from a JSON file.
 
     Raises ``OSError`` for I/O problems and ``ScenarioError`` for malformed
     or invalid content.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _fail(f"{path}: not valid JSON ({exc})") from exc
-    return parse_scenario(data)
+    return parse_scenario(_read_json(path))
 
 
 def load_profile(path: str | Path) -> tuple[float, ...]:
     """Load a strategy profile from a JSON file of the form {"profile": [..]}."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _fail(f"{path}: not valid JSON ({exc})") from exc
+    data = _read_json(path)
     profile = data.get("profile") if isinstance(data, dict) else None
     if not isinstance(profile, list) or not profile:
         raise _fail(f"{path}: expected an object with a nonempty 'profile' list")

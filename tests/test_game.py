@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -244,6 +245,30 @@ class TestFindEquilibriaAfterDeferral:
         with pytest.raises(d.ClosedFormUnavailable):
             d.find_equilibria_after_deferral(game, d.Grid(8.0, 400))
 
+    def test_zero_c1_propagates_precondition_for_three_agents(self):
+        game = _three_agent_game()
+        zero = d.AgentSpec(utility=d.Quadratic(2, 4, 5), c1=d.ZeroCost(), c2=d.ZeroCost(),
+                           beliefs=(point_mass(2.0), point_mass(6.0)))
+        game = d.GameSpec(agents=game.agents[:2] + (zero,), x_max=game.x_max)
+        with pytest.raises(d.ClosedFormUnavailable):
+            d.find_equilibria_after_deferral(game, d.Grid(10.0, 40))
+
+    def test_precondition_is_checked_before_the_search_starts(self):
+        # The closed-form check runs before the lattice looks at its starts,
+        # so it wins over the lattice's own errors and over an empty start list.
+        agent = d.AgentSpec(utility=d.Quadratic(2, 4, 5), c1=d.ZeroCost(), c2=d.ZeroCost(),
+                            beliefs=(point_mass(1.0),) * 4)
+        five = d.GameSpec(agents=(agent,) * 5, x_max=4.0)
+        with pytest.raises(d.MethodUnsupported):
+            d.find_equilibria(five, d.Grid(4.0, 20))
+        with pytest.raises(d.ClosedFormUnavailable):
+            d.find_equilibria_after_deferral(five, d.Grid(4.0, 20))
+        three = d.GameSpec(agents=tuple(replace(a, beliefs=a.beliefs[:2]) for a in five.agents[:3]),
+                           x_max=4.0)
+        for starts in ([], [(1.0,)]):
+            with pytest.raises(d.ClosedFormUnavailable):
+                d.find_equilibria_after_deferral(three, d.Grid(4.0, 20), starts=starts)
+
     def test_deferral_but_not_standard(self, belief_heavy_game):
         grid = d.Grid(40.0, 800)
         deferred = d.find_equilibria_after_deferral(belief_heavy_game, grid)
@@ -322,6 +347,76 @@ class TestClassifyProfile:
             assert certs
             for cert in certs:
                 assert d.classify_profile(game, cert.profile, grid) == cert
+
+
+def _classification_oracle(game, profile, grid, tolerance):
+    """``classify_profile`` rebuilt agent by agent from the public interval and grid mapping."""
+    socials = [d.aggregate_choices(game, i, profile) for i in range(game.n)]
+    futures = [d.aggregate_beliefs(game, i).mean() for i in range(game.n)]
+    agents = game.agents
+    vectors = [d.comprehensive_values(a, grid, s, f) for a, s, f in zip(agents, socials, futures)]
+    values = [d.comprehensive_value(a, x, s, f)
+              for a, x, s, f in zip(agents, profile, socials, futures)]
+    standard_regret = max(max(0.0, float(v.max()) - x) for v, x in zip(vectors, values))
+    standard = standard_regret <= tolerance
+    deferral, intervals = False, None
+    try:
+        intervals = tuple(
+            d.consideration_interval(a.utility, a.c1, s) for a, s in zip(agents, socials))
+    except d.ClosedFormUnavailable:
+        pass
+    if intervals is not None:
+        slices = [d.interval_grid_indices(iv, grid) for iv in intervals]
+        deferral_regret = max(max(0.0, float(v[idx].max()) - x)
+                              for v, idx, x in zip(vectors, slices, values))
+        pts = grid.points
+        inside = all(min(iv.lo, pts[idx[0]]) - 1e-12 <= x <= max(iv.hi, pts[idx[-1]]) + 1e-12
+                     for iv, idx, x in zip(intervals, slices, profile))
+        deferral = inside and deferral_regret <= tolerance
+    if standard and deferral:
+        return d.EquilibriumKind.BOTH, max(standard_regret, deferral_regret), intervals
+    if standard:
+        return d.EquilibriumKind.STANDARD, standard_regret, intervals
+    if deferral:
+        return d.EquilibriumKind.AFTER_DEFERRAL, deferral_regret, intervals
+    return None
+
+
+_c1_costs = st.sampled_from([d.LinearCost(0.5), d.LinearCost(3.0), d.PowerCost(1.0, 1.5),
+                             d.PowerCost(2.0, 2.0), d.ZeroCost()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    a=st.sampled_from([0.5, 1.0, 2.0]),
+    b=st.integers(0, 12),
+    c1=st.lists(_c1_costs, min_size=3, max_size=3),
+    # a strong pull toward a distant belief makes after-deferral-only equilibria
+    c2=st.lists(st.sampled_from([d.LinearCost(1.0), d.LinearCost(8.0)]), min_size=3, max_size=3),
+    beliefs=st.lists(st.integers(0, 8), min_size=3, max_size=3),
+    steps=st.sampled_from([16, 40, 64]),
+    shift=st.integers(-3, 3),
+    offsets=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=2),
+    tolerance=st.sampled_from([1e-9, 0.5, 5.0]),
+)
+def test_classification_matches_per_agent_rebuild(n, a, b, c1, c2, beliefs, steps, shift, offsets,
+                                                  tolerance):
+    agents = tuple(
+        d.AgentSpec(utility=d.Quadratic(a, float(b), 0.0), c1=cost1, c2=cost2,
+                    beliefs=(point_mass(belief),) * (n - 1))
+        for cost1, cost2, belief in zip(c1[:n], c2, beliefs))
+    game = d.GameSpec(agents=agents, x_max=8.0)
+    grid = d.Grid(8.0, steps)
+    # every profile of choices near a grid point by the common peak, so that
+    # many are equilibria: on grid points, half steps and arbitrary points
+    x = float(grid.points[np.clip(grid.nearest_index(agents[0].utility.peak) + shift, 0, steps)])
+    shifts = [0.0, 1.0, -0.5, 0.5] + offsets
+    choices = sorted({float(np.clip(x + r * grid.step, 0.0, 8.0)) for r in shifts})
+    for profile in itertools.product(choices, repeat=n):
+        cert = d.classify_profile(game, profile, grid, tolerance)
+        got = None if cert is None else (cert.kind, cert.max_regret, cert.per_agent_consideration)
+        assert got == _classification_oracle(game, profile, grid, tolerance)
 
 
 class TestLatticeSearch:

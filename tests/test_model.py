@@ -193,3 +193,17 @@ def test_tabulated_verdict_is_cached_and_still_enforced():
     good = d.Tabulated(values=(0.0, 1.0, 2.0, 0.5, 0.0), grid=grid)
     assert d.consideration_interval(good, d.LinearCost(1.0), 0.0) == d.ClosedInterval(0.0, 0.5)
     assert good.peak == 0.5 and good.is_quasiconcave and not bad.is_quasiconcave
+
+
+def test_near_best_keeps_a_plateau_within_the_tie_tolerance():
+    from deferral.model import near_best
+
+    # 5e-13 below the best is a tie; 2e-12 below is not
+    vals = np.array([1.0, 3.0 - 5e-13, 3.0, 3.0 - 2e-12, 3.0 - 5e-13])
+    best, near = near_best(vals)
+    assert best == 3.0
+    assert near.tolist() == [False, True, True, False, True]
+    rows = np.stack([vals, vals[::-1] - 1.0])
+    best, near = near_best(rows)
+    assert best.tolist() == [3.0, 2.0]
+    assert near.tolist() == [[False, True, True, False, True], [True, False, True, True, False]]
