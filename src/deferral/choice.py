@@ -57,15 +57,15 @@ class TrapReport:
 
     ``trapped`` means the optimum sits strictly more than one grid step
     outside the interval (the one-step slack absorbs discretization at the
-    endpoints).  ``utility_gap`` is the comprehensive-utility shortfall of
-    the constrained choice, zero whenever not trapped.
+    endpoints).  ``x_hat`` is the unconstrained optimum, the smallest point
+    of the argmax tie set.  ``utility_gap`` is the comprehensive-utility
+    shortfall of the constrained choice, zero whenever not trapped.
     """
 
     x_hat: float
     interval: ClosedInterval
     trapped: bool
     utility_gap: float
-    x_hat_tie_count: int = 1
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,8 @@ def comprehensive_values(
     """Comprehensive utility over every grid point (vectorized).
 
     ``x_social`` is one social choice, giving one value per grid point, or a
-    column of them (shape ``(rows, 1)``), giving one row per social choice;
-    with ``w_1 == 0`` the result stays one row.  Rows do not depend on how
+    column of them (shape ``(rows, 1)``), giving one row per social choice
+    (a read-only view when the rows coincide).  Rows do not depend on how
     many are computed together.  This and ``comprehensive_value`` subtract
     the future-distance cost before the current-distance one, so every
     payoff the solver compares is summed in the same order.
@@ -131,7 +131,9 @@ def comprehensive_values(
     if w.w_2 != 0.0:
         vals = vals - w.w_2 * cost_values_at(agent.c2, grid, future_mean)
     if w.w_1 != 0.0:
-        vals = vals - w.w_1 * cost_values_at(agent.c1, grid, x_social)
+        return vals - w.w_1 * cost_values_at(agent.c1, grid, x_social)
+    if np.ndim(x_social):
+        return np.broadcast_to(vals, (np.shape(x_social)[0], len(vals)))
     return vals
 
 
@@ -146,16 +148,15 @@ def second_stage_choice(agent: AgentSpec, x_social: float, grid: Grid) -> Choice
 
 def unconstrained_optimum(agent: AgentSpec, x_social: float, grid: Grid) -> float:
     """Smallest grid maximizer of the comprehensive utility over the whole grid."""
-    vals = comprehensive_values(agent, grid, x_social)
-    return float(grid.points[int(np.argmax(vals))])
+    near = near_best(comprehensive_values(agent, grid, x_social))[1]
+    return float(grid.points[np.argmax(near)])
 
 
 def detect_trap(agent: AgentSpec, x_social: float, grid: Grid) -> TrapReport:
     """Check whether unconstrained maximization would leave the interval."""
     interval = consideration_interval(agent.utility, agent.c1, x_social)
-    vals = comprehensive_values(agent, grid, x_social)
-    best, near = near_best(vals)
-    x_hat = float(grid.points[int(np.argmax(vals))])
+    best, near = near_best(comprehensive_values(agent, grid, x_social))
+    x_hat = float(grid.points[np.argmax(near)])
     step = grid.step
     trapped = x_hat < interval.lo - step or x_hat > interval.hi + step
     if trapped:
@@ -163,13 +164,7 @@ def detect_trap(agent: AgentSpec, x_social: float, grid: Grid) -> TrapReport:
         gap = max(0.0, float(best) - constrained.value)
     else:
         gap = 0.0
-    return TrapReport(
-        x_hat=x_hat,
-        interval=interval,
-        trapped=trapped,
-        utility_gap=gap,
-        x_hat_tie_count=int(np.count_nonzero(near)),
-    )
+    return TrapReport(x_hat=x_hat, interval=interval, trapped=trapped, utility_gap=gap)
 
 
 def two_criteria_certificate(

@@ -18,11 +18,12 @@ from pathlib import Path
 
 from .choice import detect_trap, second_stage_choice, two_criteria_certificate
 from .consideration import consideration_interval, maximal_set_grid
-from .errors import DeferralError, PreconditionViolated, ScenarioError, SpecValidationError
+from .errors import DeferralError, DomainError, ScenarioError, SpecValidationError
 from .game import (
     EquilibriumCertificate,
+    EquilibriumKind,
+    _check_profile,
     best_response_curve,
-    classify_profile,
     find_equilibria,
     find_equilibria_after_deferral,
 )
@@ -167,18 +168,21 @@ def _cmd_equilibria(args, scenario: Scenario) -> int:
     return 0
 
 
+def _claimed(path: str, game, kind: EquilibriumKind) -> EquilibriumCertificate:
+    """The profile in ``path``, checked as ``classify_profile`` checks it, claimed to be ``kind``."""
+    profile = load_profile(path)
+    try:
+        _check_profile(game, profile)
+    except DomainError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
+    return EquilibriumCertificate(profile, kind, 0.0, None)
+
+
 def _cmd_loss(args, scenario: Scenario) -> int:
     game, grid = scenario.game, scenario.grid
-    standard_profile = load_profile(args.standard)
-    deferred_profile = load_profile(args.deferred)
-    standard = classify_profile(game, standard_profile, grid, scenario.tolerance)
-    deferred = classify_profile(game, deferred_profile, grid, scenario.tolerance)
-    if standard is None:
-        raise PreconditionViolated("StandardKindMismatch",
-                                   f"{standard_profile} is no equilibrium of either kind")
-    if deferred is None:
-        raise PreconditionViolated("DeferredKindMismatch",
-                                   f"{deferred_profile} is no equilibrium of either kind")
+    # deferral_loss classifies both profiles and raises on the wrong kind
+    standard = _claimed(args.standard, game, EquilibriumKind.STANDARD)
+    deferred = _claimed(args.deferred, game, EquilibriumKind.AFTER_DEFERRAL)
     report = deferral_loss(game, standard, deferred, grid, scenario.tolerance)
     out = _outdir(args, scenario)
     write_csv(out / "loss.csv",

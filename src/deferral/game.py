@@ -38,6 +38,7 @@ from .consideration import (
 from .errors import (
     ClosedFormUnavailable,
     DomainError,
+    GridLookupError,
     MethodUnsupported,
     SpecValidationError,
 )
@@ -49,6 +50,7 @@ from .model import (
     LinearCost,
     MeanChoice,
     Quadratic,
+    Tabulated,
     Violation,
     ZeroCost,
     near_best,
@@ -170,11 +172,19 @@ def aggregate_beliefs(game: GameSpec, i: int) -> FiniteRandomVariable:
 
 
 def _check_profile(game: GameSpec, profile: Sequence[float]) -> None:
+    """Raise ``DomainError`` unless every choice is in ``[0, x_max]`` and
+    every tabulated agent's choice is one of their utility's grid points."""
     if len(profile) != game.n:
         raise DomainError(f"profile has {len(profile)} entries for {game.n} agents")
-    for x in profile:
+    for i, (agent, x) in enumerate(zip(game.agents, profile)):
         if x < 0 or x > game.x_max:
             raise DomainError(f"choice {x} outside [0, {game.x_max}]")
+        if isinstance(agent.utility, Tabulated):
+            try:
+                agent.utility.grid.index_of(x)
+            except GridLookupError as exc:
+                raise DomainError(
+                    f"agents[{i}]: {exc}, and a tabulated utility is defined only there") from None
 
 
 def payoff(game: GameSpec, i: int, profile: Sequence[float]) -> float:
@@ -351,19 +361,20 @@ def _consideration_slices(game: GameSpec, grid: Grid, socials: np.ndarray, table
     Row ``j`` of ``socials`` holds each agent's social choice (or one column
     shared by all agents), and row ``j`` of ``tables[a]`` is agent ``a``'s
     payoff over the grid against it.  Returns the interval bounds ``lo`` and
-    ``hi``, the first and last grid index of each slice, and each slice's
-    best payoff, all rows x n.  Raises unless every agent passes
+    ``hi`` and the first and last grid index of each slice, all rows x n;
+    each agent's slice mask over the grid, rows x m; and each slice's best
+    payoff, rows x n.  Raises unless every agent passes
     ``require_closed_form``.
     """
     for agent in game.agents:
         require_closed_form(agent.utility, agent.c1)
     lo, hi = consideration_bounds(np.array([agent.utility.peak for agent in game.agents]), socials)
     i_lo, i_hi = interval_index_bounds(lo, hi, grid)
+    own = np.arange(len(grid.points))
+    masks = [(own >= l[:, None]) & (own <= h[:, None]) for l, h in zip(i_lo.T, i_hi.T)]
     rbest = np.stack([
-        np.array([row[l : h + 1].max() for row, l, h in zip(t, col_lo, col_hi)])
-        for t, col_lo, col_hi in zip(tables, i_lo.T.tolist(), i_hi.T.tolist())
-    ], axis=1)
-    return lo, hi, i_lo, i_hi, rbest
+        t.max(axis=-1, where=mask, initial=-np.inf) for t, mask in zip(tables, masks)], axis=1)
+    return lo, hi, i_lo, i_hi, masks, rbest
 
 
 def _regret(best: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -415,9 +426,11 @@ def classify_profile(
 
     Returns a certificate of the strongest applicable kind, or ``None`` when
     the profile is no equilibrium of either sort.  Deviations are grid
-    points; the profile itself may be off-grid.  When the closed-form
-    consideration interval is unavailable the after-deferral test is skipped
-    and only standard classification is possible.
+    points.  The profile itself may be off-grid, except that an agent with a
+    tabulated utility must choose one of its grid points (else
+    ``DomainError``).  When the closed-form consideration interval is
+    unavailable the after-deferral test is skipped and only standard
+    classification is possible.
     """
     _check_profile(game, profile)
     values = []
@@ -436,7 +449,7 @@ def classify_profile(
 
     deferral = np.zeros(1, dtype=bool)
     try:
-        lo, hi, i_lo, i_hi, rbest = _consideration_slices(
+        lo, hi, i_lo, i_hi, _, rbest = _consideration_slices(
             game, grid, np.array([socials]), [v[None, :] for v in vectors])
     except ClosedFormUnavailable:
         slices = None
@@ -464,39 +477,35 @@ def _two_player_find(game, grid, tolerance, restricted):
 
     Agent ``a``'s table ``tables[a][j, k]`` is their payoff for own grid
     choice ``k`` against the opponent's grid choice ``j``: one kernel call
-    with every grid point as the social choice (one broadcast row when
-    ``w_1 == 0``).  Agent 0 plays ``i1`` against ``i2`` and agent 1 plays
-    ``i2`` against ``i1``, so verdicts ``ok[a][j, k]`` in that layout become
-    the profile mask ``ok[0].T & ok[1]``.  Returns the profiles that pass the
-    after-deferral test when ``restricted``, else the standard test.
+    with every grid point as the social choice.  Agent 0 plays ``i1``
+    against ``i2`` and agent 1 plays ``i2`` against ``i1``, so verdicts
+    ``ok[a][j, k]`` in that layout become the profile mask
+    ``ok[0].T & ok[1]``.  Returns the profiles that pass the after-deferral
+    test when ``restricted``, else the standard test.
     """
     pts = grid.points
-    m = len(pts)
     tables = [
-        np.broadcast_to(
-            comprehensive_values(agent, grid, pts[:, None], aggregate_beliefs(game, a).mean()), (m, m))
+        comprehensive_values(agent, grid, pts[:, None], aggregate_beliefs(game, a).mean())
         for a, agent in enumerate(game.agents)
     ]
     tol = _tolerance(game, tables, tolerance)
     best = np.stack([t.max(axis=1) for t in tables], axis=1)
     ok = [t >= b[:, None] - tol for t, b in zip(tables, best.T)]
     standard = ok[0].T & ok[1]
+    # m x m verdicts: free the standard ones and build the after-deferral ones
+    # in the slice masks, so that fewer such arrays are live at once
+    del ok
 
     deferral = np.zeros_like(standard)
     try:
         # row j's opponent plays grid point j
-        lo, hi, i_lo, i_hi, rbest = _consideration_slices(game, grid, pts[:, None], tables)
+        lo, hi, _, _, masks, rbest = _consideration_slices(game, grid, pts[:, None], tables)
     except ClosedFormUnavailable:
         rbest = None
     else:
-        own = np.arange(m)
-        ok = []
-        for t, l, h, r in zip(tables, i_lo.T, i_hi.T, rbest.T):
-            near = own >= l[:, None]
-            near &= own <= h[:, None]
-            near &= t >= r[:, None] - tol
-            ok.append(near)
-        deferral = ok[0].T & ok[1]
+        for t, mask, r in zip(tables, masks, rbest.T):
+            mask &= t >= r[:, None] - tol
+        deferral = masks[0].T & masks[1]
 
     i1, i2 = np.nonzero(deferral if restricted else standard)
     # agent a's entry of a per-row array sits in column a of the opponent's row
@@ -532,13 +541,16 @@ def _lattice_sweep(game: GameSpec, grid: Grid, restricted: bool):
     smallest grid best response (restricted to their consideration slice
     when ``restricted``) against the row's other choices: the rule of
     ``best_response(...)[0]`` and ``deferral_best_response(...)[0]``, with
-    bit-identical payoffs.  Aggregated beliefs and aggregator weights are
-    computed once here, so their errors propagate before any iteration.  The
+    bit-identical payoffs.  It works through the rows in blocks of at most
+    ``_BLOCK_CELLS`` payoff cells, so its memory is bounded whatever the
+    number of rows.  Aggregated beliefs and aggregator weights are computed
+    once here, so their errors propagate before any iteration.  The
     restricted map needs the closed-form preconditions, which
     ``find_equilibria_after_deferral`` checks before any search.
     """
     pts = grid.points
     own = np.arange(len(pts))[None, :]
+    rows = max(1, _BLOCK_CELLS // len(pts))
     agents = []
     for i, agent in enumerate(game.agents):
         weights, total = _social_weights(game, i)
@@ -546,29 +558,31 @@ def _lattice_sweep(game: GameSpec, grid: Grid, restricted: bool):
         agents.append((agent, others, weights, total, aggregate_beliefs(game, i).mean()))
 
     def sweep(state: np.ndarray) -> np.ndarray:
-        xs = pts[state]
         updated = np.empty_like(state)
-        for i, (agent, others, weights, total, future) in enumerate(agents):
-            socials = _reference_points(xs[:, others], weights, total)
-            vals = np.broadcast_to(
-                comprehensive_values(agent, grid, socials[:, None], future), (len(state), len(pts)))
-            if restricted:
-                i_lo, i_hi = interval_index_bounds(*consideration_bounds(agent.utility.peak, socials), grid)
-                vals = np.where((own >= i_lo[:, None]) & (own <= i_hi[:, None]), vals, -np.inf)
-            updated[:, i] = np.argmax(near_best(vals)[1], axis=1)
+        for first in range(0, len(state), rows):
+            block = slice(first, first + rows)
+            xs = pts[state[block]]
+            for i, (agent, others, weights, total, future) in enumerate(agents):
+                socials = _reference_points(xs[:, others], weights, total)
+                vals = comprehensive_values(agent, grid, socials[:, None], future)
+                if restricted:
+                    bounds = consideration_bounds(agent.utility.peak, socials)
+                    i_lo, i_hi = interval_index_bounds(*bounds, grid)
+                    vals = np.where((own >= i_lo[:, None]) & (own <= i_hi[:, None]), vals, -np.inf)
+                updated[block, i] = np.argmax(near_best(vals)[1], axis=1)
         return updated
 
     return sweep
 
 
-def _iterate_block(sweep, state: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """Iterate ``sweep`` on a block of rows until every row retires.
+def _iterate(sweep, state: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Iterate ``sweep`` on rows of starts until every row retires.
 
     A row retires as a fixed point when a sweep leaves it unchanged, and as a
     2-cycle when a sweep returns it to its state from two sweeps earlier (the
-    map is deterministic, so it can never converge).  Rows still moving
-    after ``_MAX_ITERATIONS`` sweeps hit the cap.  Returns the fixed rows
-    and the numbers of cycled and capped rows.
+    map is deterministic, so it can never converge).  Retired rows leave the
+    later sweeps.  Rows still moving after ``_MAX_ITERATIONS`` sweeps hit the
+    cap.  Returns the fixed rows and the numbers of cycled and capped rows.
     """
     fixed = []
     cycled = 0
@@ -592,26 +606,18 @@ def _lattice_find(game, grid, tolerance, restricted, starts):
         return []
     if starts.ndim != 2 or starts.shape[1] != game.n:
         raise DomainError(f"starts must be profiles of {game.n} choices, got shape {starts.shape}")
-    sweep = _lattice_sweep(game, grid, restricted)
-    state = grid.nearest_indices(starts)
-    rows = max(1, _BLOCK_CELLS // len(grid.points))
-    fixed, cycled, capped = [], 0, 0
-    for first in range(0, len(state), rows):
-        block_fixed, block_cycled, block_capped = _iterate_block(sweep, state[first : first + rows])
-        fixed.append(block_fixed)
-        cycled += block_cycled
-        capped += block_capped
+    fixed, cycled, capped = _iterate(_lattice_sweep(game, grid, restricted), grid.nearest_indices(starts))
     if cycled or capped:
         search = "after-deferral" if restricted else "standard"
         warnings.warn(
-            f"{search} best-response iteration: {len(state) - cycled - capped} of {len(state)} "
+            f"{search} best-response iteration: {len(starts) - cycled - capped} of {len(starts)} "
             f"starts converged, {cycled} cycled, {capped} hit the {_MAX_ITERATIONS}-sweep cap",
             RuntimeWarning,
             stacklevel=3,
         )
     certificates = []
     # unique rows come sorted, and grid points ascend, so profiles come sorted
-    for row in np.unique(np.concatenate(fixed), axis=0):
+    for row in np.unique(fixed, axis=0):
         cert = classify_profile(game, tuple(float(x) for x in grid.points[row]), grid, tolerance)
         # keep the profiles that pass the test this search iterates
         if cert is not None and _VERDICTS[cert.kind][restricted]:

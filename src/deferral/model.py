@@ -165,9 +165,6 @@ class FiniteRandomVariable:
     def mean(self) -> float:
         return float(sum(v * p for v, p in self.atoms))
 
-    def support(self) -> tuple[float, ...]:
-        return tuple(v for v, _ in self.atoms)
-
 
 @dataclass(frozen=True)
 class ComprehensiveUtilityForm:

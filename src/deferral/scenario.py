@@ -46,18 +46,14 @@ class Scenario:
     game: GameSpec | None = None
 
 
-def _fail(msg: str) -> ScenarioError:
-    return ScenarioError(msg)
-
-
 def _number(obj, key, where, default=None, required=True):
     if key not in obj:
         if required:
-            raise _fail(f"{where}: missing required key {key!r}")
+            raise ScenarioError(f"{where}: missing required key {key!r}")
         return default
     value = obj[key]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise _fail(f"{where}.{key}: expected a number, got {value!r}")
+        raise ScenarioError(f"{where}.{key}: expected a number, got {value!r}")
     return float(value)
 
 
@@ -70,9 +66,9 @@ def _utility(obj, where, grid):
     if variant == "tabulated":
         values = obj.get("values")
         if not isinstance(values, list):
-            raise _fail(f"{where}: tabulated utility needs a 'values' list")
+            raise ScenarioError(f"{where}: tabulated utility needs a 'values' list")
         return Tabulated(values=tuple(float(v) for v in values), grid=grid)
-    raise _fail(f"{where}: unknown utility variant {variant!r}")
+    raise ScenarioError(f"{where}: unknown utility variant {variant!r}")
 
 
 def _cost(obj, where):
@@ -83,21 +79,21 @@ def _cost(obj, where):
         return LinearCost(d=_number(obj, "d", where))
     if variant == "power":
         return PowerCost(d=_number(obj, "d", where), p=_number(obj, "p", where))
-    raise _fail(f"{where}: unknown cost variant {variant!r}")
+    raise ScenarioError(f"{where}: unknown cost variant {variant!r}")
 
 
 def _beliefs(obj, where):
     raw = obj.get("beliefs")
     if not isinstance(raw, list) or not raw:
-        raise _fail(f"{where}: 'beliefs' must be a nonempty list of atom lists")
+        raise ScenarioError(f"{where}: 'beliefs' must be a nonempty list of atom lists")
     out = []
     for bi, atoms in enumerate(raw):
         if not isinstance(atoms, list):
-            raise _fail(f"{where}.beliefs[{bi}]: expected [[value, prob], ...]")
+            raise ScenarioError(f"{where}.beliefs[{bi}]: expected [[value, prob], ...]")
         parsed = []
         for atom in atoms:
             if not isinstance(atom, list) or len(atom) != 2:
-                raise _fail(f"{where}.beliefs[{bi}]: each atom must be [value, prob]")
+                raise ScenarioError(f"{where}.beliefs[{bi}]: each atom must be [value, prob]")
             parsed.append((float(atom[0]), float(atom[1])))
         out.append(FiniteRandomVariable(atoms=tuple(parsed)))
     return tuple(out)
@@ -105,10 +101,10 @@ def _beliefs(obj, where):
 
 def _agent(obj, where, grid) -> AgentSpec:
     if not isinstance(obj, dict):
-        raise _fail(f"{where}: expected an object")
+        raise ScenarioError(f"{where}: expected an object")
     for key in ("utility", "c1", "c2", "beliefs"):
         if key not in obj:
-            raise _fail(f"{where}: missing required key {key!r}")
+            raise ScenarioError(f"{where}: missing required key {key!r}")
     form = ComprehensiveUtilityForm()
     if "form" in obj:
         f = obj["form"]
@@ -135,9 +131,9 @@ def _choice_aggregator(obj):
     if variant == "weighted":
         weights = obj.get("weights")
         if not isinstance(weights, list):
-            raise _fail("choice_aggregator: weighted variant needs a 'weights' list")
+            raise ScenarioError("choice_aggregator: weighted variant needs a 'weights' list")
         return WeightedChoice(weights=tuple(float(w) for w in weights))
-    raise _fail(f"choice_aggregator: unknown variant {variant!r}")
+    raise ScenarioError(f"choice_aggregator: unknown variant {variant!r}")
 
 
 def _belief_aggregator(obj):
@@ -145,42 +141,42 @@ def _belief_aggregator(obj):
         return BeliefMixture()
     variant = obj.get("variant")
     if variant != "mixture":
-        raise _fail(f"belief_aggregator: unknown variant {variant!r}")
+        raise ScenarioError(f"belief_aggregator: unknown variant {variant!r}")
     weights = obj.get("weights")
     if weights is None:
         return BeliefMixture()
     if not isinstance(weights, list):
-        raise _fail("belief_aggregator: 'weights' must be a list or null")
+        raise ScenarioError("belief_aggregator: 'weights' must be a list or null")
     return BeliefMixture(weights=tuple(float(w) for w in weights))
 
 
 def parse_scenario(data: dict) -> Scenario:
     """Build and validate a scenario from already-parsed JSON data."""
     if not isinstance(data, dict):
-        raise _fail("scenario root must be an object")
+        raise ScenarioError("scenario root must be an object")
     mode = data.get("mode")
     if mode not in ("single_agent", "game"):
-        raise _fail(f"mode must be 'single_agent' or 'game', got {mode!r}")
+        raise ScenarioError(f"mode must be 'single_agent' or 'game', got {mode!r}")
     x_max = _number(data, "x_max", "scenario")
     steps_raw = data.get("steps", DEFAULT_STEPS)
     if not isinstance(steps_raw, int) or isinstance(steps_raw, bool) or steps_raw < 1:
-        raise _fail(f"steps must be a positive integer, got {steps_raw!r}")
+        raise ScenarioError(f"steps must be a positive integer, got {steps_raw!r}")
     grid = Grid(x_max=x_max, steps=steps_raw)
     tolerance = _number(data, "tolerance", "scenario", None, False)
     output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
-        raise _fail("output_dir must be a string")
+        raise ScenarioError("output_dir must be a string")
 
     if mode == "single_agent":
         if "agent" not in data:
-            raise _fail("single_agent scenario needs an 'agent' object")
+            raise ScenarioError("single_agent scenario needs an 'agent' object")
         agent = _agent(data["agent"], "agent", grid)
         x_social = _number(data, "x_s", "scenario")
         violations = validate(agent) + validate(grid)
         if x_social < 0:
-            raise _fail(f"x_s must be nonnegative, got {x_social}")
+            raise ScenarioError(f"x_s must be nonnegative, got {x_social}")
         if violations:
-            raise _fail("; ".join(f"{v.code}: {v.message}" for v in violations))
+            raise ScenarioError("; ".join(f"{v.code}: {v.message}" for v in violations))
         return Scenario(
             mode=mode, grid=grid, tolerance=tolerance, output_dir=output_dir,
             x_social=x_social, agent=agent,
@@ -188,7 +184,7 @@ def parse_scenario(data: dict) -> Scenario:
 
     agents_raw = data.get("agents")
     if not isinstance(agents_raw, list) or len(agents_raw) < 2:
-        raise _fail("game scenario needs an 'agents' list with at least two entries")
+        raise ScenarioError("game scenario needs an 'agents' list with at least two entries")
     agents = tuple(_agent(a, f"agents[{i}]", grid) for i, a in enumerate(agents_raw))
     game = GameSpec(
         agents=agents,
@@ -198,7 +194,7 @@ def parse_scenario(data: dict) -> Scenario:
     )
     violations = validate(game) + validate(grid)
     if violations:
-        raise _fail("; ".join(f"{v.code}: {v.message}" for v in violations))
+        raise ScenarioError("; ".join(f"{v.code}: {v.message}" for v in violations))
     return Scenario(mode=mode, grid=grid, tolerance=tolerance, output_dir=output_dir, game=game)
 
 
@@ -207,7 +203,7 @@ def _read_json(path: str | Path):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _fail(f"{path}: not valid JSON ({exc})") from exc
+        raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -224,5 +220,5 @@ def load_profile(path: str | Path) -> tuple[float, ...]:
     data = _read_json(path)
     profile = data.get("profile") if isinstance(data, dict) else None
     if not isinstance(profile, list) or not profile:
-        raise _fail(f"{path}: expected an object with a nonempty 'profile' list")
+        raise ScenarioError(f"{path}: expected an object with a nonempty 'profile' list")
     return tuple(float(x) for x in profile)

@@ -83,6 +83,19 @@ class TestUnconstrainedOptimum:
         agent = quad_agent(c1=d.LinearCost(5.0), c2=d.LinearCost(5.0), belief=1.0)
         assert d.unconstrained_optimum(agent, 1.0, d.Grid(10.0, 4000)) == 1.0
 
+    def test_midpoint_peak_takes_the_smallest_tied_point(self):
+        # a peak halfway between grid points ties its two neighbours up to rounding,
+        # so x_hat must be the canonical (smallest) point of the best-response tie set
+        grid = d.Grid(8.0, 80)
+        for j in range(5, 75):
+            for a in (0.5, 1.0, 2.0, 4.0):
+                peak = (j + 0.5) * grid.step
+                agent = quad_agent(a=a, b=2.0 * a * peak, c1=d.LinearCost(1.0), weights=(1, 0, 0))
+                ties = d.best_response(d.GameSpec((agent, agent), grid.x_max), 0, (4.0,), grid)
+                assert len(ties) == 2
+                assert d.unconstrained_optimum(agent, 4.0, grid) == ties[0]
+                assert d.detect_trap(agent, 4.0, grid).x_hat == ties[0]
+
 
 class TestDetectTrap:
     def test_extreme_belief_traps(self, trap_agent):

@@ -290,6 +290,17 @@ class TestClassifyProfile:
     def test_akerlof_off_diagonal_rejected(self, akerlof_game):
         assert d.classify_profile(akerlof_game, (0.0, 2.0), d.Grid(8.0, 400)) is None
 
+    def test_off_grid_tabulated_choice_is_rejected(self):
+        grid = d.Grid(8.0, 40)
+        utility = d.Tabulated(tuple(-(x - 3.0) ** 2 for x in grid.points.tolist()), grid)
+        agent = d.AgentSpec(utility, d.LinearCost(1.0), d.ZeroCost(), (point_mass(3.0),))
+        game = d.GameSpec((quad_agent(b=12.0), agent), 8.0)
+        assert d.classify_profile(game, (3.0, 3.0), grid).kind is d.EquilibriumKind.BOTH
+        # an off-grid choice is fine for the quadratic agent, not for the tabulated one
+        assert d.classify_profile(game, (3.05, 3.0), grid) is not None
+        with pytest.raises(d.DomainError, match=r"agents\[1\]: 3.05 is not a point of grid"):
+            d.classify_profile(game, (3.0, 3.05), grid)
+
     def test_worked_pair_not_after_deferral(self, example42_game):
         grid = d.Grid(40.0, 800)
         cert = d.classify_profile(example42_game, (3.75, 4.0), grid)
@@ -347,6 +358,63 @@ class TestClassifyProfile:
             assert certs
             for cert in certs:
                 assert d.classify_profile(game, cert.profile, grid) == cert
+
+
+class TestTabulatedGame:
+    """A two-agent game outside the exact family, so the default tolerance is the one-step bound.
+
+    Both utilities are quasiconcave but not concave, and every payoff is a
+    dyadic rational, so the brute force below repeats the solver's arithmetic
+    exactly.
+    """
+
+    grid = d.Grid(4.0, 16)
+    values = (
+        (0, 1, 2, 3, 4, 4.5, 4.75, 4.875, 5, 3, 1, 0.5, 0.25, 0, -1, -2, -3),
+        (-4, -2, -1, -0.5, -0.25, 1, 0.75, 0.5, 0, -0.5, -1.5, -2.5, -3, -3.25, -3.5, -4, -6),
+    )
+
+    def game(self):
+        costs = ((d.LinearCost(1.0), d.LinearCost(0.5)), (d.LinearCost(0.5), d.PowerCost(0.5, 2.0)))
+        agents = tuple(
+            d.AgentSpec(d.Tabulated(tuple(map(float, v)), self.grid), c1, c2, (point_mass(belief),))
+            for v, (c1, c2), belief in zip(self.values, costs, (3.0, 1.0)))
+        return d.GameSpec(agents, self.grid.x_max)
+
+    def test_certificates_equal_brute_force(self):
+        game, grid = self.game(), self.grid
+        pts = [float(x) for x in grid.points]
+        m = len(pts)
+        # table[a][j][k]: agent a's payoff for own choice pts[k] against the opponent at pts[j]
+        table = [[[d.payoff(game, 0, (x, y)) for x in pts] for y in pts],
+                 [[d.payoff(game, 1, (y, x)) for x in pts] for y in pts]]
+        tol = max(abs(row[k + 1] - row[k]) for t in table for row in t for k in range(m - 1))
+        expected = {False: [], True: []}
+        for i1, i2 in itertools.product(range(m), repeat=2):
+            own, opp = (i1, i2), (i2, i1)
+            rows = [table[a][opp[a]] for a in range(2)]
+            intervals = tuple(d.consideration_interval(agent.utility, agent.c1, pts[opp[a]])
+                              for a, agent in enumerate(game.agents))
+            slices = [d.interval_grid_indices(iv, grid) for iv in intervals]
+            regret = max(max(row) - row[k] for row, k in zip(rows, own))
+            restricted_regret = max(max(row[j] for j in idx) - row[k]
+                                    for row, idx, k in zip(rows, slices, own))
+            standard = regret <= tol
+            deferral = all(k in idx for k, idx in zip(own, slices)) and restricted_regret <= tol
+            if not (standard or deferral):
+                continue
+            kind = {(True, False): d.EquilibriumKind.STANDARD,
+                    (False, True): d.EquilibriumKind.AFTER_DEFERRAL,
+                    (True, True): d.EquilibriumKind.BOTH}[standard, deferral]
+            passed = [r for r, ok in ((regret, standard), (restricted_regret, deferral)) if ok]
+            cert = d.EquilibriumCertificate((pts[i1], pts[i2]), kind, max(passed), intervals)
+            for restricted, ok in ((False, standard), (True, deferral)):
+                if ok:
+                    expected[restricted].append(cert)
+        # the one-step bound, not float noise, decides: a tiny tolerance finds fewer
+        assert len(d.find_equilibria(game, grid, 1e-9)) < len(expected[False])
+        assert d.find_equilibria(game, grid) == expected[False]
+        assert d.find_equilibria_after_deferral(game, grid) == expected[True]
 
 
 def _classification_oracle(game, profile, grid, tolerance):

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import deferral as d
+from conftest import point_mass
 from deferral.cli import main
 from deferral.reproduce import load_bundled_scenario, run_case
 
@@ -74,11 +79,100 @@ class TestLoader:
         assert game.n == 2
         assert game.agents[0].c1 == d.LinearCost(4.0)
 
+    @pytest.mark.parametrize("index", range(3))
+    def test_every_variant_round_trips(self, index, tmp_path):
+        scenario = _every_variant()[index]
+        assert d.load_scenario(_write(tmp_path, "s.json", _scenario_json(scenario))) == scenario
+
     def test_profile_loader(self, tmp_path):
         path = _write(tmp_path, "p.json", {"profile": [1.0, 2.0]})
         assert d.load_profile(path) == (1.0, 2.0)
         with pytest.raises(d.ScenarioError):
             d.load_profile(_write(tmp_path, "q.json", {"profile": []}))
+
+
+def _utility_json(u):
+    if isinstance(u, d.Quadratic):
+        return {"variant": "quadratic", "a": u.a, "b": u.b, "k": u.k}
+    return {"variant": "tabulated", "values": list(u.values)}
+
+
+def _cost_json(c):
+    if isinstance(c, d.ZeroCost):
+        return {"variant": "zero"}
+    if isinstance(c, d.LinearCost):
+        return {"variant": "linear", "d": c.d}
+    return {"variant": "power", "d": c.d, "p": c.p}
+
+
+def _agent_json(agent):
+    form = agent.form
+    return {
+        "utility": _utility_json(agent.utility),
+        "c1": _cost_json(agent.c1),
+        "c2": _cost_json(agent.c2),
+        "beliefs": [[list(atom) for atom in b.atoms] for b in agent.beliefs],
+        "form": {"w_u": form.w_u, "w_1": form.w_1, "w_2": form.w_2},
+    }
+
+
+def _scenario_json(scenario):
+    """The JSON that ``parse_scenario`` reads back as ``scenario``."""
+    data = {"mode": scenario.mode, "x_max": scenario.grid.x_max, "steps": scenario.grid.steps}
+    for key, value in (("tolerance", scenario.tolerance), ("output_dir", scenario.output_dir)):
+        if value is not None:
+            data[key] = value
+    if scenario.mode == "single_agent":
+        return {**data, "x_s": scenario.x_social, "agent": _agent_json(scenario.agent)}
+    game = scenario.game
+    agg = game.choice_aggregator
+    choice = ({"variant": "mean"} if isinstance(agg, d.MeanChoice)
+              else {"variant": "weighted", "weights": list(agg.weights)})
+    weights = game.belief_aggregator.weights
+    return {**data, "agents": [_agent_json(a) for a in game.agents], "choice_aggregator": choice,
+            "belief_aggregator": {"variant": "mixture",
+                                  "weights": None if weights is None else list(weights)}}
+
+
+def _every_variant():
+    """Scenarios that between them use every utility, cost, form and aggregator variant."""
+    grid = d.Grid(4.0, 8)
+    tabulated = d.Tabulated((0.0, 1.0, 2.0, 3.0, 4.0, 3.5, 2.0, 1.0, 0.0), grid)
+    beliefs = (d.FiniteRandomVariable(((1.0, 0.25), (3.0, 0.75))), point_mass(2.0))
+    agents = (
+        d.AgentSpec(d.Quadratic(2.0, 4.0, 5.0), d.LinearCost(1.5), d.ZeroCost(), beliefs),
+        d.AgentSpec(tabulated, d.PowerCost(2.0, 1.5), d.LinearCost(0.5), beliefs,
+                    d.ComprehensiveUtilityForm(1.0, 0.0, 2.0)),
+        d.AgentSpec(d.Quadratic(1.0, 3.0), d.ZeroCost(), d.PowerCost(1.0, 2.0), beliefs,
+                    d.ComprehensiveUtilityForm(0.5, 1.0, 0.25)),
+    )
+    return [
+        d.Scenario("single_agent", grid, None, None, x_social=2.5, agent=agents[1]),
+        d.Scenario("game", grid, 0.5, "out", game=d.GameSpec(
+            agents, 4.0, d.WeightedChoice((0.5, 0.25, 0.25)), d.BeliefMixture((0.25, 0.75)))),
+        d.Scenario("game", grid, None, None, game=d.GameSpec(
+            tuple(replace(a, beliefs=beliefs[:1]) for a in agents[1:]), 4.0)),
+    ]
+
+
+def _loss(tmp_path, standard, deferred) -> int:
+    """Exit code of ``deferral loss`` on the belief-heavy game at 800 steps."""
+    agent = {
+        "utility": {"variant": "quadratic", "a": 2.0, "b": 4.0, "k": 5.0},
+        "c1": {"variant": "linear", "d": 4.0},
+        "beliefs": [[[40.0, 1.0]]],
+    }
+    game_data = {
+        "mode": "game",
+        "x_max": 40.0,
+        "steps": 800,
+        "agents": [{**agent, "c2": {"variant": "linear", "d": 7.0}},
+                   {**agent, "c2": {"variant": "linear", "d": 16.0}}],
+    }
+    return main(["loss", _write(tmp_path, "g.json", game_data),
+                 "--standard", _write(tmp_path, "standard.json", {"profile": standard}),
+                 "--deferred", _write(tmp_path, "deferred.json", {"profile": deferred}),
+                 "--output-dir", str(tmp_path / "out")])
 
 
 class TestCliExitCodes:
@@ -187,32 +281,8 @@ class TestCliOutputs:
         assert curve[0.0] == 0.0 and curve[1.0] == 1.0 and curve[8.0] == 2.0
 
     def test_loss_command(self, tmp_path):
-        game_data = {
-            "mode": "game",
-            "x_max": 40.0,
-            "steps": 800,
-            "agents": [
-                {
-                    "utility": {"variant": "quadratic", "a": 2.0, "b": 4.0, "k": 5.0},
-                    "c1": {"variant": "linear", "d": 4.0},
-                    "c2": {"variant": "linear", "d": 7.0},
-                    "beliefs": [[[40.0, 1.0]]],
-                },
-                {
-                    "utility": {"variant": "quadratic", "a": 2.0, "b": 4.0, "k": 5.0},
-                    "c1": {"variant": "linear", "d": 4.0},
-                    "c2": {"variant": "linear", "d": 16.0},
-                    "beliefs": [[[40.0, 1.0]]],
-                },
-            ],
-        }
-        scenario = _write(tmp_path, "g.json", game_data)
-        standard = _write(tmp_path, "standard.json", {"profile": [3.75, 4.0]})
-        deferred = _write(tmp_path, "deferred.json", {"profile": [1.0, 1.0]})
-        out = tmp_path / "out"
-        assert main(["loss", scenario, "--standard", standard, "--deferred", deferred,
-                     "--output-dir", str(out)]) == 0
-        header, row = (out / "loss.csv").read_text().splitlines()
+        assert _loss(tmp_path, [3.75, 4.0], [1.0, 1.0]) == 0
+        header, row = (tmp_path / "out" / "loss.csv").read_text().splitlines()
         cells = dict(zip(header.split(","), row.split(",")))
         assert float(cells["total"]) == 32.125
 
@@ -222,6 +292,66 @@ class TestCliOutputs:
         deferred = _write(tmp_path, "deferred.json", {"profile": [1.5, 1.5]})
         assert main(["loss", str(bundled), "--steps", "400", "--standard", standard,
                      "--deferred", deferred, "--output-dir", str(tmp_path / "out")]) == 3
+
+    @pytest.mark.parametrize("standard,deferred,code", [
+        ([0.0, 40.0], [1.0, 1.0], "StandardKindMismatch"),
+        ([3.75, 4.0], [0.0, 40.0], "DeferredKindMismatch"),
+    ])
+    def test_loss_non_equilibrium_profile_is_3(self, standard, deferred, code, tmp_path, capsys):
+        assert _loss(tmp_path, standard, deferred) == 3
+        assert code in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_loss_checks_the_standard_kind_first(self, tmp_path, capsys):
+        # (1, 1) is an equilibrium of both kinds, so it is no pure standard one
+        bundled = Path(__file__).resolve().parents[1] / "src/deferral/scenarios/akerlof.json"
+        standard = _write(tmp_path, "standard.json", {"profile": [1.0, 1.0]})
+        deferred = _write(tmp_path, "deferred.json", {"profile": [0.0, 2.0]})
+        assert main(["loss", str(bundled), "--steps", "400", "--standard", standard,
+                     "--deferred", deferred, "--output-dir", str(tmp_path / "out")]) == 3
+        assert "StandardKindMismatch" in capsys.readouterr().err
+
+    def test_loss_off_grid_tabulated_profile_is_2(self, tmp_path, capsys):
+        grid = d.Grid(8.0, 40)
+        data = _scenario_json(d.Scenario("game", grid, None, None, game=d.GameSpec(
+            (d.AgentSpec(d.Tabulated(tuple(-(x - 3.0) ** 2 for x in grid.points.tolist()), grid),
+                         d.LinearCost(1.0), d.ZeroCost(), (point_mass(3.0),)),) * 2, 8.0)))
+        scenario = _write(tmp_path, "g.json", data)
+        standard = _write(tmp_path, "standard.json", {"profile": [3.05, 3.0]})
+        deferred = _write(tmp_path, "deferred.json", {"profile": [3.0, 3.0]})
+        assert main(["loss", scenario, "--standard", standard, "--deferred", deferred,
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "standard.json" in err and "agents[0]" in err and "3.05" in err
+
+    def test_tolerance_override(self, tmp_path):
+        # a tolerance above every regret makes every profile an equilibrium
+        bundled = Path(__file__).resolve().parents[1] / "src/deferral/scenarios/akerlof.json"
+        out = tmp_path / "out"
+        assert main(["equilibria", str(bundled), "--steps", "40", "--tolerance", "1e9",
+                     "--output-dir", str(out)]) == 0
+        assert len((out / "equilibria.csv").read_text().splitlines()) == 1 + 41 * 41
+
+    def test_power_cost_note(self, tmp_path, capsys):
+        scenario = d.Scenario("game", d.Grid(8.0, 16), None, None, game=d.GameSpec((
+            d.AgentSpec(d.Quadratic(2.0, 4.0), d.PowerCost(1.0, 2.0), d.ZeroCost(), (point_mass(1.0),)),
+            d.AgentSpec(d.Quadratic(2.0, 4.0), d.LinearCost(1.0), d.PowerCost(1.0, 1.0),
+                        (point_mass(1.0),)),
+        ), 8.0))
+        path = _write(tmp_path, "g.json", _scenario_json(scenario))
+        assert main(["equilibria", path, "--output-dir", str(tmp_path / "out")]) == 0
+        notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("note:")]
+        assert len(notes) == 1 and notes[0].startswith("note: agents[0].c1 has exponent 2.0 > 1")
+
+    def test_python_m_deferral(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(d.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "deferral", "reproduce", "--case", "trap",
+             "--output-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "case trap: oracle vs reference" in done.stdout
+        assert (tmp_path / "out" / "trap_report.csv").exists()
 
 
 #: SHA-256 of every CSV that ``run_case`` writes; a change to any of these
