@@ -17,8 +17,9 @@ import numpy as np
 
 from .consideration import (
     ClosedInterval,
+    consideration_bounds,
     consideration_interval,
-    interval_grid_indices,
+    interval_index_bounds,
     maximal_indices_grid,
 )
 from .errors import DomainError
@@ -137,33 +138,42 @@ def comprehensive_values(
     return vals
 
 
+def grid_argmax(agent: AgentSpec, grid: Grid, x_social, future_mean: float | None = None,
+                restricted: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``near_best`` of the comprehensive values: the one grid argmax of every choice.
+
+    ``x_social`` is a scalar or a column, as for ``comprehensive_values``.  When
+    ``restricted``, points outside the consideration slice count as ``-inf``.
+    """
+    vals = comprehensive_values(agent, grid, x_social, future_mean)
+    if restricted:
+        i_lo, i_hi = interval_index_bounds(*consideration_bounds(agent.utility.peak, x_social), grid)
+        own = np.arange(len(grid.points))
+        vals = np.where((own >= i_lo) & (own <= i_hi), vals, -np.inf)
+    return near_best(vals)
+
+
 def second_stage_choice(agent: AgentSpec, x_social: float, grid: Grid) -> ChoiceResult:
     """Maximize the comprehensive utility over the consideration interval."""
-    interval = consideration_interval(agent.utility, agent.c1, x_social)
-    idx = interval_grid_indices(interval, grid)
-    best, near = near_best(comprehensive_values(agent, grid, x_social)[idx])
-    return ChoiceResult(
-        chosen=tuple(float(x) for x in grid.points[idx[near]]), value=float(best), constrained=True)
+    consideration_interval(agent.utility, agent.c1, x_social)  # raises unless the closed form applies
+    best, near = grid_argmax(agent, grid, x_social, restricted=True)
+    return ChoiceResult(tuple(float(x) for x in grid.points[near]), float(best), constrained=True)
 
 
 def unconstrained_optimum(agent: AgentSpec, x_social: float, grid: Grid) -> float:
     """Smallest grid maximizer of the comprehensive utility over the whole grid."""
-    near = near_best(comprehensive_values(agent, grid, x_social))[1]
-    return float(grid.points[np.argmax(near)])
+    return float(grid.points[np.argmax(grid_argmax(agent, grid, x_social)[1])])
 
 
 def detect_trap(agent: AgentSpec, x_social: float, grid: Grid) -> TrapReport:
     """Check whether unconstrained maximization would leave the interval."""
     interval = consideration_interval(agent.utility, agent.c1, x_social)
-    best, near = near_best(comprehensive_values(agent, grid, x_social))
+    best, near = grid_argmax(agent, grid, x_social)
     x_hat = float(grid.points[np.argmax(near)])
     step = grid.step
     trapped = x_hat < interval.lo - step or x_hat > interval.hi + step
-    if trapped:
-        constrained = second_stage_choice(agent, x_social, grid)
-        gap = max(0.0, float(best) - constrained.value)
-    else:
-        gap = 0.0
+    rbest = grid_argmax(agent, grid, x_social, restricted=True)[0] if trapped else best
+    gap = max(0.0, float(best) - float(rbest))
     return TrapReport(x_hat=x_hat, interval=interval, trapped=trapped, utility_gap=gap)
 
 

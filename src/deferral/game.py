@@ -26,12 +26,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .choice import comprehensive_value, comprehensive_values
+from .choice import comprehensive_value, comprehensive_values, grid_argmax
 from .consideration import (
     ClosedInterval,
     consideration_bounds,
     consideration_interval,
-    interval_grid_indices,
     interval_index_bounds,
     require_closed_form,
 )
@@ -53,7 +52,6 @@ from .model import (
     Tabulated,
     Violation,
     ZeroCost,
-    near_best,
 )
 
 Profile = tuple[float, ...]
@@ -286,8 +284,8 @@ def best_response(
         return _exact_best_response(game, i, x_social, grid)
     if method != "grid":
         raise MethodUnsupported(f"unknown best-response method {method!r}")
-    vals = comprehensive_values(game.agents[i], grid, x_social, aggregate_beliefs(game, i).mean())
-    return tuple(float(x) for x in grid.points[near_best(vals)[1]])
+    near = grid_argmax(game.agents[i], grid, x_social, aggregate_beliefs(game, i).mean())[1]
+    return tuple(float(x) for x in grid.points[near])
 
 
 def deferral_best_response(
@@ -299,10 +297,9 @@ def deferral_best_response(
     """Argmax set of agent ``i``'s payoff restricted to their consideration set."""
     x_social = _reference_point(game, i, opponents)
     agent = game.agents[i]
-    interval = consideration_interval(agent.utility, agent.c1, x_social)
-    idx = interval_grid_indices(interval, grid)
-    vals = comprehensive_values(agent, grid, x_social, aggregate_beliefs(game, i).mean())[idx]
-    return tuple(float(x) for x in grid.points[idx[near_best(vals)[1]]])
+    consideration_interval(agent.utility, agent.c1, x_social)  # raises unless the closed form applies
+    near = grid_argmax(agent, grid, x_social, aggregate_beliefs(game, i).mean(), True)[1]
+    return tuple(float(x) for x in grid.points[near])
 
 
 def best_response_curve(
@@ -538,18 +535,15 @@ def _lattice_sweep(game: GameSpec, grid: Grid, restricted: bool):
     """Simultaneous best-response map on rows of grid-index profiles.
 
     The returned function maps a (rows x n) int array to each agent's
-    smallest grid best response (restricted to their consideration slice
-    when ``restricted``) against the row's other choices: the rule of
-    ``best_response(...)[0]`` and ``deferral_best_response(...)[0]``, with
-    bit-identical payoffs.  It works through the rows in blocks of at most
-    ``_BLOCK_CELLS`` payoff cells, so its memory is bounded whatever the
-    number of rows.  Aggregated beliefs and aggregator weights are computed
+    smallest ``grid_argmax`` point (restricted to their consideration slice
+    when ``restricted``) against the row's other choices.  It works through
+    the rows in blocks of at most ``_BLOCK_CELLS`` payoff cells, so its
+    memory is bounded whatever the number of rows.  Aggregated beliefs and aggregator weights are computed
     once here, so their errors propagate before any iteration.  The
     restricted map needs the closed-form preconditions, which
     ``find_equilibria_after_deferral`` checks before any search.
     """
     pts = grid.points
-    own = np.arange(len(pts))[None, :]
     rows = max(1, _BLOCK_CELLS // len(pts))
     agents = []
     for i, agent in enumerate(game.agents):
@@ -564,12 +558,8 @@ def _lattice_sweep(game: GameSpec, grid: Grid, restricted: bool):
             xs = pts[state[block]]
             for i, (agent, others, weights, total, future) in enumerate(agents):
                 socials = _reference_points(xs[:, others], weights, total)
-                vals = comprehensive_values(agent, grid, socials[:, None], future)
-                if restricted:
-                    bounds = consideration_bounds(agent.utility.peak, socials)
-                    i_lo, i_hi = interval_index_bounds(*bounds, grid)
-                    vals = np.where((own >= i_lo[:, None]) & (own <= i_hi[:, None]), vals, -np.inf)
-                updated[block, i] = np.argmax(near_best(vals)[1], axis=1)
+                near = grid_argmax(agent, grid, socials[:, None], future, restricted)[1]
+                updated[block, i] = np.argmax(near, axis=1)
         return updated
 
     return sweep
