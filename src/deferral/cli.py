@@ -12,6 +12,7 @@ current-distance cost), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -30,7 +31,7 @@ from .game import (
 from .model import Grid, PowerCost
 from .output import fmt, write_csv
 from .reproduce import CASES, run_case, write_curve, write_equilibria
-from .scenario import Scenario, load_profile, load_scenario
+from .scenario import Scenario, load_profile, load_scenario, require_steps, require_tolerance
 from .welfare import deferral_loss
 
 DEFAULT_OUTPUT_DIR = "deferral_out"
@@ -41,10 +42,10 @@ def _load(args) -> Scenario:
     scenario = load_scenario(args.scenario)
     if scenario.mode != args.mode:
         raise ScenarioError(f"'{args.command}' needs a {args.mode} scenario, got {scenario.mode}")
-    if args.steps:
-        scenario = replace(scenario, grid=Grid(scenario.grid.x_max, args.steps))
+    if args.steps is not None:
+        scenario = replace(scenario, grid=Grid(scenario.grid.x_max, require_steps(args.steps, "--steps")))
     if args.tolerance is not None:
-        scenario = replace(scenario, tolerance=args.tolerance)
+        scenario = replace(scenario, tolerance=require_tolerance(args.tolerance, "--tolerance"))
     return scenario
 
 
@@ -118,8 +119,8 @@ def _parse_sweep(spec: str) -> list[float]:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError as exc:
         raise ScenarioError(f"--sweep must be lo:hi:n, got {spec!r}") from exc
-    if n < 2 or hi < lo:
-        raise ScenarioError(f"--sweep needs n >= 2 and hi >= lo, got {spec!r}")
+    if n < 2 or not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ScenarioError(f"--sweep needs n >= 2 and finite hi >= lo, got {spec!r}")
     return [lo + j * (hi - lo) / (n - 1) for j in range(n)]
 
 

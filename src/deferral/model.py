@@ -12,7 +12,7 @@ they are safe to evaluate concurrently without synchronization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import cached_property
 from typing import Union
 
@@ -116,6 +116,11 @@ class Tabulated:
     @cached_property
     def peak(self) -> float:
         return self.grid.points[int(np.argmax(self.values))]
+
+    @cached_property
+    def is_finite(self) -> bool:
+        """Whether every value and the grid bound are finite."""
+        return _finite(self.grid.x_max, *self.values)
 
     @cached_property
     def is_quasiconcave(self) -> bool:
@@ -309,11 +314,15 @@ def _check(violations: list[Violation], ok: bool, code: str, message: str) -> No
         violations.append(Violation(code, message))
 
 
+def _finite(*numbers: float) -> bool:
+    return all(map(math.isfinite, numbers))
+
+
 def _validate_utility(u: UtilityFunction, out: list[Violation], where: str) -> None:
     if isinstance(u, Quadratic):
         _check(out, u.a > 0, "NonPositiveCurvature", f"{where}: quadratic needs a > 0, got a={u.a}")
-        _check(out, math.isfinite(u.a) and math.isfinite(u.b) and math.isfinite(u.k),
-               "NonFiniteParameter", f"{where}: quadratic coefficients must be finite")
+        _check(out, _finite(u.a, u.b, u.k), "NonFiniteParameter",
+               f"{where}: quadratic coefficients must be finite")
         return
     vals = u.values
     if len(vals) != u.grid.steps + 1:
@@ -325,6 +334,7 @@ def _validate_utility(u: UtilityFunction, out: list[Violation], where: str) -> N
         return
     _check(out, u.is_quasiconcave, "NotQuasiconcave",
            f"{where}: values must rise strictly to a unique peak then fall strictly")
+    _check(out, u.is_finite, "NonFiniteParameter", f"{where}: values and grid bound must be finite")
 
 
 def _validate_cost(c: CostFunction, out: list[Violation], where: str) -> None:
@@ -333,6 +343,7 @@ def _validate_cost(c: CostFunction, out: list[Violation], where: str) -> None:
     _check(out, c.d >= 0, "NegativeCostSlope", f"{where}: d must be >= 0, got {c.d}")
     if isinstance(c, PowerCost):
         _check(out, c.p >= 1, "SubunitPowerExponent", f"{where}: p must be >= 1, got {c.p}")
+    _check(out, _finite(*astuple(c)), "NonFiniteParameter", f"{where}: cost parameters must be finite")
 
 
 def _validate_rv(v: FiniteRandomVariable, out: list[Violation], where: str) -> None:
@@ -353,10 +364,12 @@ def _validate_rv(v: FiniteRandomVariable, out: list[Violation], where: str) -> N
 def _validate_form(f: ComprehensiveUtilityForm, out: list[Violation], where: str) -> None:
     _check(out, f.w_u >= 0 and f.w_1 >= 0 and f.w_2 >= 0, "NegativeWeight",
            f"{where}: weights must be nonnegative, got ({f.w_u}, {f.w_1}, {f.w_2})")
+    _check(out, _finite(*astuple(f)), "NonFiniteParameter", f"{where}: weights must be finite")
 
 
 def _validate_grid(g: Grid, out: list[Violation], where: str) -> None:
     _check(out, g.x_max > 0, "NonPositiveBound", f"{where}: x_max must be > 0, got {g.x_max}")
+    _check(out, _finite(g.x_max), "NonFiniteParameter", f"{where}: x_max must be finite")
     _check(out, g.steps >= 1, "NonPositiveSteps", f"{where}: steps must be >= 1, got {g.steps}")
 
 
@@ -373,6 +386,7 @@ def _validate_agent(a: AgentSpec, out: list[Violation], where: str) -> None:
 def _validate_game(g: GameSpec, out: list[Violation]) -> None:
     _check(out, g.n >= 2, "TooFewAgents", f"game needs n >= 2 agents, got {g.n}")
     _check(out, g.x_max > 0, "NonPositiveBound", f"game: x_max must be > 0, got {g.x_max}")
+    _check(out, _finite(g.x_max), "NonFiniteParameter", "game: x_max must be finite")
     for i, a in enumerate(g.agents):
         _validate_agent(a, out, f"agents[{i}]")
         if g.n >= 2:

@@ -8,6 +8,7 @@ The schema mirrors the model types with snake_case keys; belief atoms are
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,6 +56,20 @@ def _number(obj, key, where, default=None, required=True):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScenarioError(f"{where}.{key}: expected a number, got {value!r}")
     return float(value)
+
+
+def require_steps(steps, where: str = "steps") -> int:
+    """``steps`` if it is a positive integer, else ``ScenarioError``."""
+    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
+        raise ScenarioError(f"{where} must be a positive integer, got {steps!r}")
+    return steps
+
+
+def require_tolerance(tolerance: float | None, where: str = "tolerance") -> float | None:
+    """``tolerance`` if it is ``None`` or a finite number >= 0, else ``ScenarioError``."""
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ScenarioError(f"{where} must be a finite number >= 0, got {tolerance!r}")
+    return tolerance
 
 
 def _utility(obj, where, grid):
@@ -158,11 +173,8 @@ def parse_scenario(data: dict) -> Scenario:
     if mode not in ("single_agent", "game"):
         raise ScenarioError(f"mode must be 'single_agent' or 'game', got {mode!r}")
     x_max = _number(data, "x_max", "scenario")
-    steps_raw = data.get("steps", DEFAULT_STEPS)
-    if not isinstance(steps_raw, int) or isinstance(steps_raw, bool) or steps_raw < 1:
-        raise ScenarioError(f"steps must be a positive integer, got {steps_raw!r}")
-    grid = Grid(x_max=x_max, steps=steps_raw)
-    tolerance = _number(data, "tolerance", "scenario", None, False)
+    grid = Grid(x_max=x_max, steps=require_steps(data.get("steps", DEFAULT_STEPS)))
+    tolerance = require_tolerance(_number(data, "tolerance", "scenario", None, False))
     output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ScenarioError("output_dir must be a string")
@@ -173,8 +185,8 @@ def parse_scenario(data: dict) -> Scenario:
         agent = _agent(data["agent"], "agent", grid)
         x_social = _number(data, "x_s", "scenario")
         violations = validate(agent) + validate(grid)
-        if x_social < 0:
-            raise ScenarioError(f"x_s must be nonnegative, got {x_social}")
+        if not 0 <= x_social < math.inf:
+            raise ScenarioError(f"x_s must be finite and nonnegative, got {x_social}")
         if violations:
             raise ScenarioError("; ".join(f"{v.code}: {v.message}" for v in violations))
         return Scenario(

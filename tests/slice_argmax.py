@@ -1,0 +1,53 @@
+"""The grid argmax rebuilt by slicing: a reference independent of ``grid_argmax``.
+
+Each function cuts the consideration slice (or the whole grid) out of the
+comprehensive values by index and keeps every value within 1e-12 of the
+slice's best, instead of masking the rest with ``-inf``.  Exceptions come in
+the public functions' order: aggregation, then the consideration interval,
+then the kernel.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+import deferral as d
+from deferral.game import _reference_point
+
+
+def _argmax(vals, idx):
+    """The best of ``vals[idx]`` and the indices within 1e-12 of it, ascending."""
+    vals = vals[idx]
+    best = vals.max()
+    return best, idx[vals >= best - 1e-12]
+
+
+def _slice(agent, x_social, grid):
+    interval = d.consideration_interval(agent.utility, agent.c1, x_social)
+    return d.interval_grid_indices(interval, grid)
+
+
+def best_response(game, i, opponents, grid):
+    x_social = _reference_point(game, i, opponents)
+    future = d.aggregate_beliefs(game, i).mean()
+    vals = d.comprehensive_values(game.agents[i], grid, x_social, future)
+    return tuple(float(x) for x in grid.points[_argmax(vals, np.arange(len(vals)))[1]])
+
+
+def deferral_best_response(game, i, opponents, grid):
+    x_social = _reference_point(game, i, opponents)
+    agent = game.agents[i]
+    idx = _slice(agent, x_social, grid)
+    vals = d.comprehensive_values(agent, grid, x_social, d.aggregate_beliefs(game, i).mean())
+    return tuple(float(x) for x in grid.points[_argmax(vals, idx)[1]])
+
+
+def second_stage_choice(agent, x_social, grid):
+    idx = _slice(agent, x_social, grid)
+    best, chosen = _argmax(d.comprehensive_values(agent, grid, x_social), idx)
+    return d.ChoiceResult(tuple(float(x) for x in grid.points[chosen]), float(best), True)
+
+
+def unconstrained_optimum(agent, x_social, grid):
+    vals = d.comprehensive_values(agent, grid, x_social)
+    return float(grid.points[_argmax(vals, np.arange(len(vals)))[1][0]])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deferral as d
+import slice_argmax
 from conftest import point_mass, quad_agent, two_agent_game
 from deferral.game import _BLOCK_CELLS, START_LATTICE_POINTS
 
@@ -532,11 +533,12 @@ class TestLatticeSearch:
 def _oracle_certificates(game, grid, starts, restricted):
     """Certificates of the fixed points reached from each start, one start at a time.
 
-    Iterates the public best responses (smallest of the argmax set) until a
-    state repeats: a state that maps to itself is a fixed point, any other
-    repeat a cycle.  Every state on a path shares the path's outcome.
+    Iterates the slice-based best responses of ``slice_argmax`` (smallest of
+    the argmax set) until a state repeats: a state that maps to itself is a
+    fixed point, any other repeat a cycle.  Every state on a path shares the
+    path's outcome.
     """
-    respond = d.deferral_best_response if restricted else d.best_response
+    respond = slice_argmax.deferral_best_response if restricted else slice_argmax.best_response
     wanted = (d.EquilibriumKind.AFTER_DEFERRAL if restricted else d.EquilibriumKind.STANDARD,
               d.EquilibriumKind.BOTH)
     outcome = {}
@@ -545,11 +547,69 @@ def _oracle_certificates(game, grid, starts, restricted):
         path = []
         while state not in outcome and state not in path:
             path.append(state)
-            state = tuple(respond(game, i, state[:i] + state[i + 1:], grid)[0] for i in range(game.n))
+            state = tuple(respond(game, i, state[:i] + state[i + 1:], grid)[0]
+                          for i in range(game.n))
         result = outcome[state] if state in outcome else (state if state == path[-1] else None)
         outcome.update(dict.fromkeys(path, result))
     certs = [d.classify_profile(game, p, grid) for p in sorted({p for p in outcome.values() if p})]
     return [c for c in certs if c is not None and c.kind in wanted]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except d.DeferralError as exc:
+        return type(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    tabulated=st.lists(st.booleans(), min_size=3, max_size=3),
+    # sixteenths of the bound put peaks on grid points and midpoints, where ties are
+    peaks=st.lists(st.one_of(st.floats(0.0, 8.0), st.integers(0, 128).map(lambda k: k / 16)),
+                   min_size=3, max_size=3),
+    c1=st.lists(_c1_costs, min_size=3, max_size=3),
+    c2=st.lists(st.sampled_from([d.LinearCost(1.0), d.LinearCost(8.0), d.PowerCost(1.0, 2.0),
+                                 d.ZeroCost()]), min_size=3, max_size=3),
+    w_1=st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=3, max_size=3),
+    beliefs=st.lists(st.integers(0, 8), min_size=3, max_size=3),
+    weighted=st.booleans(),
+    mixture=st.booleans(),
+    steps=st.sampled_from([16, 40, 64]),
+    # a grid index stands for an on-grid opponent, a float for an arbitrary one
+    opponents=st.lists(st.one_of(st.integers(0, 64), st.floats(0.0, 8.0)), min_size=2, max_size=2),
+)
+def test_public_argmaxes_equal_the_slice_reference(n, tabulated, peaks, c1, c2, w_1, beliefs,
+                                                   weighted, mixture, steps, opponents):
+    grid = d.Grid(8.0, steps)
+    utilities = [
+        d.Tabulated(tuple(3.0 - abs(x - p) ** 1.5 for x in grid.points), grid) if tab
+        else d.Quadratic(1.0, 2.0 * p, 0.0)
+        for tab, p in zip(tabulated, peaks)]
+    agents = tuple(
+        d.AgentSpec(u, cost1, cost2, (point_mass(belief), point_mass(8 - belief))[:n - 1],
+                    d.ComprehensiveUtilityForm(1.0, w, 1.0))
+        for u, cost1, cost2, w, belief in zip(utilities[:n], c1, c2, w_1, beliefs))
+    weights = (0.4, 0.6) if n == 2 else (0.5, 0.3, 0.2)
+    aggregator = d.WeightedChoice(weights) if weighted else d.MeanChoice()
+    # the second-stage functions take the agent's own belief mean, the game ones the mixture's
+    mix = d.BeliefMixture((0.25, 0.75)) if mixture and n == 3 else d.BeliefMixture()
+    game = d.GameSpec(agents=agents, x_max=8.0, choice_aggregator=aggregator,
+                      belief_aggregator=mix)
+    xs = [x if isinstance(x, float) else float(grid.points[min(x, steps)]) for x in opponents]
+    pairs = ((d.best_response, slice_argmax.best_response),
+             (d.deferral_best_response, slice_argmax.deferral_best_response),
+             (d.second_stage_choice, slice_argmax.second_stage_choice),
+             (d.unconstrained_optimum, slice_argmax.unconstrained_optimum))
+    for i, agent in enumerate(agents):
+        for public, reference in pairs[:2]:
+            args = game, i, xs[:n - 1], grid
+            assert _outcome(public, *args) == _outcome(reference, *args)
+        for public, reference in pairs[2:]:
+            for x_social in xs:
+                args = agent, x_social, grid
+                assert _outcome(public, *args) == _outcome(reference, *args)
 
 
 def _lattice(game):

@@ -110,6 +110,18 @@ class TestValidate:
     def test_violations_returned_not_raised(self):
         assert isinstance(d.validate(quad_agent(a=-1.0)), list)
 
+    @pytest.mark.parametrize("spec", [
+        d.Grid(float("inf"), 8),
+        d.LinearCost(float("inf")),
+        d.PowerCost(1.0, float("inf")),
+        d.ComprehensiveUtilityForm(float("inf"), 1.0, 1.0),
+        d.Tabulated((0.0, 1.0, float("inf"), 1.0, 0.0), d.Grid(1.0, 4)),
+        d.Tabulated((0.0, 1.0, 2.0, 1.0, 0.0), d.Grid(float("inf"), 4)),
+        d.GameSpec(agents=(quad_agent(),) * 2, x_max=float("inf")),
+    ], ids=["grid", "linear", "power", "form", "tabulated_value", "tabulated_grid", "game"])
+    def test_non_finite_number_rejected(self, spec):
+        assert [v.code for v in d.validate(spec)] == ["NonFiniteParameter"]
+
 
 class TestGrid:
     def test_points_cover_bounds(self):

@@ -215,6 +215,64 @@ class TestCliExitCodes:
         assert main(["equilibria", scenario, "--output-dir", str(tmp_path / "out")]) == 2
 
 
+_AKERLOF = Path(__file__).resolve().parents[1] / "src/deferral/scenarios/akerlof.json"
+_INF, _NAN = float("inf"), float("nan")
+
+
+class TestNonFiniteAndOutOfRangeNumbers:
+    @pytest.mark.parametrize("where", ["x_max", "c1", "form"])
+    def test_non_finite_single_agent_number_is_2(self, where, tmp_path, capsys):
+        data = _single_agent_scenario()
+        if where == "x_max":
+            data["x_max"] = _INF
+        elif where == "c1":
+            data["agent"]["c1"]["d"] = _INF
+        else:
+            data["agent"]["form"] = {"w_u": _INF}
+        scenario = _write(tmp_path, "s.json", data)
+        assert main(["choose", scenario, "--output-dir", str(tmp_path / "out")]) == 2
+        assert "NonFiniteParameter" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("x_s", [_INF, _NAN, -1.0])
+    def test_social_choice_out_of_range_is_2(self, x_s, tmp_path, capsys):
+        scenario = _write(tmp_path, "s.json", _single_agent_scenario(x_s=x_s))
+        assert main(["choose", scenario, "--output-dir", str(tmp_path / "out")]) == 2
+        assert "x_s must be finite and nonnegative" in capsys.readouterr().err
+
+    def test_non_finite_game_bound_is_2(self, tmp_path, capsys):
+        data = json.loads(_AKERLOF.read_text())
+        data["x_max"] = _INF
+        scenario = _write(tmp_path, "g.json", data)
+        assert main(["equilibria", scenario, "--output-dir", str(tmp_path / "out")]) == 2
+        assert "game: x_max must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tolerance", [-0.5, _NAN, _INF])
+    def test_scenario_tolerance_out_of_range_is_2(self, tolerance, tmp_path, capsys):
+        data = json.loads(_AKERLOF.read_text())
+        data["tolerance"] = tolerance
+        scenario = _write(tmp_path, "g.json", data)
+        with pytest.raises(d.ScenarioError, match="tolerance must be a finite number >= 0"):
+            d.load_scenario(scenario)
+        assert main(["equilibria", scenario, "--output-dir", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--tolerance", "-1"], ["--tolerance", "nan"], ["--tolerance", "inf"],
+        ["--steps", "0"], ["--steps", "-4"],
+    ])
+    def test_override_out_of_range_is_2(self, flags, tmp_path, capsys):
+        assert main(["equilibria", str(_AKERLOF), *flags,
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert f"{flags[0]} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sweep", ["nan:1:3", "0:inf:3", "-inf:1:3", "2:1:3", "0:1:1"])
+    def test_bad_sweep_is_2(self, sweep, tmp_path, capsys):
+        assert main(["best-response", str(_AKERLOF), "--steps", "40", "--agent", "1",
+                     f"--sweep={sweep}", "--output-dir", str(tmp_path / "out")]) == 2
+        assert "--sweep needs" in capsys.readouterr().err
+
+
 class TestCliOutputs:
     def test_consider_writes_points(self, tmp_path):
         scenario = _write(tmp_path, "s.json", _single_agent_scenario())
