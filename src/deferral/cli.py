@@ -43,7 +43,8 @@ def _load(args) -> Scenario:
     if scenario.mode != args.mode:
         raise ScenarioError(f"'{args.command}' needs a {args.mode} scenario, got {scenario.mode}")
     if args.steps is not None:
-        scenario = replace(scenario, grid=Grid(scenario.grid.x_max, require_steps(args.steps, "--steps")))
+        grid = Grid(scenario.grid.x_max, require_steps(args.steps, "--steps"))
+        scenario = replace(scenario, grid=grid)
     if args.tolerance is not None:
         scenario = replace(scenario, tolerance=require_tolerance(args.tolerance, "--tolerance"))
     return scenario

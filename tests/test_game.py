@@ -566,7 +566,7 @@ def _outcome(fn, *args):
 @given(
     n=st.sampled_from([2, 3]),
     tabulated=st.lists(st.booleans(), min_size=3, max_size=3),
-    # sixteenths of the bound put peaks on grid points and midpoints, where ties are
+    # peaks at multiples of 1/16 sit on grid points or midpoints, where argmax ties occur
     peaks=st.lists(st.one_of(st.floats(0.0, 8.0), st.integers(0, 128).map(lambda k: k / 16)),
                    min_size=3, max_size=3),
     c1=st.lists(_c1_costs, min_size=3, max_size=3),
