@@ -27,7 +27,6 @@ from .model import (
     AgentSpec,
     Grid,
     belief_mean,
-    cost_values_at,
     eval_cost,
     eval_utility,
     near_best,
@@ -84,6 +83,24 @@ class SequentialCriteriaCertificate:
     stage1_survivors: tuple[float, ...]
 
 
+def _comprehensive(agent: AgentSpec, own: np.ndarray, u_own: np.ndarray, x_social,
+                   future_mean: float | None) -> np.ndarray:
+    """``w_u·u − w_2·c2 − w_1·c1`` at the own choices ``own``, whose utilities are ``u_own``."""
+    if (np.asarray(x_social) < 0).any():
+        raise DomainError(f"social choice must be nonnegative, got {x_social}")
+    if future_mean is None:
+        future_mean = belief_mean(agent)
+    w = agent.form
+    vals = w.w_u * u_own
+    if w.w_2 != 0.0:
+        vals = vals - w.w_2 * eval_cost(agent.c2, np.abs(own - future_mean))
+    if w.w_1 != 0.0:
+        return vals - w.w_1 * eval_cost(agent.c1, np.abs(own - x_social))
+    if np.ndim(x_social):
+        return np.broadcast_to(vals, (np.shape(x_social)[0], len(vals)))
+    return vals
+
+
 def comprehensive_value(
     agent: AgentSpec,
     x: float,
@@ -94,18 +111,13 @@ def comprehensive_value(
 
     ``future_mean`` defaults to the mean of the agent's own beliefs (their
     uniform mixture when there are several); game code passes the aggregated
-    value explicitly.
+    value explicitly.  It is the ``comprehensive_values`` kernel on a one-element
+    array, so it equals the table entry at ``x`` bit for bit.
     """
     if x < 0 or x_social < 0:
         raise DomainError(f"comprehensive_value needs nonnegative inputs, got ({x}, {x_social})")
-    if future_mean is None:
-        future_mean = belief_mean(agent)
-    w = agent.form
-    return (
-        w.w_u * eval_utility(agent.utility, x)
-        - w.w_2 * eval_cost(agent.c2, abs(x - future_mean))
-        - w.w_1 * eval_cost(agent.c1, abs(x - x_social))
-    )
+    u_own = np.array([eval_utility(agent.utility, x)])
+    return float(_comprehensive(agent, np.array([x], dtype=float), u_own, x_social, future_mean)[0])
 
 
 def comprehensive_values(
@@ -119,23 +131,9 @@ def comprehensive_values(
     ``x_social`` is one social choice, giving one value per grid point, or a
     column of them (shape ``(rows, 1)``), giving one row per social choice
     (a read-only view when the rows coincide).  Rows do not depend on how
-    many are computed together.  This and ``comprehensive_value`` subtract
-    the future-distance cost before the current-distance one, so every
-    payoff the solver compares is summed in the same order.
+    many are computed together.
     """
-    if (np.asarray(x_social) < 0).any():
-        raise DomainError(f"social choice must be nonnegative, got {x_social}")
-    if future_mean is None:
-        future_mean = belief_mean(agent)
-    w = agent.form
-    vals = w.w_u * utility_values(agent.utility, grid)
-    if w.w_2 != 0.0:
-        vals = vals - w.w_2 * cost_values_at(agent.c2, grid, future_mean)
-    if w.w_1 != 0.0:
-        return vals - w.w_1 * cost_values_at(agent.c1, grid, x_social)
-    if np.ndim(x_social):
-        return np.broadcast_to(vals, (np.shape(x_social)[0], len(vals)))
-    return vals
+    return _comprehensive(agent, grid.points, utility_values(agent.utility, grid), x_social, future_mean)
 
 
 def grid_argmax(agent: AgentSpec, grid: Grid, x_social, future_mean: float | None = None,

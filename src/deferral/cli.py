@@ -12,7 +12,6 @@ current-distance cost), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,7 +27,7 @@ from .game import (
     find_equilibria,
     find_equilibria_after_deferral,
 )
-from .model import Grid, PowerCost
+from .model import Grid, Tabulated
 from .output import fmt, write_csv
 from .reproduce import CASES, run_case, write_curve, write_equilibria
 from .scenario import Scenario, load_profile, load_scenario, require_steps, require_tolerance
@@ -44,6 +43,12 @@ def _load(args) -> Scenario:
         raise ScenarioError(f"'{args.command}' needs a {args.mode} scenario, got {scenario.mode}")
     if args.steps is not None:
         grid = Grid(scenario.grid.x_max, require_steps(args.steps, "--steps"))
+        agents = scenario.game.agents if scenario.game else (scenario.agent,)
+        for i, agent in enumerate(agents):
+            if isinstance(agent.utility, Tabulated) and grid != agent.utility.grid:
+                where = f"agents[{i}]" if scenario.game else "agent"
+                raise ScenarioError(f"--steps: {where} has a utility tabulated on "
+                                    f"{scenario.grid.steps} steps, which --steps cannot change")
         scenario = replace(scenario, grid=grid)
     if args.tolerance is not None:
         scenario = replace(scenario, tolerance=require_tolerance(args.tolerance, "--tolerance"))
@@ -56,18 +61,6 @@ def _outdir(args, scenario: Scenario) -> Path:
     if scenario.output_dir:
         return Path(scenario.output_dir)
     return Path(DEFAULT_OUTPUT_DIR)
-
-
-def _warn_on_power_costs(scenario: Scenario) -> None:
-    agents = scenario.game.agents if scenario.game else (scenario.agent,)
-    for i, agent in enumerate(agents):
-        for label, cost in (("c1", agent.c1), ("c2", agent.c2)):
-            if isinstance(cost, PowerCost) and cost.p > 1:
-                print(
-                    f"note: agents[{i}].{label} has exponent {cost.p} > 1; payoffs may "
-                    "lose quasiconcavity, grid search remains exact on the grid",
-                    file=sys.stderr,
-                )
 
 
 def _cmd_consider(args, scenario: Scenario) -> int:
@@ -114,24 +107,24 @@ def _cmd_certify(args, scenario: Scenario) -> int:
     return 0
 
 
-def _parse_sweep(spec: str) -> list[float]:
+def _parse_sweep(spec: str, x_max: float) -> list[float]:
     try:
         lo_s, hi_s, n_s = spec.split(":")
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError as exc:
         raise ScenarioError(f"--sweep must be lo:hi:n, got {spec!r}") from exc
-    if n < 2 or not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ScenarioError(f"--sweep needs n >= 2 and finite hi >= lo, got {spec!r}")
+    if n < 2 or not 0 <= lo <= hi <= x_max:
+        raise ScenarioError(f"--sweep needs n >= 2 and 0 <= lo <= hi <= x_max = {fmt(x_max)}, "
+                            f"got {spec!r}")
     return [lo + j * (hi - lo) / (n - 1) for j in range(n)]
 
 
 def _cmd_best_response(args, scenario: Scenario) -> int:
-    _warn_on_power_costs(scenario)
     game, grid = scenario.game, scenario.grid
     if not 1 <= args.agent <= game.n:
         raise ScenarioError(f"--agent must be in 1..{game.n}, got {args.agent}")
     curve = best_response_curve(
-        game, args.agent - 1, _parse_sweep(args.sweep), grid, method=args.method
+        game, args.agent - 1, _parse_sweep(args.sweep, game.x_max), grid, method=args.method
     )
     out = _outdir(args, scenario)
     path = write_curve(out / f"best_response_agent{args.agent}.csv", curve)
@@ -154,7 +147,6 @@ def _print_certificates(certs: list[EquilibriumCertificate]) -> None:
 
 
 def _cmd_equilibria(args, scenario: Scenario) -> int:
-    _warn_on_power_costs(scenario)
     game, grid = scenario.game, scenario.grid
     if args.deferral:
         certs = find_equilibria_after_deferral(game, grid, scenario.tolerance)

@@ -47,15 +47,33 @@ class Scenario:
     game: GameSpec | None = None
 
 
+def _object(value, where) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where}: expected an object, got {value!r}")
+    return value
+
+
+def _float(value, where) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ScenarioError(f"{where}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"{where}: number too large for a float") from None
+
+
+def _floats(values, where) -> tuple[float, ...]:
+    if not isinstance(values, list):
+        raise ScenarioError(f"{where}: expected a list of numbers, got {values!r}")
+    return tuple(_float(v, f"{where}[{i}]") for i, v in enumerate(values))
+
+
 def _number(obj, key, where, default=None, required=True):
     if key not in obj:
         if required:
             raise ScenarioError(f"{where}: missing required key {key!r}")
         return default
-    value = obj[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioError(f"{where}.{key}: expected a number, got {value!r}")
-    return float(value)
+    return _float(obj[key], f"{where}.{key}")
 
 
 def require_steps(steps, where: str = "steps") -> int:
@@ -73,21 +91,18 @@ def require_tolerance(tolerance: float | None, where: str = "tolerance") -> floa
 
 
 def _utility(obj, where, grid):
-    variant = obj.get("variant")
+    variant = _object(obj, where).get("variant")
     if variant == "quadratic":
         return Quadratic(
             a=_number(obj, "a", where), b=_number(obj, "b", where), k=_number(obj, "k", where, 0.0, False)
         )
     if variant == "tabulated":
-        values = obj.get("values")
-        if not isinstance(values, list):
-            raise ScenarioError(f"{where}: tabulated utility needs a 'values' list")
-        return Tabulated(values=tuple(float(v) for v in values), grid=grid)
+        return Tabulated(values=_floats(obj.get("values"), f"{where}.values"), grid=grid)
     raise ScenarioError(f"{where}: unknown utility variant {variant!r}")
 
 
 def _cost(obj, where):
-    variant = obj.get("variant")
+    variant = _object(obj, where).get("variant")
     if variant == "zero":
         return ZeroCost()
     if variant == "linear":
@@ -106,23 +121,22 @@ def _beliefs(obj, where):
         if not isinstance(atoms, list):
             raise ScenarioError(f"{where}.beliefs[{bi}]: expected [[value, prob], ...]")
         parsed = []
-        for atom in atoms:
+        for ai, atom in enumerate(atoms):
             if not isinstance(atom, list) or len(atom) != 2:
                 raise ScenarioError(f"{where}.beliefs[{bi}]: each atom must be [value, prob]")
-            parsed.append((float(atom[0]), float(atom[1])))
+            parsed.append(_floats(atom, f"{where}.beliefs[{bi}][{ai}]"))
         out.append(FiniteRandomVariable(atoms=tuple(parsed)))
     return tuple(out)
 
 
 def _agent(obj, where, grid) -> AgentSpec:
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{where}: expected an object")
+    _object(obj, where)
     for key in ("utility", "c1", "c2", "beliefs"):
         if key not in obj:
             raise ScenarioError(f"{where}: missing required key {key!r}")
     form = ComprehensiveUtilityForm()
     if "form" in obj:
-        f = obj["form"]
+        f = _object(obj["form"], f"{where}.form")
         form = ComprehensiveUtilityForm(
             w_u=_number(f, "w_u", f"{where}.form", 1.0, False),
             w_1=_number(f, "w_1", f"{where}.form", 1.0, False),
@@ -140,35 +154,29 @@ def _agent(obj, where, grid) -> AgentSpec:
 def _choice_aggregator(obj):
     if obj is None:
         return MeanChoice()
-    variant = obj.get("variant")
+    variant = _object(obj, "choice_aggregator").get("variant")
     if variant == "mean":
         return MeanChoice()
     if variant == "weighted":
-        weights = obj.get("weights")
-        if not isinstance(weights, list):
-            raise ScenarioError("choice_aggregator: weighted variant needs a 'weights' list")
-        return WeightedChoice(weights=tuple(float(w) for w in weights))
+        return WeightedChoice(weights=_floats(obj.get("weights"), "choice_aggregator.weights"))
     raise ScenarioError(f"choice_aggregator: unknown variant {variant!r}")
 
 
 def _belief_aggregator(obj):
     if obj is None:
         return BeliefMixture()
-    variant = obj.get("variant")
+    variant = _object(obj, "belief_aggregator").get("variant")
     if variant != "mixture":
         raise ScenarioError(f"belief_aggregator: unknown variant {variant!r}")
     weights = obj.get("weights")
     if weights is None:
         return BeliefMixture()
-    if not isinstance(weights, list):
-        raise ScenarioError("belief_aggregator: 'weights' must be a list or null")
-    return BeliefMixture(weights=tuple(float(w) for w in weights))
+    return BeliefMixture(weights=_floats(weights, "belief_aggregator.weights"))
 
 
 def parse_scenario(data: dict) -> Scenario:
     """Build and validate a scenario from already-parsed JSON data."""
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario root must be an object")
+    _object(data, "scenario root")
     mode = data.get("mode")
     if mode not in ("single_agent", "game"):
         raise ScenarioError(f"mode must be 'single_agent' or 'game', got {mode!r}")
@@ -214,7 +222,7 @@ def _read_json(path: str | Path):
     text = Path(path).read_text(encoding="utf-8")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal too long to convert
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
 
 
@@ -233,4 +241,4 @@ def load_profile(path: str | Path) -> tuple[float, ...]:
     profile = data.get("profile") if isinstance(data, dict) else None
     if not isinstance(profile, list) or not profile:
         raise ScenarioError(f"{path}: expected an object with a nonempty 'profile' list")
-    return tuple(float(x) for x in profile)
+    return _floats(profile, f"{path}: profile")

@@ -71,3 +71,13 @@ def trap_agent() -> d.AgentSpec:
     """Extreme-belief agent: against x_s = 2 the interval is [1, 2] but the
     unconstrained optimum sits at 3.25 (slopes 15-4x / 13-4x / -7-4x)."""
     return quad_agent(c1=d.LinearCost(1.0), c2=d.LinearCost(10.0), belief=6.0)
+
+
+@pytest.fixture
+def power_cost_game() -> d.GameSpec:
+    """Power costs in both distances, so the payoffs leave the exact family."""
+    agent0 = d.AgentSpec(d.Quadratic(1.0, 3.0), d.PowerCost(1.0, 2.5), d.PowerCost(2.0, 1.5),
+                         (point_mass(6.0),))
+    agent1 = d.AgentSpec(d.Quadratic(1.0, 4.0), d.PowerCost(2.0, 1.5), d.PowerCost(1.0, 2.5),
+                         (point_mass(2.0),))
+    return two_agent_game(agent0, agent1, x_max=8.0)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import deferral as d
-from conftest import quad_agent
+from conftest import point_mass, quad_agent
 
 
 @pytest.fixture
@@ -30,6 +32,30 @@ class TestComprehensiveValue:
     def test_negative_inputs_rejected(self, example_agent):
         with pytest.raises(d.DomainError):
             d.comprehensive_value(example_agent, -1.0, 2.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        grid=st.builds(d.Grid, st.floats(0.5, 20), st.integers(1, 150)),
+        costs=st.lists(st.one_of(
+            st.just(d.ZeroCost()),
+            st.builds(d.LinearCost, st.floats(0, 5)),
+            st.builds(d.PowerCost, st.floats(0, 5), st.sampled_from((1.3, 1.5, 2.0, 2.5, 3.0))),
+        ), min_size=2, max_size=2),
+        weights=st.tuples(*[st.sampled_from((0.0, 1.0)) | st.floats(0, 3)] * 3),
+        x_social=st.floats(0, 25),
+        future_mean=st.none() | st.floats(0, 25),
+    )
+    def test_value_equals_the_table_entry(self, data, grid, costs, weights, x_social, future_mean):
+        m = grid.steps + 1
+        utility = data.draw(st.builds(d.Quadratic, st.floats(0.1, 3), st.floats(-5, 10),
+                                      st.floats(-5, 5))
+                            | st.lists(st.floats(-50, 50), min_size=m, max_size=m).map(
+                                lambda v: d.Tabulated(tuple(v), grid)))
+        agent = d.AgentSpec(utility, *costs, (point_mass(3.0),), d.ComprehensiveUtilityForm(*weights))
+        table = d.comprehensive_values(agent, grid, x_social, future_mean)
+        for k, x in enumerate(grid.points):
+            assert d.comprehensive_value(agent, float(x), x_social, future_mean) == table[k]
 
 
 class TestSecondStageChoice:

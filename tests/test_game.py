@@ -348,17 +348,24 @@ class TestClassifyProfile:
                 if cert is not None:
                     assert found.get(profile, cert.kind) is cert.kind
 
-    @pytest.mark.parametrize("fixture", ["akerlof_game", "example42_game", "belief_heavy_game"])
-    def test_search_certificates_equal_classification(self, fixture, request):
-        # Exact family only: elsewhere the two paths still pick different
-        # default tolerances (whole table against the profile's own vectors).
+    @pytest.mark.parametrize("fixture,steps,tolerance", [
+        pytest.param("akerlof_game", 400, None, id="akerlof_game"),
+        pytest.param("example42_game", 400, None, id="example42_game"),
+        pytest.param("belief_heavy_game", 400, None, id="belief_heavy_game"),
+        pytest.param("power_cost_game", 200, 0.0, id="power_cost_game-0"),
+        pytest.param("power_cost_game", 200, 0.05, id="power_cost_game-0.05"),
+    ])
+    def test_search_certificates_equal_classification(self, fixture, steps, tolerance, request):
+        # Default tolerances in the exact family only: elsewhere the two paths
+        # still pick different defaults (whole table against the profile's own
+        # vectors).  Power costs need every payoff bit-equal to its table entry.
         game = request.getfixturevalue(fixture)
-        grid = d.Grid(game.x_max, 400)
+        grid = d.Grid(game.x_max, steps)
         for finder in (d.find_equilibria, d.find_equilibria_after_deferral):
-            certs = finder(game, grid)
+            certs = finder(game, grid, tolerance)
             assert certs
             for cert in certs:
-                assert d.classify_profile(game, cert.profile, grid) == cert
+                assert d.classify_profile(game, cert.profile, grid, tolerance) == cert
 
 
 class TestTabulatedGame:

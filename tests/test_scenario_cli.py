@@ -266,11 +266,52 @@ class TestNonFiniteAndOutOfRangeNumbers:
         assert f"{flags[0]} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("sweep", ["nan:1:3", "0:inf:3", "-inf:1:3", "2:1:3", "0:1:1"])
+    @pytest.mark.parametrize("sweep", ["nan:1:3", "0:inf:3", "-inf:1:3", "2:1:3", "0:1:1",
+                                       "-1:1:3", "0:100:3", "8:8.5:2"])
     def test_bad_sweep_is_2(self, sweep, tmp_path, capsys):
         assert main(["best-response", str(_AKERLOF), "--steps", "40", "--agent", "1",
                      f"--sweep={sweep}", "--output-dir", str(tmp_path / "out")]) == 2
         assert "--sweep needs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("document,path,value", [
+        ("scenario", ("agents", 0, "beliefs", 0, 0, 0), "x"),
+        ("scenario", ("agents", 0, "beliefs", 0, 0, 0), None),
+        ("scenario", ("agents", 0, "utility"), {"variant": "tabulated", "values": [0.0, "q"]}),
+        ("scenario", ("choice_aggregator",), {"variant": "weighted", "weights": ["a", 0.5]}),
+        ("scenario", ("x_max",), 10 ** 400),
+        ("scenario", ("agents", 0, "utility"), "quadratic"),
+        ("scenario", ("agents", 0, "form"), "oops"),
+        ("profile", ("profile",), ["a", 1]),
+    ], ids=["atom-string", "atom-null", "tabulated-value", "choice-weight", "huge-integer",
+            "utility-string", "form-string", "profile-entry"])
+    def test_malformed_document_is_2(self, document, path, value, tmp_path, capsys):
+        docs = {"scenario": json.loads(_AKERLOF.read_text()), "profile": {"profile": [1.0, 1.0]}}
+        *parents, last = path
+        target = docs[document]
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        scenario, profile = (_write(tmp_path, f"{k}.json", v) for k, v in docs.items())
+        assert main(["loss", scenario, "--steps", "40", "--standard", profile,
+                     "--deferred", profile, "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
+
+    def _tabulated_game(self, tmp_path):
+        grid = d.Grid(4.0, 4)
+        agent = d.AgentSpec(d.Tabulated((0.0, 2.0, 3.0, 2.0, 0.0), grid), d.LinearCost(1.0),
+                            d.ZeroCost(), (point_mass(2.0),))
+        scenario = d.Scenario("game", grid, None, None, game=d.GameSpec((agent, agent), 4.0))
+        return _write(tmp_path, "g.json", _scenario_json(scenario))
+
+    def test_steps_override_on_tabulated_utility_is_2(self, tmp_path, capsys):
+        path = self._tabulated_game(tmp_path)
+        assert main(["equilibria", path, "--steps", "8", "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --steps: agents[0]") and "tabulated on 4 steps" in err
+        assert not (tmp_path / "out").exists()
+        assert main(["equilibria", path, "--steps", "4", "--output-dir", str(tmp_path / "out")]) == 0
 
 
 class TestCliOutputs:
@@ -389,17 +430,6 @@ class TestCliOutputs:
         assert main(["equilibria", str(bundled), "--steps", "40", "--tolerance", "1e9",
                      "--output-dir", str(out)]) == 0
         assert len((out / "equilibria.csv").read_text().splitlines()) == 1 + 41 * 41
-
-    def test_power_cost_note(self, tmp_path, capsys):
-        scenario = d.Scenario("game", d.Grid(8.0, 16), None, None, game=d.GameSpec((
-            d.AgentSpec(d.Quadratic(2.0, 4.0), d.PowerCost(1.0, 2.0), d.ZeroCost(), (point_mass(1.0),)),
-            d.AgentSpec(d.Quadratic(2.0, 4.0), d.LinearCost(1.0), d.PowerCost(1.0, 1.0),
-                        (point_mass(1.0),)),
-        ), 8.0))
-        path = _write(tmp_path, "g.json", _scenario_json(scenario))
-        assert main(["equilibria", path, "--output-dir", str(tmp_path / "out")]) == 0
-        notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("note:")]
-        assert len(notes) == 1 and notes[0].startswith("note: agents[0].c1 has exponent 2.0 > 1")
 
     def test_python_m_deferral(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(Path(d.__file__).resolve().parents[1])}
