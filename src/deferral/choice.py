@@ -17,9 +17,8 @@ import numpy as np
 
 from .consideration import (
     ClosedInterval,
-    consideration_bounds,
     consideration_interval,
-    interval_index_bounds,
+    consideration_slice,
     maximal_indices_grid,
 )
 from .errors import DomainError
@@ -141,19 +140,16 @@ def grid_argmax(agent: AgentSpec, grid: Grid, x_social, future_mean: float | Non
     """``near_best`` of the comprehensive values: the one grid argmax of every choice.
 
     ``x_social`` is a scalar or a column, as for ``comprehensive_values``.  When
-    ``restricted``, points outside the consideration slice count as ``-inf``.
+    ``restricted``, points outside the ``consideration_slice`` count as
+    ``-inf``, and the slice's checks run before the kernel's.
     """
+    mask = consideration_slice(agent.utility, agent.c1, x_social, grid)[2] if restricted else None
     vals = comprehensive_values(agent, grid, x_social, future_mean)
-    if restricted:
-        i_lo, i_hi = interval_index_bounds(*consideration_bounds(agent.utility.peak, x_social), grid)
-        own = np.arange(len(grid.points))
-        vals = np.where((own >= i_lo) & (own <= i_hi), vals, -np.inf)
-    return near_best(vals)
+    return near_best(vals if mask is None else np.where(mask, vals, -np.inf))
 
 
 def second_stage_choice(agent: AgentSpec, x_social: float, grid: Grid) -> ChoiceResult:
     """Maximize the comprehensive utility over the consideration interval."""
-    consideration_interval(agent.utility, agent.c1, x_social)  # raises unless the closed form applies
     best, near = grid_argmax(agent, grid, x_social, restricted=True)
     return ChoiceResult(tuple(float(x) for x in grid.points[near]), float(best), constrained=True)
 

@@ -6,7 +6,7 @@ never into the CSV outputs.
 
 Exit codes: 0 success, 2 scenario validation failure, 3 precondition failure
 (for example a consideration interval requested with a non-increasing
-current-distance cost), 4 I/O failure.
+current-distance cost) or a grid too large for memory, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .game import (
     find_equilibria,
     find_equilibria_after_deferral,
 )
-from .model import Grid, Tabulated
+from .model import Grid, Tabulated, require_valid
 from .output import fmt, write_csv
 from .reproduce import CASES, run_case, write_curve, write_equilibria
 from .scenario import Scenario, load_profile, load_scenario, require_steps, require_tolerance
@@ -43,6 +43,7 @@ def _load(args) -> Scenario:
         raise ScenarioError(f"'{args.command}' needs a {args.mode} scenario, got {scenario.mode}")
     if args.steps is not None:
         grid = Grid(scenario.grid.x_max, require_steps(args.steps, "--steps"))
+        require_valid(grid)
         agents = scenario.game.agents if scenario.game else (scenario.agent,)
         for i, agent in enumerate(agents):
             if isinstance(agent.utility, Tabulated) and grid != agent.utility.grid:
@@ -255,6 +256,9 @@ def main(argv=None) -> int:
         return 2
     except DeferralError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory; lower the grid's steps (scenario steps or --steps)", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

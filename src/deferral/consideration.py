@@ -22,7 +22,6 @@ from .model import (
     Grid,
     UtilityFunction,
     cost_is_strictly_increasing,
-    cost_values_at,
     eval_cost,
     eval_utility,
     require_valid,
@@ -103,28 +102,28 @@ def consideration_interval(
 
     Returns the interval between the social choice and the personal optimum,
     degenerating to the optimum itself when the two coincide (within
-    ``EXACT_TOL``).  Raises as ``require_closed_form`` does when the closed
-    form does not apply.
+    ``EXACT_TOL``).  Raises as ``consideration_bounds`` does.
     """
-    if x_social < 0:
-        raise DomainError(f"social choice must be nonnegative, got {x_social}")
-    require_closed_form(u, c1)
-    lo, hi = consideration_bounds(u.peak, x_social)
+    lo, hi = consideration_bounds(u, c1, x_social)
     return ClosedInterval(float(lo), float(hi))
 
 
-def consideration_bounds(peak, x_social) -> tuple[np.ndarray, np.ndarray]:
+def consideration_bounds(u: UtilityFunction, c1: CostFunction, x_social) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints of the consideration interval for each social choice (vectorized).
 
-    The closed form behind ``consideration_interval``, without its
-    precondition checks: the interval runs between ``x_social`` and ``peak``
-    and degenerates to ``peak`` when the two coincide within ``EXACT_TOL``.
-    ``peak`` may be one peak per column of ``x_social``.
+    The interval runs between ``x_social`` and the peak of ``u`` and
+    degenerates to the peak when the two coincide within ``EXACT_TOL``.
+    Raises ``DomainError`` for a negative social choice, then as
+    ``require_closed_form`` does when the closed form does not apply.
     """
-    x_social = np.asarray(x_social, dtype=float)
-    at_peak = np.abs(x_social - peak) <= EXACT_TOL
-    lo = np.where(at_peak, peak, np.minimum(x_social, peak))
-    hi = np.where(at_peak, peak, np.maximum(x_social, peak))
+    social = np.asarray(x_social, dtype=float)
+    if (social < 0).any():
+        raise DomainError(f"social choice must be nonnegative, got {x_social}")
+    require_closed_form(u, c1)
+    peak = u.peak
+    at_peak = np.abs(social - peak) <= EXACT_TOL
+    lo = np.where(at_peak, peak, np.minimum(social, peak))
+    hi = np.where(at_peak, peak, np.maximum(social, peak))
     return lo, hi
 
 
@@ -160,9 +159,20 @@ def interval_grid_indices(interval: ClosedInterval, grid: Grid) -> np.ndarray:
     return np.arange(int(i_lo), int(i_hi) + 1)
 
 
-def interval_grid_points(interval: ClosedInterval, grid: Grid) -> np.ndarray:
-    """Grid-point values identified with ``interval`` (see ``interval_grid_indices``)."""
-    return grid.points[interval_grid_indices(interval, grid)]
+def consideration_slice(u: UtilityFunction, c1: CostFunction, x_social,
+                        grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The consideration interval of each social choice and its grid slice (vectorized).
+
+    The one interval-to-grid mapping of the grid searches.  ``x_social`` is
+    a scalar or a column of social choices (shape ``(rows, 1)``).  Returns
+    the interval bounds ``lo`` and ``hi``, shaped like ``x_social``, and the
+    mask of the grid points in each slice (see ``interval_index_bounds``),
+    one row per social choice.  Raises as ``consideration_bounds`` does.
+    """
+    lo, hi = consideration_bounds(u, c1, x_social)
+    i_lo, i_hi = interval_index_bounds(lo, hi, grid)
+    own = np.arange(len(grid.points))
+    return lo, hi, (own >= i_lo) & (own <= i_hi)
 
 
 def maximal_indices_grid(
@@ -179,7 +189,7 @@ def maximal_indices_grid(
     if x_social < 0:
         raise DomainError(f"social choice must be nonnegative, got {x_social}")
     uv = utility_values(u, grid)
-    cv = cost_values_at(c1, grid, x_social)
+    cv = eval_cost(c1, np.abs(grid.points - x_social))
     weak = (uv[:, None] >= uv[None, :]) & (cv[:, None] <= cv[None, :])
     strict = weak & ~weak.T
     return np.flatnonzero(~strict.any(axis=0))

@@ -27,13 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .choice import comprehensive_value, comprehensive_values, grid_argmax
-from .consideration import (
-    ClosedInterval,
-    consideration_bounds,
-    consideration_interval,
-    interval_index_bounds,
-    require_closed_form,
-)
+from .consideration import ClosedInterval, consideration_slice, require_closed_form
 from .errors import (
     ClosedFormUnavailable,
     DomainError,
@@ -296,9 +290,7 @@ def deferral_best_response(
 ) -> tuple[float, ...]:
     """Argmax set of agent ``i``'s payoff restricted to their consideration set."""
     x_social = _reference_point(game, i, opponents)
-    agent = game.agents[i]
-    consideration_interval(agent.utility, agent.c1, x_social)  # raises unless the closed form applies
-    near = grid_argmax(agent, grid, x_social, aggregate_beliefs(game, i).mean(), True)[1]
+    near = grid_argmax(game.agents[i], grid, x_social, aggregate_beliefs(game, i).mean(), True)[1]
     return tuple(float(x) for x in grid.points[near])
 
 
@@ -350,28 +342,6 @@ def _tolerance(game: GameSpec, tables: Sequence[np.ndarray], tolerance: float | 
 
 # ---------------------------------------------------------------------------
 # classification
-
-
-def _consideration_slices(game: GameSpec, grid: Grid, socials: np.ndarray, tables):
-    """Every agent's consideration interval, grid slice and best payoff in it.
-
-    Row ``j`` of ``socials`` holds each agent's social choice (or one column
-    shared by all agents), and row ``j`` of ``tables[a]`` is agent ``a``'s
-    payoff over the grid against it.  Returns the interval bounds ``lo`` and
-    ``hi`` and the first and last grid index of each slice, all rows x n;
-    each agent's slice mask over the grid, rows x m; and each slice's best
-    payoff, rows x n.  Raises unless every agent passes
-    ``require_closed_form``.
-    """
-    for agent in game.agents:
-        require_closed_form(agent.utility, agent.c1)
-    lo, hi = consideration_bounds(np.array([agent.utility.peak for agent in game.agents]), socials)
-    i_lo, i_hi = interval_index_bounds(lo, hi, grid)
-    own = np.arange(len(grid.points))
-    masks = [(own >= l[:, None]) & (own <= h[:, None]) for l, h in zip(i_lo.T, i_hi.T)]
-    rbest = np.stack([
-        t.max(axis=-1, where=mask, initial=-np.inf) for t, mask in zip(tables, masks)], axis=1)
-    return lo, hi, i_lo, i_hi, masks, rbest
 
 
 def _regret(best: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -446,17 +416,17 @@ def classify_profile(
 
     deferral = np.zeros(1, dtype=bool)
     try:
-        lo, hi, i_lo, i_hi, _, rbest = _consideration_slices(
-            game, grid, np.array([socials]), [v[None, :] for v in vectors])
+        lo, hi, masks = zip(*(consideration_slice(a.utility, a.c1, x_social, grid)
+                              for a, x_social in zip(game.agents, socials)))
     except ClosedFormUnavailable:
         slices = None
     else:
-        slices = rbest, lo, hi
-        pts = grid.points
+        rbest = np.array([[v.max(where=mask, initial=-np.inf) for v, mask in zip(vectors, masks)]])
+        slices = rbest, np.array([lo]), np.array([hi])
         # a choice is a member when it lies in its interval or its grid slice, within EXACT_TOL
-        inside = (np.minimum(lo, pts[i_lo]) - EXACT_TOL <= profile) & (
-            profile <= np.maximum(hi, pts[i_hi]) + EXACT_TOL)
-        if inside.all():
+        ends = [grid.points[mask][[0, -1]] for mask in masks]
+        if all(min(l, first) - EXACT_TOL <= x <= max(h, last) + EXACT_TOL
+               for x, l, h, (first, last) in zip(profile, lo, hi, ends)):
             deferral = _regret(rbest, values) <= tolerance
 
     if not (standard[0] or deferral[0]):
@@ -496,10 +466,14 @@ def _two_player_find(game, grid, tolerance, restricted):
     deferral = np.zeros_like(standard)
     try:
         # row j's opponent plays grid point j
-        lo, hi, _, _, masks, rbest = _consideration_slices(game, grid, pts[:, None], tables)
+        lo, hi, masks = zip(*(consideration_slice(a.utility, a.c1, pts[:, None], grid)
+                              for a in game.agents))
     except ClosedFormUnavailable:
         rbest = None
     else:
+        lo, hi = np.hstack(lo), np.hstack(hi)
+        rbest = np.stack([
+            t.max(axis=-1, where=mask, initial=-np.inf) for t, mask in zip(tables, masks)], axis=1)
         for t, mask, r in zip(tables, masks, rbest.T):
             mask &= t >= r[:, None] - tol
         deferral = masks[0].T & masks[1]
@@ -540,8 +514,8 @@ def _lattice_sweep(game: GameSpec, grid: Grid, restricted: bool):
     the rows in blocks of at most ``_BLOCK_CELLS`` payoff cells, so its
     memory is bounded whatever the number of rows.  Aggregated beliefs and aggregator weights are computed
     once here, so their errors propagate before any iteration.  The
-    restricted map needs the closed-form preconditions, which
-    ``find_equilibria_after_deferral`` checks before any search.
+    restricted map reads ``consideration_slice``, whose closed-form checks
+    ``find_equilibria_after_deferral`` also runs before any search.
     """
     pts = grid.points
     rows = max(1, _BLOCK_CELLS // len(pts))

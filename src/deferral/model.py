@@ -281,11 +281,6 @@ def eval_cost(c: CostFunction, delta) -> float | np.ndarray:
     return c.d * delta**c.p
 
 
-def cost_values_at(c: CostFunction, grid: Grid, reference: float) -> np.ndarray:
-    """Vector of ``c(|x - reference|)`` over every grid point."""
-    return np.asarray(eval_cost(c, np.abs(grid.points - reference)), dtype=float)
-
-
 def cost_is_strictly_increasing(c: CostFunction) -> bool:
     if isinstance(c, ZeroCost):
         return False
@@ -371,6 +366,8 @@ def _validate_grid(g: Grid, out: list[Violation], where: str) -> None:
     _check(out, g.x_max > 0, "NonPositiveBound", f"{where}: x_max must be > 0, got {g.x_max}")
     _check(out, _finite(g.x_max), "NonFiniteParameter", f"{where}: x_max must be finite")
     _check(out, g.steps >= 1, "NonPositiveSteps", f"{where}: steps must be >= 1, got {g.steps}")
+    limit = np.iinfo(np.intp).max // 8 - 1  # the most steps whose float64 points numpy can address
+    _check(out, g.steps <= limit, "GridTooLarge", f"{where}: steps must be <= {limit}")
 
 
 def _validate_agent(a: AgentSpec, out: list[Violation], where: str) -> None:

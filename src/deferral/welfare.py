@@ -25,11 +25,15 @@ class WelfareReport:
     total: float
 
 
+def _dominates(gaps: Sequence[float]) -> bool:
+    """Whether no gap is negative and at least one exceeds 1e-12."""
+    return all(g >= 0 for g in gaps) and any(g > EXACT_TOL for g in gaps)
+
+
 def pareto_dominates(game: GameSpec, p: Sequence[float], q: Sequence[float]) -> bool:
     """True iff ``p`` gives every agent at least the payoff of ``q`` and at
     least one agent strictly more (strictness beyond 1e-12)."""
-    gaps = [payoff(game, i, p) - payoff(game, i, q) for i in range(game.n)]
-    return all(g >= 0 for g in gaps) and any(g > EXACT_TOL for g in gaps)
+    return _dominates(welfare_gap(game, p, q).per_agent_gaps)
 
 
 def welfare_gap(game: GameSpec, p: Sequence[float], q: Sequence[float]) -> WelfareReport:
@@ -72,9 +76,10 @@ def deferral_loss(
             f"profile {deferred.profile} classifies as "
             f"{got.kind.value if got else 'no equilibrium'}, need a pure equilibrium after deferral",
         )
-    if not pareto_dominates(game, standard.profile, deferred.profile):
+    report = welfare_gap(game, standard.profile, deferred.profile)
+    if not _dominates(report.per_agent_gaps):
         raise PreconditionViolated(
             "NoParetoDominance",
             f"{standard.profile} does not Pareto dominate {deferred.profile}",
         )
-    return welfare_gap(game, standard.profile, deferred.profile)
+    return report

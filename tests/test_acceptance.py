@@ -46,7 +46,7 @@ def test_criterion_1_interval_equivalence():
     for _ in range(200):
         u, c1, x_social = _draw_stage_one(rng)
         oracle = d.maximal_set_grid(u, c1, x_social, grid)
-        closed = d.interval_grid_points(d.consideration_interval(u, c1, x_social), grid)
+        closed = grid.points[d.interval_grid_indices(d.consideration_interval(u, c1, x_social), grid)]
         assert np.array_equal(oracle, closed)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
@@ -62,7 +62,7 @@ def test_criterion_2_argmax_oracle():
         result = d.second_stage_choice(agent, x_social, grid)
         interval = d.consideration_interval(agent.utility, agent.c1, x_social)
         chosen = set(result.chosen)
-        for x in d.interval_grid_points(interval, grid):
+        for x in grid.points[d.interval_grid_indices(interval, grid)]:
             value = d.comprehensive_value(agent, float(x), x_social)
             assert result.value >= value - 1e-12
             assert (float(x) in chosen) == (value >= result.value - 1e-12)

@@ -84,7 +84,7 @@ class TestSecondStageChoice:
         result = d.second_stage_choice(example_agent, 4.0, grid)
         interval = d.consideration_interval(example_agent.utility, example_agent.c1, 4.0)
         chosen = set(result.chosen)
-        for x in d.interval_grid_points(interval, grid):
+        for x in grid.points[d.interval_grid_indices(interval, grid)]:
             value = d.comprehensive_value(example_agent, float(x), 4.0)
             assert result.value >= value - 1e-12
             assert (float(x) in chosen) == (value >= result.value - 1e-12)

@@ -83,7 +83,7 @@ class TestMaximalSetGrid:
 
 def _relation_matrices(u, c1, x_social, grid):
     uv = d.model.utility_values(u, grid)
-    cv = d.model.cost_values_at(c1, grid, x_social)
+    cv = d.eval_cost(c1, np.abs(grid.points - x_social))
     weak = (uv[:, None] >= uv[None, :]) & (cv[:, None] <= cv[None, :])
     strict = weak & ~weak.T
     return weak, strict
@@ -119,7 +119,7 @@ def test_grid_oracle_equals_snapped_interval(a, b, k, slope, x_social):
     u = d.Quadratic(a, b, k)
     c1 = d.LinearCost(slope)
     oracle = d.maximal_set_grid(u, c1, x_social, grid)
-    closed = d.interval_grid_points(d.consideration_interval(u, c1, x_social), grid)
+    closed = grid.points[d.interval_grid_indices(d.consideration_interval(u, c1, x_social), grid)]
     assert np.array_equal(oracle, closed)
 
 
@@ -131,7 +131,7 @@ def test_downhill_utility_peaks_at_origin():
     iv = d.consideration_interval(u, d.LinearCost(1.0), 2.0)
     assert iv == d.ClosedInterval(0.0, 2.0)
     oracle = d.maximal_set_grid(u, d.LinearCost(1.0), 2.0, grid)
-    assert np.array_equal(oracle, d.interval_grid_points(iv, grid))
+    assert np.array_equal(oracle, grid.points[d.interval_grid_indices(iv, grid)])
 
 
 def test_interval_beyond_grid_bound_clips():
@@ -139,7 +139,7 @@ def test_interval_beyond_grid_bound_clips():
     u = d.Quadratic(0.5, 20, 0)
     grid = d.Grid(8.0, 400)
     oracle = d.maximal_set_grid(u, d.LinearCost(1.0), 4.0, grid)
-    closed = d.interval_grid_points(d.consideration_interval(u, d.LinearCost(1.0), 4.0), grid)
+    closed = grid.points[d.interval_grid_indices(d.consideration_interval(u, d.LinearCost(1.0), 4.0), grid)]
     assert np.array_equal(oracle, closed)
     assert oracle[0] == 4.0 and oracle[-1] == 8.0
 
@@ -150,7 +150,7 @@ def test_degenerate_interval_midcell_keeps_both_neighbours():
     grid = d.Grid(8.0, 8)
     u = d.Quadratic(1.0, 7.0, 0.0)  # peak 3.5, grid step 1
     oracle = d.maximal_set_grid(u, d.LinearCost(1.0), 3.5, grid)
-    closed = d.interval_grid_points(d.consideration_interval(u, d.LinearCost(1.0), 3.5), grid)
+    closed = grid.points[d.interval_grid_indices(d.consideration_interval(u, d.LinearCost(1.0), 3.5), grid)]
     assert np.array_equal(oracle, closed)
     assert list(oracle) == [3.0, 4.0]
 
@@ -168,3 +168,22 @@ def test_index_bounds_of_many_intervals_match_one_at_a_time():
         one = d.interval_grid_indices(d.ClosedInterval(float(lo[k]), float(hi[k])), grid)
         assert list(range(i_lo[k], i_hi[k] + 1)) == one.tolist()
     assert d.interval_grid_indices(d.ClosedInterval(1.0 + h, 1.0 + h), grid).tolist() == [4, 5]
+
+    # the slice of a column of social choices: half-step tie at the peak, sub-cell,
+    # clipped beyond x_max and ordinary rows, each as its interval's grid indices
+    from deferral.consideration import consideration_slice
+
+    u, c1 = d.Quadratic(1.0, 2.0 * (1.0 + h), 0.0), d.LinearCost(1.0)  # peak 1 + h
+    socials = np.array([1.0 + h, 1.0 + 1.2 * h, 0.0, 3.0 - h, 2.3, 7.9, 9.0, 1.0])
+    lo, hi, mask = consideration_slice(u, c1, socials[:, None], grid)
+    assert lo.shape == hi.shape == (len(socials), 1) and mask.shape == (len(socials), len(grid.points))
+    for k, x_social in enumerate(socials):
+        iv = d.consideration_interval(u, c1, float(x_social))
+        assert (lo[k, 0], hi[k, 0]) == (iv.lo, iv.hi)
+        assert np.flatnonzero(mask[k]).tolist() == d.interval_grid_indices(iv, grid).tolist()
+        assert np.array_equal(consideration_slice(u, c1, float(x_social), grid)[2], mask[k])
+    assert np.flatnonzero(mask[0]).tolist() == [4, 5]
+    with pytest.raises(d.DomainError):
+        consideration_slice(u, c1, np.array([[2.0], [-0.5]]), grid)
+    with pytest.raises(d.ClosedFormUnavailable):
+        consideration_slice(u, d.ZeroCost(), socials[:, None], grid)

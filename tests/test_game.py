@@ -186,6 +186,30 @@ class TestDeferralBestResponse:
                 assert interval.contains(x, slack=grid.step / 2)
 
 
+_GRID = d.Grid(8.0, 16)
+_OTHER = d.Grid(8.0, 17)
+_BUMPY = d.Tabulated(tuple(float(v) for v in np.cos(_OTHER.points)), _OTHER)  # not quasiconcave
+_BELL = d.Tabulated(tuple(float(v) for v in -(_OTHER.points - 3.0) ** 2), _OTHER)
+
+
+@pytest.mark.parametrize("utility,c1,x_social,error", [
+    (_BUMPY, d.ZeroCost(), -1.0, d.DomainError),
+    (_BUMPY, d.ZeroCost(), 2.0, d.SpecValidationError),
+    (_BELL, d.ZeroCost(), 2.0, d.ClosedFormUnavailable),
+    (_BELL, d.LinearCost(1.0), 2.0, d.GridLookupError),
+], ids=["domain", "spec", "closed-form", "kernel"])
+@pytest.mark.parametrize("call", ["second_stage_choice", "deferral_best_response", "detect_trap"])
+def test_restricted_choices_raise_in_check_order(call, utility, c1, x_social, error):
+    # both utilities are bound to another grid, so the kernel would raise GridLookupError
+    agent = d.AgentSpec(utility, c1, d.LinearCost(1.0), (point_mass(3.0),))
+    with pytest.raises(d.DeferralError) as raised:
+        if call == "deferral_best_response":
+            d.deferral_best_response(d.GameSpec((agent, agent), 8.0), 0, (x_social,), _GRID)
+        else:
+            getattr(d, call)(agent, x_social, _GRID)
+    assert raised.type is error
+
+
 class TestFindEquilibria:
     def test_akerlof_diagonal(self, akerlof_game):
         grid = d.Grid(8.0, 400)

@@ -6,6 +6,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import deferral as d
@@ -312,6 +313,43 @@ class TestNonFiniteAndOutOfRangeNumbers:
         assert err.startswith("error: --steps: agents[0]") and "tabulated on 4 steps" in err
         assert not (tmp_path / "out").exists()
         assert main(["equilibria", path, "--steps", "4", "--output-dir", str(tmp_path / "out")]) == 0
+
+
+class TestGridTooLarge:
+    """A grid whose points numpy cannot address is refused at load; one that
+    does not fit in memory exits 3.  Neither test allocates the grid."""
+
+    @pytest.mark.parametrize("steps", [10 ** 19, 10 ** 400])
+    @pytest.mark.parametrize("command", ["equilibria", "choose"])
+    def test_scenario_steps_is_2(self, command, steps, tmp_path, capsys):
+        data = json.loads(_AKERLOF.read_text()) if command == "equilibria" else _single_agent_scenario()
+        data["steps"] = steps
+        scenario = _write(tmp_path, "s.json", data)
+        assert main([command, scenario, "--output-dir", str(tmp_path / "out")]) == 2
+        assert "GridTooLarge: grid: steps must be <=" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("steps", [10 ** 19, 10 ** 400])
+    def test_steps_override_is_2(self, steps, tmp_path, capsys):
+        assert main(["equilibria", str(_AKERLOF), "--steps", str(steps),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert "GridTooLarge: grid: steps must be <=" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_addressable_grid_is_valid(self):
+        limit = np.iinfo(np.intp).max // 8 - 1
+        assert d.validate(d.Grid(8.0, limit)) == []
+        assert [v.code for v in d.validate(d.Grid(8.0, limit + 1))] == ["GridTooLarge"]
+
+    def test_out_of_memory_is_3(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("deferral.cli.find_equilibria", exhausted)
+        assert main(["equilibria", str(_AKERLOF), "--steps", "40",
+                     "--output-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and "steps" in err
 
 
 class TestCliOutputs:

@@ -143,6 +143,24 @@ class TestDeferralLoss:
         assert any(g > 0 for g in report.per_agent_gaps)
         assert report.total == sum(report.per_agent_gaps)
 
+    def test_gaps_computed_once(self, belief_heavy_game, monkeypatch):
+        # the dominance gate reads the report's gaps: one payoff per agent and profile
+        calls = []
+
+        def counted(game, i, profile):
+            calls.append((i, tuple(profile)))
+            return d.payoff(game, i, profile)
+
+        monkeypatch.setattr("deferral.welfare.payoff", counted)
+        report = d.deferral_loss(
+            belief_heavy_game,
+            _certificate((3.75, 4.0), d.EquilibriumKind.STANDARD),
+            _certificate((1.0, 1.0), d.EquilibriumKind.AFTER_DEFERRAL),
+            d.Grid(40.0, 1600),
+        )
+        assert len(calls) == 2 * belief_heavy_game.n
+        assert report.per_agent_gaps == (3.125, 29.0)
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0, 2), st.floats(0, 2), st.floats(0, 2), st.floats(0, 2))
