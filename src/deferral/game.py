@@ -98,6 +98,8 @@ class BestResponseCurve:
 
 def _social_weights(game: GameSpec, i: int) -> tuple[list[float], float]:
     """Weights of the other agents' choices in agent ``i``'s reference point, and their sum."""
+    if game.n < 2:
+        raise SpecValidationError([Violation("TooFewAgents", f"game has n={game.n}")])
     agg = game.choice_aggregator
     if isinstance(agg, MeanChoice):
         weights = [1.0] * (game.n - 1)
@@ -112,35 +114,33 @@ def _social_weights(game: GameSpec, i: int) -> tuple[list[float], float]:
     return weights, total
 
 
-def _reference_points(others: np.ndarray, weights: Sequence[float], total: float) -> np.ndarray:
-    """Weighted mean of each row of ``others`` (rows x n-1), summed left to right.
+def _reference_points(others, weights: Sequence[float], total: float):
+    """The one social reference point, from one entry of ``others`` per other agent.
 
-    Element-wise arithmetic only, so a row's value does not depend on how
-    many rows are computed together.
+    An entry is that agent's choice, or an array of choices (one per row).
+    With one other agent the result is its entry exactly, however the weights
+    are scaled; else the weighted mean, summed left to right and divided
+    once.  Element-wise, so a row does not depend on the rows beside it.
     """
-    acc = weights[0] * others[:, 0]
+    if len(weights) == 1:
+        return others[0]
+    acc = weights[0] * others[0]
     for j in range(1, len(weights)):
-        acc = acc + weights[j] * others[:, j]
+        acc = acc + weights[j] * others[j]
     return acc / total
-
-
-def _reference_point(game: GameSpec, i: int, others: Sequence[float]) -> float:
-    weights, total = _social_weights(game, i)
-    return float(_reference_points(np.array([others], dtype=float), weights, total)[0])
 
 
 def aggregate_choices(game: GameSpec, i: int, profile: Sequence[float]) -> float:
     """Social reference point seen by agent ``i`` under ``profile``.
 
-    Mean aggregation averages the other agents' choices (for two agents this
-    is exactly the opponent's choice); weighted aggregation renormalizes the
-    per-agent weights over everyone but ``i``.
+    With two agents it is exactly the opponent's choice, whatever the
+    aggregator.  Otherwise mean aggregation averages the other agents'
+    choices, and weighted aggregation renormalizes the per-agent weights over
+    everyone but ``i``.
     """
-    if game.n < 2:
-        raise SpecValidationError([Violation("TooFewAgents", f"game has n={game.n}")])
+    weights, total = _social_weights(game, i)
     _check_profile(game, profile)
-    others = [x for j, x in enumerate(profile) if j != i]
-    return _reference_point(game, i, others)
+    return float(_reference_points([x for j, x in enumerate(profile) if j != i], weights, total))
 
 
 def aggregate_beliefs(game: GameSpec, i: int) -> FiniteRandomVariable:
@@ -273,7 +273,7 @@ def best_response(
     ``method="exact"`` solves the kinked concave program in closed form and
     is only available for quadratic utilities with zero/linear costs.
     """
-    x_social = _reference_point(game, i, opponents)
+    x_social = float(_reference_points(opponents, *_social_weights(game, i)))
     if method == "exact":
         return _exact_best_response(game, i, x_social, grid)
     if method != "grid":
@@ -289,7 +289,7 @@ def deferral_best_response(
     grid: Grid,
 ) -> tuple[float, ...]:
     """Argmax set of agent ``i``'s payoff restricted to their consideration set."""
-    x_social = _reference_point(game, i, opponents)
+    x_social = float(_reference_points(opponents, *_social_weights(game, i)))
     near = grid_argmax(game.agents[i], grid, x_social, aggregate_beliefs(game, i).mean(), True)[1]
     return tuple(float(x) for x in grid.points[near])
 
@@ -365,10 +365,8 @@ def _certificates(profiles, values, best, standard, deferral, slices):
     column per agent: the choices, each agent's payoff and their best payoff
     over the grid.  ``standard`` and ``deferral`` are the caller's verdicts,
     one per profile; the kind follows from them, and ``max_regret`` is the
-    largest regret over the tests passed.  ``slices`` is ``None`` when the
-    closed form is unavailable, else the arrays ``(rbest, lo, hi)`` shaped
-    like ``best``: each agent's best payoff over their consideration slice
-    and the bounds of their consideration interval.
+    largest regret over the tests passed.  ``slices`` is ``_slice_step``'s
+    ``(rbest, lo, hi)`` shaped like ``best``, or ``None``.
     """
     regret = np.where(standard, _regret(best, values), -np.inf)
     intervals = [None] * len(profiles)
@@ -381,6 +379,22 @@ def _certificates(profiles, values, best, standard, deferral, slices):
         for p, s, d, r, iv in zip(
             profiles.tolist(), standard.tolist(), deferral.tolist(), regret.tolist(), intervals)
     ]
+
+
+def _slice_step(game: GameSpec, grid: Grid, socials, tables):
+    """``(rbest, lo, hi)`` and the slice masks, or ``(None, None)`` without the closed form.
+
+    ``socials[a]`` is a column of agent ``a``'s social choices and ``tables[a]`` their
+    payoffs, a row each.  ``rbest`` is each row's best payoff over its slice and
+    ``lo``, ``hi`` its interval bounds, one column per agent.
+    """
+    try:
+        lo, hi, masks = zip(*(consideration_slice(a.utility, a.c1, s, grid)
+                              for a, s in zip(game.agents, socials)))
+    except ClosedFormUnavailable:
+        return None, None
+    rbest = [t.max(axis=-1, where=mask, initial=-np.inf) for t, mask in zip(tables, masks)]
+    return (np.stack(rbest, axis=1), np.hstack(lo), np.hstack(hi)), masks
 
 
 def classify_profile(
@@ -400,33 +414,26 @@ def classify_profile(
     classification is possible.
     """
     _check_profile(game, profile)
-    values = []
-    vectors = []
-    socials = []
-    for i in range(game.n):
-        x_social = aggregate_choices(game, i, profile)
+    values, vectors, socials = [], [], []
+    xs = np.array(profile, dtype=float)[:, None, None]  # each a one-row column, as in the search
+    for i, agent in enumerate(game.agents):
+        socials.append(_reference_points(np.delete(xs, i, axis=0), *_social_weights(game, i)))
         future = aggregate_beliefs(game, i).mean()
-        socials.append(x_social)
-        vectors.append(comprehensive_values(game.agents[i], grid, x_social, future))
-        values.append(comprehensive_value(game.agents[i], profile[i], x_social, future))
+        vectors.append(comprehensive_values(agent, grid, socials[-1], future))
+        values.append(comprehensive_value(agent, profile[i], socials[-1].item(), future))
     tolerance = _tolerance(game, vectors, tolerance)
     values = np.array([values])
     best = np.array([[v.max() for v in vectors]])
     standard = _regret(best, values) <= tolerance
 
     deferral = np.zeros(1, dtype=bool)
-    try:
-        lo, hi, masks = zip(*(consideration_slice(a.utility, a.c1, x_social, grid)
-                              for a, x_social in zip(game.agents, socials)))
-    except ClosedFormUnavailable:
-        slices = None
-    else:
-        rbest = np.array([[v.max(where=mask, initial=-np.inf) for v, mask in zip(vectors, masks)]])
-        slices = rbest, np.array([lo]), np.array([hi])
+    slices, masks = _slice_step(game, grid, socials, vectors)
+    if slices is not None:
+        rbest, lo, hi = slices
         # a choice is a member when it lies in its interval or its grid slice, within EXACT_TOL
-        ends = [grid.points[mask][[0, -1]] for mask in masks]
+        ends = [grid.points[mask[0]][[0, -1]] for mask in masks]
         if all(min(l, first) - EXACT_TOL <= x <= max(h, last) + EXACT_TOL
-               for x, l, h, (first, last) in zip(profile, lo, hi, ends)):
+               for x, l, h, (first, last) in zip(profile, lo[0], hi[0], ends)):
             deferral = _regret(rbest, values) <= tolerance
 
     if not (standard[0] or deferral[0]):
@@ -444,17 +451,17 @@ def _two_player_find(game, grid, tolerance, restricted):
 
     Agent ``a``'s table ``tables[a][j, k]`` is their payoff for own grid
     choice ``k`` against the opponent's grid choice ``j``: one kernel call
-    with every grid point as the social choice.  Agent 0 plays ``i1``
-    against ``i2`` and agent 1 plays ``i2`` against ``i1``, so verdicts
-    ``ok[a][j, k]`` in that layout become the profile mask
+    with a column of social choices, one per opponent grid choice.  Agent 0
+    plays ``i1`` against ``i2`` and agent 1 plays ``i2`` against ``i1``, so
+    verdicts ``ok[a][j, k]`` in that layout become the profile mask
     ``ok[0].T & ok[1]``.  Returns the profiles that pass the after-deferral
     test when ``restricted``, else the standard test.
     """
     pts = grid.points
-    tables = [
-        comprehensive_values(agent, grid, pts[:, None], aggregate_beliefs(game, a).mean())
-        for a, agent in enumerate(game.agents)
-    ]
+    # row j's opponent plays grid point j
+    socials = [_reference_points([pts[:, None]], *_social_weights(game, a)) for a in range(2)]
+    tables = [comprehensive_values(agent, grid, s, aggregate_beliefs(game, a).mean())
+              for a, (agent, s) in enumerate(zip(game.agents, socials))]
     tol = _tolerance(game, tables, tolerance)
     best = np.stack([t.max(axis=1) for t in tables], axis=1)
     ok = [t >= b[:, None] - tol for t, b in zip(tables, best.T)]
@@ -464,17 +471,9 @@ def _two_player_find(game, grid, tolerance, restricted):
     del ok
 
     deferral = np.zeros_like(standard)
-    try:
-        # row j's opponent plays grid point j
-        lo, hi, masks = zip(*(consideration_slice(a.utility, a.c1, pts[:, None], grid)
-                              for a in game.agents))
-    except ClosedFormUnavailable:
-        rbest = None
-    else:
-        lo, hi = np.hstack(lo), np.hstack(hi)
-        rbest = np.stack([
-            t.max(axis=-1, where=mask, initial=-np.inf) for t, mask in zip(tables, masks)], axis=1)
-        for t, mask, r in zip(tables, masks, rbest.T):
+    slices, masks = _slice_step(game, grid, socials, tables)
+    if slices is not None:
+        for t, mask, r in zip(tables, masks, slices[0].T):
             mask &= t >= r[:, None] - tol
         deferral = masks[0].T & masks[1]
 
@@ -487,7 +486,7 @@ def _two_player_find(game, grid, tolerance, restricted):
         best[at_opponent],
         standard[i1, i2],
         deferral[i1, i2],
-        None if rbest is None else (rbest[at_opponent], lo[at_opponent], hi[at_opponent]),
+        None if slices is None else tuple(s[at_opponent] for s in slices),
     )
 
 
@@ -521,17 +520,16 @@ def _lattice_sweep(game: GameSpec, grid: Grid, restricted: bool):
     rows = max(1, _BLOCK_CELLS // len(pts))
     agents = []
     for i, agent in enumerate(game.agents):
-        weights, total = _social_weights(game, i)
         others = [j for j in range(game.n) if j != i]
-        agents.append((agent, others, weights, total, aggregate_beliefs(game, i).mean()))
+        agents.append((agent, others, _social_weights(game, i), aggregate_beliefs(game, i).mean()))
 
     def sweep(state: np.ndarray) -> np.ndarray:
         updated = np.empty_like(state)
         for first in range(0, len(state), rows):
             block = slice(first, first + rows)
             xs = pts[state[block]]
-            for i, (agent, others, weights, total, future) in enumerate(agents):
-                socials = _reference_points(xs[:, others], weights, total)
+            for i, (agent, others, social_weights, future) in enumerate(agents):
+                socials = _reference_points(xs[:, others].T, *social_weights)
                 near = grid_argmax(agent, grid, socials[:, None], future, restricted)[1]
                 updated[block, i] = np.argmax(near, axis=1)
         return updated

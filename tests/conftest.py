@@ -67,6 +67,15 @@ def belief_heavy_game() -> d.GameSpec:
 
 
 @pytest.fixture
+def weighted_pair_game() -> d.GameSpec:
+    """Identical agents under unequal choice weights, which two agents ignore:
+    each one's social choice is the other's choice."""
+    agent = quad_agent(a=1.0, b=2.0, k=0.0, c1=d.LinearCost(2.0), belief=1.0)
+    return d.GameSpec(agents=(agent, agent), x_max=8.0,
+                      choice_aggregator=d.WeightedChoice((0.3, 0.7)))
+
+
+@pytest.fixture
 def trap_agent() -> d.AgentSpec:
     """Extreme-belief agent: against x_s = 2 the interval is [1, 2] but the
     unconstrained optimum sits at 3.25 (slopes 15-4x / 13-4x / -7-4x)."""

@@ -2,9 +2,10 @@
 
 Each function cuts the consideration slice (or the whole grid) out of the
 comprehensive values by index and keeps every value within 1e-12 of the
-slice's best, instead of masking the rest with ``-inf``.  Exceptions come in
-the public functions' order: aggregation, then the consideration interval,
-then the kernel.
+slice's best, instead of masking the rest with ``-inf``.  The social
+reference point is rebuilt from the model's definition too, so nothing here is
+private to ``deferral``.  Exceptions come in the public functions' order: the
+consideration interval, then the kernel.
 """
 
 from __future__ import annotations
@@ -12,7 +13,21 @@ from __future__ import annotations
 import numpy as np
 
 import deferral as d
-from deferral.game import _reference_point
+
+
+def _reference_point(game, i, opponents):
+    """The opponent's choice when there is one other agent, else the weighted
+    mean of the others' choices, renormalized over them: summed left to right
+    and divided once.  Assumes valid aggregator weights."""
+    if len(opponents) == 1:
+        return float(opponents[0])
+    agg = game.choice_aggregator
+    weights = ([1.0] * len(opponents) if isinstance(agg, d.MeanChoice)
+               else [w for j, w in enumerate(agg.weights) if j != i])
+    acc = weights[0] * opponents[0]
+    for w, x in zip(weights[1:], opponents[1:]):
+        acc = acc + w * x
+    return acc / sum(weights)
 
 
 def _argmax(vals, idx):

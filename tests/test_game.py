@@ -376,6 +376,7 @@ class TestClassifyProfile:
         pytest.param("akerlof_game", 400, None, id="akerlof_game"),
         pytest.param("example42_game", 400, None, id="example42_game"),
         pytest.param("belief_heavy_game", 400, None, id="belief_heavy_game"),
+        pytest.param("weighted_pair_game", 400, None, id="weighted_pair_game"),
         pytest.param("power_cost_game", 200, 0.0, id="power_cost_game-0"),
         pytest.param("power_cost_game", 200, 0.05, id="power_cost_game-0.05"),
     ])
@@ -390,6 +391,18 @@ class TestClassifyProfile:
             assert certs
             for cert in certs:
                 assert d.classify_profile(game, cert.profile, grid, tolerance) == cert
+
+
+    def test_payoff_equals_the_search_table_entry(self, weighted_pair_game):
+        # the search's table for agent a: own choice k against the opponent's grid choice j
+        game, grid = weighted_pair_game, d.Grid(8.0, 40)
+        pts = grid.points
+        for a, agent in enumerate(game.agents):
+            future = d.aggregate_beliefs(game, a).mean()
+            table = d.comprehensive_values(agent, grid, pts[:, None], future)
+            for j, k in itertools.product(range(len(pts)), repeat=2):
+                profile = (pts[k], pts[j]) if a == 0 else (pts[j], pts[k])
+                assert d.payoff(game, a, profile) == table[j, k]
 
 
 class TestTabulatedGame:

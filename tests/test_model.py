@@ -106,6 +106,8 @@ class TestValidate:
         assert violations[0].message.startswith("agents[0]:")
         with pytest.raises(d.SpecValidationError):
             d.payoff(game, 0, (1.0, 1.0))
+        with pytest.raises(d.SpecValidationError):
+            d.find_equilibria(game, d.Grid(game.x_max, 8))
 
     def test_violations_returned_not_raised(self):
         assert isinstance(d.validate(quad_agent(a=-1.0)), list)

@@ -248,6 +248,18 @@ class TestNonFiniteAndOutOfRangeNumbers:
         assert main(["equilibria", scenario, "--output-dir", str(tmp_path / "out")]) == 2
         assert "game: x_max must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("x_max,message", [(-1.0, "must be > 0, got -1.0"),
+                                               (_INF, "must be finite")])
+    def test_game_bound_is_reported_once(self, x_max, message, tmp_path, capsys):
+        # the grid shares the game's x_max, so only the game reports it
+        data = json.loads(_AKERLOF.read_text())
+        data["x_max"] = x_max
+        scenario = _write(tmp_path, "g.json", data)
+        assert main(["equilibria", scenario, "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"game: x_max {message}" in err
+        assert err.count("x_max") == 1
+
     @pytest.mark.parametrize("tolerance", [-0.5, _NAN, _INF])
     def test_scenario_tolerance_out_of_range_is_2(self, tolerance, tmp_path, capsys):
         data = json.loads(_AKERLOF.read_text())
@@ -281,11 +293,12 @@ class TestNonFiniteAndOutOfRangeNumbers:
         ("scenario", ("agents", 0, "utility"), {"variant": "tabulated", "values": [0.0, "q"]}),
         ("scenario", ("choice_aggregator",), {"variant": "weighted", "weights": ["a", 0.5]}),
         ("scenario", ("x_max",), 10 ** 400),
+        ("scenario", ("x_max",), -1),
         ("scenario", ("agents", 0, "utility"), "quadratic"),
         ("scenario", ("agents", 0, "form"), "oops"),
         ("profile", ("profile",), ["a", 1]),
     ], ids=["atom-string", "atom-null", "tabulated-value", "choice-weight", "huge-integer",
-            "utility-string", "form-string", "profile-entry"])
+            "negative-bound", "utility-string", "form-string", "profile-entry"])
     def test_malformed_document_is_2(self, document, path, value, tmp_path, capsys):
         docs = {"scenario": json.loads(_AKERLOF.read_text()), "profile": {"profile": [1.0, 1.0]}}
         *parents, last = path
