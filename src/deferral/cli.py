@@ -125,7 +125,7 @@ def _cmd_best_response(args, scenario: Scenario) -> int:
     if not 1 <= args.agent <= game.n:
         raise ScenarioError(f"--agent must be in 1..{game.n}, got {args.agent}")
     curve = best_response_curve(
-        game, args.agent - 1, _parse_sweep(args.sweep, game.x_max), grid, method=args.method
+        game, args.agent - 1, _parse_sweep(args.sweep, grid.x_max), grid, method=args.method
     )
     out = _outdir(args, scenario)
     path = write_curve(out / f"best_response_agent{args.agent}.csv", curve)
@@ -163,11 +163,11 @@ def _cmd_equilibria(args, scenario: Scenario) -> int:
     return 0
 
 
-def _claimed(path: str, game, kind: EquilibriumKind) -> EquilibriumCertificate:
+def _claimed(path: str, game, grid: Grid, kind: EquilibriumKind) -> EquilibriumCertificate:
     """The profile in ``path``, checked as ``classify_profile`` checks it, claimed to be ``kind``."""
     profile = load_profile(path)
     try:
-        _check_profile(game, profile)
+        _check_profile(game, profile, grid.x_max)
     except DomainError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
     return EquilibriumCertificate(profile, kind, 0.0, None)
@@ -176,8 +176,8 @@ def _claimed(path: str, game, kind: EquilibriumKind) -> EquilibriumCertificate:
 def _cmd_loss(args, scenario: Scenario) -> int:
     game, grid = scenario.game, scenario.grid
     # deferral_loss classifies both profiles and raises on the wrong kind
-    standard = _claimed(args.standard, game, EquilibriumKind.STANDARD)
-    deferred = _claimed(args.deferred, game, EquilibriumKind.AFTER_DEFERRAL)
+    standard = _claimed(args.standard, game, grid, EquilibriumKind.STANDARD)
+    deferred = _claimed(args.deferred, game, grid, EquilibriumKind.AFTER_DEFERRAL)
     report = deferral_loss(game, standard, deferred, grid, scenario.tolerance)
     out = _outdir(args, scenario)
     write_csv(out / "loss.csv",

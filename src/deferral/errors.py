@@ -31,9 +31,9 @@ class SpecValidationError(DeferralError, ValueError):
 class ClosedFormUnavailable(DeferralError):
     """The closed-form consideration interval does not apply.
 
-    Raised when the current-distance cost is not strictly increasing
-    (zero cost, or zero slope), in which case only the grid oracle
-    defines the consideration set.
+    Raised when the current-distance cost is not strictly increasing (a
+    slope of zero), in which case only the grid oracle defines the
+    consideration set.
     """
 
 

@@ -6,7 +6,7 @@ agents' choices and the future reference point taken from the mean of the
 aggregated beliefs.  Two equilibrium notions are supported:
 
 * standard: every agent's choice maximizes their payoff over the whole
-  strategy interval ``[0, x_max]``;
+  strategy interval ``[0, x_max]``, the grid's bound;
 * after deferral: every agent's choice lies in, and maximizes their payoff
   over, the consideration set induced by the others' choices.
 
@@ -45,7 +45,6 @@ from .model import (
     Quadratic,
     Tabulated,
     Violation,
-    ZeroCost,
 )
 
 Profile = tuple[float, ...]
@@ -163,14 +162,20 @@ def aggregate_beliefs(game: GameSpec, i: int) -> FiniteRandomVariable:
     return FiniteRandomVariable(atoms=atoms)
 
 
-def _check_profile(game: GameSpec, profile: Sequence[float]) -> None:
-    """Raise ``DomainError`` unless every choice is in ``[0, x_max]`` and
-    every tabulated agent's choice is one of their utility's grid points."""
-    if len(profile) != game.n:
-        raise DomainError(f"profile has {len(profile)} entries for {game.n} agents")
+def _check_choices(choices: Sequence[float], count: int, x_max: float, what: str) -> None:
+    """Raise ``DomainError`` unless there are ``count`` choices, each in ``[0, x_max]``."""
+    if len(choices) != count:
+        raise DomainError(f"{what}: {len(choices)} entries, expected {count}")
+    for x in choices:
+        if x < 0 or x > x_max:
+            raise DomainError(f"choice {x} outside [0, {x_max}]")
+
+
+def _check_profile(game: GameSpec, profile: Sequence[float], x_max: float = np.inf) -> None:
+    """Raise ``DomainError`` unless every choice is in ``[0, x_max]`` (the grid's
+    bound) and every tabulated agent's choice is one of their utility's grid points."""
+    _check_choices(profile, game.n, x_max, "profile")
     for i, (agent, x) in enumerate(zip(game.agents, profile)):
-        if x < 0 or x > game.x_max:
-            raise DomainError(f"choice {x} outside [0, {game.x_max}]")
         if isinstance(agent.utility, Tabulated):
             try:
                 agent.utility.grid.index_of(x)
@@ -245,19 +250,23 @@ def _exact_best_response(game: GameSpec, i: int, x_social: float, grid: Grid) ->
     if not isinstance(u, Quadratic):
         raise MethodUnsupported("exact best response needs a quadratic utility")
     for c in (agent.c1, agent.c2):
-        if not isinstance(c, (ZeroCost, LinearCost)):
+        if not isinstance(c, LinearCost):
             raise MethodUnsupported("exact best response needs zero or linear costs")
     w = agent.form
     if w.w_u * u.a <= 0:
         raise MethodUnsupported("exact best response needs w_u > 0")
-    kinks = []
-    if isinstance(agent.c1, LinearCost):
-        kinks.append((x_social, w.w_1 * agent.c1.d))
-    if isinstance(agent.c2, LinearCost):
-        kinks.append((aggregate_beliefs(game, i).mean(), w.w_2 * agent.c2.d))
+    future = aggregate_beliefs(game, i).mean()
+    kinks = [(x_social, w.w_1 * agent.c1.d), (future, w.w_2 * agent.c2.d)]
     return kinked_concave_argmax(
         w.w_u * u.a, w.w_u * u.b, w.w_u * u.k, kinks, lo=0.0, hi=grid.x_max
     )
+
+
+def _opponent_social(game: GameSpec, i: int, opponents: Sequence[float], grid: Grid) -> float:
+    """Agent ``i``'s social choice against one choice in ``[0, grid.x_max]`` per other agent."""
+    weights, total = _social_weights(game, i)
+    _check_choices(opponents, game.n - 1, grid.x_max, "opponents")
+    return float(_reference_points(opponents, weights, total))
 
 
 def best_response(
@@ -267,13 +276,13 @@ def best_response(
     grid: Grid,
     method: str = "grid",
 ) -> tuple[float, ...]:
-    """Argmax set of agent ``i``'s payoff against the others' choices.
+    """Argmax set of agent ``i``'s payoff against the others' choices, one per other agent.
 
     ``method="grid"`` scans the grid and reports the tie set (within 1e-12);
     ``method="exact"`` solves the kinked concave program in closed form and
-    is only available for quadratic utilities with zero/linear costs.
+    is only available for quadratic utilities with linear costs.
     """
-    x_social = float(_reference_points(opponents, *_social_weights(game, i)))
+    x_social = _opponent_social(game, i, opponents, grid)
     if method == "exact":
         return _exact_best_response(game, i, x_social, grid)
     if method != "grid":
@@ -289,7 +298,7 @@ def deferral_best_response(
     grid: Grid,
 ) -> tuple[float, ...]:
     """Argmax set of agent ``i``'s payoff restricted to their consideration set."""
-    x_social = float(_reference_points(opponents, *_social_weights(game, i)))
+    x_social = _opponent_social(game, i, opponents, grid)
     near = grid_argmax(game.agents[i], grid, x_social, aggregate_beliefs(game, i).mean(), True)[1]
     return tuple(float(x) for x in grid.points[near])
 
@@ -316,11 +325,11 @@ def best_response_curve(
 
 
 def is_exact_family(game: GameSpec) -> bool:
-    """Whether every agent has quadratic utility and zero/linear costs."""
+    """Whether every agent has quadratic utility and linear costs."""
     return all(
         isinstance(a.utility, Quadratic)
-        and isinstance(a.c1, (ZeroCost, LinearCost))
-        and isinstance(a.c2, (ZeroCost, LinearCost))
+        and isinstance(a.c1, LinearCost)
+        and isinstance(a.c2, LinearCost)
         for a in game.agents
     )
 
@@ -413,7 +422,7 @@ def classify_profile(
     unavailable the after-deferral test is skipped and only standard
     classification is possible.
     """
-    _check_profile(game, profile)
+    _check_profile(game, profile, grid.x_max)
     values, vectors, socials = [], [], []
     xs = np.array(profile, dtype=float)[:, None, None]  # each a one-row column, as in the search
     for i, agent in enumerate(game.agents):
@@ -494,13 +503,13 @@ def _two_player_find(game, grid, tolerance, restricted):
 # n-agent iterative search
 
 
-def _default_lattice(game: GameSpec) -> list[Profile]:
+def _default_lattice(game: GameSpec, grid: Grid) -> list[Profile]:
     if game.n > MAX_LATTICE_AGENTS:
         raise MethodUnsupported(
             f"default start lattice supports up to {MAX_LATTICE_AGENTS} agents; "
             "pass explicit starts for larger games"
         )
-    axis = np.linspace(0.0, game.x_max, START_LATTICE_POINTS)
+    axis = np.linspace(0.0, grid.x_max, START_LATTICE_POINTS)
     return [tuple(p) for p in itertools.product(axis, repeat=game.n)]
 
 
@@ -563,7 +572,7 @@ def _iterate(sweep, state: np.ndarray) -> tuple[np.ndarray, int, int]:
 
 
 def _lattice_find(game, grid, tolerance, restricted, starts):
-    starts = np.asarray(_default_lattice(game) if starts is None else starts, dtype=float)
+    starts = np.asarray(_default_lattice(game, grid) if starts is None else starts, dtype=float)
     if not len(starts):
         return []
     if starts.ndim != 2 or starts.shape[1] != game.n:

@@ -12,7 +12,7 @@ they are safe to evaluate concurrently without synchronization.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import KW_ONLY, astuple, dataclass, field
 from functools import cached_property
 from typing import Union
 
@@ -41,8 +41,9 @@ def near_best(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class Grid:
     """Uniform grid over ``[0, x_max]`` with points ``j * x_max / steps``.
 
-    ``x_max`` doubles as the upper bound on every agent's choice; the step
-    size is the spatial tolerance attached to any grid-based answer.
+    ``x_max`` is the one strategy bound: every solve on the grid takes it as
+    the upper bound on every agent's choice.  The step size is the spatial
+    tolerance attached to any grid-based answer.
     """
 
     x_max: float
@@ -135,13 +136,8 @@ UtilityFunction = Union[Quadratic, Tabulated]
 
 
 @dataclass(frozen=True)
-class ZeroCost:
-    """Identically zero distance cost (no social concern on this channel)."""
-
-
-@dataclass(frozen=True)
 class LinearCost:
-    """Cost ``c(delta) = d * delta`` with slope ``d >= 0``."""
+    """Cost ``c(delta) = d * delta`` with slope ``d >= 0``; ``d = 0`` is no social concern."""
 
     d: float
 
@@ -154,7 +150,7 @@ class PowerCost:
     p: float
 
 
-CostFunction = Union[ZeroCost, LinearCost, PowerCost]
+CostFunction = Union[LinearCost, PowerCost]
 
 
 @dataclass(frozen=True)
@@ -233,11 +229,11 @@ class BeliefMixture:
 
 @dataclass(frozen=True)
 class GameSpec:
-    """An n-agent game: agents plus the choice/belief aggregators and the
-    common strategy bound ``x_max``."""
+    """An n-agent game: agents plus the keyword-only choice and belief
+    aggregators.  The strategy bound is the solving grid's ``x_max``."""
 
     agents: tuple[AgentSpec, ...]
-    x_max: float
+    _: KW_ONLY
     choice_aggregator: ChoiceAggregator = field(default_factory=MeanChoice)
     belief_aggregator: BeliefMixture = field(default_factory=BeliefMixture)
 
@@ -274,16 +270,12 @@ def utility_values(u: UtilityFunction, grid: Grid) -> np.ndarray:
 
 def eval_cost(c: CostFunction, delta) -> float | np.ndarray:
     """Distance cost at ``delta >= 0``; accepts scalars or arrays."""
-    if isinstance(c, ZeroCost):
-        return np.zeros_like(delta, dtype=float) if isinstance(delta, np.ndarray) else 0.0
     if isinstance(c, LinearCost):
         return c.d * delta
     return c.d * delta**c.p
 
 
 def cost_is_strictly_increasing(c: CostFunction) -> bool:
-    if isinstance(c, ZeroCost):
-        return False
     return c.d > 0
 
 
@@ -333,8 +325,6 @@ def _validate_utility(u: UtilityFunction, out: list[Violation], where: str) -> N
 
 
 def _validate_cost(c: CostFunction, out: list[Violation], where: str) -> None:
-    if isinstance(c, ZeroCost):
-        return
     _check(out, c.d >= 0, "NegativeCostSlope", f"{where}: d must be >= 0, got {c.d}")
     if isinstance(c, PowerCost):
         _check(out, c.p >= 1, "SubunitPowerExponent", f"{where}: p must be >= 1, got {c.p}")
@@ -382,8 +372,6 @@ def _validate_agent(a: AgentSpec, out: list[Violation], where: str) -> None:
 
 def _validate_game(g: GameSpec, out: list[Violation]) -> None:
     _check(out, g.n >= 2, "TooFewAgents", f"game needs n >= 2 agents, got {g.n}")
-    _check(out, g.x_max > 0, "NonPositiveBound", f"game: x_max must be > 0, got {g.x_max}")
-    _check(out, _finite(g.x_max), "NonFiniteParameter", "game: x_max must be finite")
     for i, a in enumerate(g.agents):
         _validate_agent(a, out, f"agents[{i}]")
         if g.n >= 2:
@@ -420,7 +408,7 @@ def validate(spec) -> list[Violation]:
         _validate_agent(spec, out, "agent")
     elif isinstance(spec, (Quadratic, Tabulated)):
         _validate_utility(spec, out, "utility")
-    elif isinstance(spec, (ZeroCost, LinearCost, PowerCost)):
+    elif isinstance(spec, (LinearCost, PowerCost)):
         _validate_cost(spec, out, "cost")
     elif isinstance(spec, FiniteRandomVariable):
         _validate_rv(spec, out, "belief")

@@ -1,7 +1,9 @@
 """Scenario files: JSON descriptions of single-agent problems and games.
 
 The schema mirrors the model types with snake_case keys; belief atoms are
-``[[value, probability], ...]`` pairs.  Loading validates everything through
+``[[value, probability], ...]`` pairs, and a ``"zero"`` cost is a linear cost
+of slope 0.  The scenario's ``x_max`` and ``steps`` make its grid, whose
+``x_max`` is the strategy bound.  Loading validates everything through
 ``model.validate`` and reports every violation at once.
 """
 
@@ -26,7 +28,6 @@ from .model import (
     Quadratic,
     Tabulated,
     WeightedChoice,
-    ZeroCost,
     validate,
 )
 
@@ -104,7 +105,7 @@ def _utility(obj, where, grid):
 def _cost(obj, where):
     variant = _object(obj, where).get("variant")
     if variant == "zero":
-        return ZeroCost()
+        return LinearCost(d=0.0)
     if variant == "linear":
         return LinearCost(d=_number(obj, "d", where))
     if variant == "power":
@@ -180,8 +181,8 @@ def parse_scenario(data: dict) -> Scenario:
     mode = data.get("mode")
     if mode not in ("single_agent", "game"):
         raise ScenarioError(f"mode must be 'single_agent' or 'game', got {mode!r}")
-    x_max = _number(data, "x_max", "scenario")
-    grid = Grid(x_max=x_max, steps=require_steps(data.get("steps", DEFAULT_STEPS)))
+    grid = Grid(x_max=_number(data, "x_max", "scenario"),
+                steps=require_steps(data.get("steps", DEFAULT_STEPS)))
     tolerance = require_tolerance(_number(data, "tolerance", "scenario", None, False))
     output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
@@ -208,12 +209,10 @@ def parse_scenario(data: dict) -> Scenario:
     agents = tuple(_agent(a, f"agents[{i}]", grid) for i, a in enumerate(agents_raw))
     game = GameSpec(
         agents=agents,
-        x_max=x_max,
         choice_aggregator=_choice_aggregator(data.get("choice_aggregator")),
         belief_aggregator=_belief_aggregator(data.get("belief_aggregator")),
     )
-    # the grid's x_max is the game's, which validate(game) already reports
-    violations = validate(game) + [v for v in validate(grid) if "x_max" not in v.message]
+    violations = validate(game) + validate(grid)
     if violations:
         raise ScenarioError("; ".join(f"{v.code}: {v.message}" for v in violations))
     return Scenario(mode=mode, grid=grid, tolerance=tolerance, output_dir=output_dir, game=game)

@@ -23,22 +23,27 @@ def quad_agent(
     return d.AgentSpec(
         utility=d.Quadratic(a, b, k),
         c1=c1 if c1 is not None else d.LinearCost(1.0),
-        c2=c2 if c2 is not None else d.ZeroCost(),
+        c2=c2 if c2 is not None else d.LinearCost(0.0),
         beliefs=(point_mass(belief),),
         form=d.ComprehensiveUtilityForm(*weights),
     )
 
 
-def two_agent_game(agent0: d.AgentSpec, agent1: d.AgentSpec, x_max: float) -> d.GameSpec:
-    return d.GameSpec(agents=(agent0, agent1), x_max=x_max)
+#: The strategy bound, the grid's ``x_max``, that each game fixture is solved on.
+X_MAX = {"akerlof_game": 8.0, "example42_game": 40.0, "belief_heavy_game": 40.0,
+         "weighted_pair_game": 8.0, "power_cost_game": 8.0}
+
+
+def two_agent_game(agent0: d.AgentSpec, agent1: d.AgentSpec) -> d.GameSpec:
+    return d.GameSpec(agents=(agent0, agent1))
 
 
 @pytest.fixture
 def akerlof_game() -> d.GameSpec:
     """Conformist baseline: identical agents, linear conformity cost, no
     future concern.  Equilibria are the diagonal with x in [0, 2]."""
-    agent = quad_agent(c1=d.LinearCost(4.0), c2=d.ZeroCost(), belief=1.0)
-    return two_agent_game(agent, agent, x_max=8.0)
+    agent = quad_agent(c1=d.LinearCost(4.0), c2=d.LinearCost(0.0), belief=1.0)
+    return two_agent_game(agent, agent)
 
 
 @pytest.fixture
@@ -47,7 +52,7 @@ def example42_game() -> d.GameSpec:
     conformity weights 7 and 16, future weight 4 toward a point-mass at 10."""
     a0 = quad_agent(c1=d.LinearCost(7.0), c2=d.LinearCost(4.0), belief=10.0)
     a1 = quad_agent(c1=d.LinearCost(16.0), c2=d.LinearCost(4.0), belief=10.0)
-    return two_agent_game(a0, a1, x_max=40.0)
+    return two_agent_game(a0, a1)
 
 
 @pytest.fixture
@@ -63,7 +68,7 @@ def belief_heavy_game() -> d.GameSpec:
     """
     a0 = quad_agent(c1=d.LinearCost(4.0), c2=d.LinearCost(7.0), belief=40.0)
     a1 = quad_agent(c1=d.LinearCost(4.0), c2=d.LinearCost(16.0), belief=40.0)
-    return two_agent_game(a0, a1, x_max=40.0)
+    return two_agent_game(a0, a1)
 
 
 @pytest.fixture
@@ -71,7 +76,7 @@ def weighted_pair_game() -> d.GameSpec:
     """Identical agents under unequal choice weights, which two agents ignore:
     each one's social choice is the other's choice."""
     agent = quad_agent(a=1.0, b=2.0, k=0.0, c1=d.LinearCost(2.0), belief=1.0)
-    return d.GameSpec(agents=(agent, agent), x_max=8.0,
+    return d.GameSpec(agents=(agent, agent),
                       choice_aggregator=d.WeightedChoice((0.3, 0.7)))
 
 
@@ -89,4 +94,4 @@ def power_cost_game() -> d.GameSpec:
                          (point_mass(6.0),))
     agent1 = d.AgentSpec(d.Quadratic(1.0, 4.0), d.PowerCost(2.0, 1.5), d.PowerCost(1.0, 2.5),
                          (point_mass(2.0),))
-    return two_agent_game(agent0, agent1, x_max=8.0)
+    return two_agent_game(agent0, agent1)

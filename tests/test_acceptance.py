@@ -117,7 +117,7 @@ def test_criterion_5_two_agent_symmetry():
         k = rng.uniform(-5.0, 5.0)
 
         def make_agent():
-            c2 = d.ZeroCost() if rng.uniform() < 0.3 else d.LinearCost(rng.uniform(0.0, 8.0))
+            c2 = d.LinearCost(0.0) if rng.uniform() < 0.3 else d.LinearCost(rng.uniform(0.0, 8.0))
             return quad_agent(
                 a=a, b=b, k=k,
                 c1=d.LinearCost(rng.uniform(0.3, 8.0)),
@@ -125,7 +125,7 @@ def test_criterion_5_two_agent_symmetry():
                 belief=rng.uniform(0.0, 8.0),
             )
 
-        game = two_agent_game(make_agent(), make_agent(), x_max=8.0)
+        game = two_agent_game(make_agent(), make_agent())
         deferred = d.find_equilibria_after_deferral(game, grid)
         assert deferred, "after-deferral set cannot be empty on this family"
         for cert in deferred:

@@ -38,7 +38,7 @@ class TestComprehensiveValue:
         data=st.data(),
         grid=st.builds(d.Grid, st.floats(0.5, 20), st.integers(1, 150)),
         costs=st.lists(st.one_of(
-            st.just(d.ZeroCost()),
+            st.just(d.LinearCost(0.0)),
             st.builds(d.LinearCost, st.floats(0, 5)),
             st.builds(d.PowerCost, st.floats(0, 5), st.sampled_from((1.3, 1.5, 2.0, 2.5, 3.0))),
         ), min_size=2, max_size=2),
@@ -117,7 +117,7 @@ class TestUnconstrainedOptimum:
             for a in (0.5, 1.0, 2.0, 4.0):
                 peak = (j + 0.5) * grid.step
                 agent = quad_agent(a=a, b=2.0 * a * peak, c1=d.LinearCost(1.0), weights=(1, 0, 0))
-                ties = d.best_response(d.GameSpec((agent, agent), grid.x_max), 0, (4.0,), grid)
+                ties = d.best_response(d.GameSpec((agent, agent)), 0, (4.0,), grid)
                 assert len(ties) == 2
                 assert d.unconstrained_optimum(agent, 4.0, grid) == ties[0]
                 assert d.detect_trap(agent, 4.0, grid).x_hat == ties[0]

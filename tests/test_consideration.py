@@ -49,8 +49,6 @@ class TestConsiderationInterval:
 
     def test_zero_cost_unavailable(self):
         with pytest.raises(d.ClosedFormUnavailable):
-            d.consideration_interval(U, d.ZeroCost(), 4.0)
-        with pytest.raises(d.ClosedFormUnavailable):
             d.consideration_interval(U, d.LinearCost(0.0), 4.0)
 
     def test_invalid_utility_rejected(self):
@@ -77,7 +75,7 @@ class TestMaximalSetGrid:
         assert list(got2) == [grid2.points[1]]
 
     def test_zero_cost_collapses_to_utility_argmax(self):
-        got = d.maximal_set_grid(U, d.ZeroCost(), 4.0, d.Grid(8.0, 800))
+        got = d.maximal_set_grid(U, d.LinearCost(0.0), 4.0, d.Grid(8.0, 800))
         assert list(got) == [1.0]
 
 
@@ -89,7 +87,7 @@ def _relation_matrices(u, c1, x_social, grid):
     return weak, strict
 
 
-@pytest.mark.parametrize("c1", [d.LinearCost(2.0), d.ZeroCost(), d.PowerCost(1.5, 2.0)])
+@pytest.mark.parametrize("c1", [d.LinearCost(2.0), d.LinearCost(0.0), d.PowerCost(1.5, 2.0)])
 @pytest.mark.parametrize("x_social", [0.0, 1.37, 5.0])
 def test_preorder_axioms_exhaustive(c1, x_social):
     grid = d.Grid(6.0, 150)
@@ -186,4 +184,4 @@ def test_index_bounds_of_many_intervals_match_one_at_a_time():
     with pytest.raises(d.DomainError):
         consideration_slice(u, c1, np.array([[2.0], [-0.5]]), grid)
     with pytest.raises(d.ClosedFormUnavailable):
-        consideration_slice(u, d.ZeroCost(), socials[:, None], grid)
+        consideration_slice(u, d.LinearCost(0.0), socials[:, None], grid)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import deferral as d
 import slice_argmax
-from conftest import point_mass, quad_agent, two_agent_game
+from conftest import X_MAX, point_mass, quad_agent, two_agent_game
 from deferral.game import _BLOCK_CELLS, START_LATTICE_POINTS
 
 
@@ -17,12 +17,11 @@ def _three_agent_game(aggregator=None):
     agent = d.AgentSpec(
         utility=d.Quadratic(2, 4, 5),
         c1=d.LinearCost(1.0),
-        c2=d.ZeroCost(),
+        c2=d.LinearCost(0.0),
         beliefs=(point_mass(2.0), point_mass(6.0)),
     )
     return d.GameSpec(
         agents=(agent, agent, agent),
-        x_max=10.0,
         choice_aggregator=aggregator or d.MeanChoice(),
         belief_aggregator=d.BeliefMixture(weights=(0.5, 0.5)),
     )
@@ -53,7 +52,11 @@ class TestAggregateChoices:
         with pytest.raises(d.DomainError):
             d.aggregate_choices(akerlof_game, 0, (1.0, 2.0, 3.0))
         with pytest.raises(d.DomainError):
-            d.aggregate_choices(akerlof_game, 0, (1.0, 9.0))
+            d.aggregate_choices(akerlof_game, 0, (1.0, -1.0))
+        # the upper bound is the grid's, so only a solve on a grid checks it
+        assert d.aggregate_choices(akerlof_game, 0, (1.0, 9.0)) == 9.0
+        with pytest.raises(d.DomainError, match=r"choice 9.0 outside \[0, 8.0\]"):
+            d.classify_profile(akerlof_game, (1.0, 9.0), d.Grid(8.0, 16))
 
 
 class TestAggregateBeliefs:
@@ -74,7 +77,7 @@ class TestAggregateBeliefs:
     def test_weight_length_mismatch(self):
         game = _three_agent_game()
         bad = d.GameSpec(
-            agents=game.agents, x_max=game.x_max,
+            agents=game.agents,
             belief_aggregator=d.BeliefMixture(weights=(1.0,)),
         )
         with pytest.raises(d.SpecValidationError):
@@ -90,7 +93,7 @@ class TestPayoff:
 
     def test_coincident_pulls(self):
         agent = quad_agent(c1=d.LinearCost(3.0), c2=d.LinearCost(2.0), belief=1.5)
-        game = two_agent_game(agent, agent, x_max=8.0)
+        game = two_agent_game(agent, agent)
         assert d.payoff(game, 0, (1.5, 1.5)) == d.eval_utility(agent.utility, 1.5)
 
 
@@ -138,9 +141,9 @@ class TestBestResponse:
     def test_exact_unsupported_families(self, akerlof_game):
         tab_grid = d.Grid(8.0, 16)
         tab = d.Tabulated(values=tuple(-((x - 1) ** 2) for x in tab_grid.points), grid=tab_grid)
-        agent = d.AgentSpec(utility=tab, c1=d.LinearCost(1.0), c2=d.ZeroCost(),
+        agent = d.AgentSpec(utility=tab, c1=d.LinearCost(1.0), c2=d.LinearCost(0.0),
                             beliefs=(point_mass(1.0),))
-        game = two_agent_game(agent, agent, x_max=8.0)
+        game = two_agent_game(agent, agent)
         with pytest.raises(d.MethodUnsupported):
             d.best_response(game, 0, (1.0,), tab_grid, method="exact")
 
@@ -154,7 +157,7 @@ class TestBestResponse:
                 c2=d.LinearCost(rng.uniform(0, 8)),
                 belief=rng.uniform(0, 10),
             )
-            game = two_agent_game(a0, a0, x_max=12.0)
+            game = two_agent_game(a0, a0)
             opp = float(rng.uniform(0, 10))
             exact = d.best_response(game, 0, (opp,), grid, method="exact")
             oracle = d.best_response(game, 0, (opp,), grid)
@@ -193,9 +196,9 @@ _BELL = d.Tabulated(tuple(float(v) for v in -(_OTHER.points - 3.0) ** 2), _OTHER
 
 
 @pytest.mark.parametrize("utility,c1,x_social,error", [
-    (_BUMPY, d.ZeroCost(), -1.0, d.DomainError),
-    (_BUMPY, d.ZeroCost(), 2.0, d.SpecValidationError),
-    (_BELL, d.ZeroCost(), 2.0, d.ClosedFormUnavailable),
+    (_BUMPY, d.LinearCost(0.0), -1.0, d.DomainError),
+    (_BUMPY, d.LinearCost(0.0), 2.0, d.SpecValidationError),
+    (_BELL, d.LinearCost(0.0), 2.0, d.ClosedFormUnavailable),
     (_BELL, d.LinearCost(1.0), 2.0, d.GridLookupError),
 ], ids=["domain", "spec", "closed-form", "kernel"])
 @pytest.mark.parametrize("call", ["second_stage_choice", "deferral_best_response", "detect_trap"])
@@ -204,10 +207,39 @@ def test_restricted_choices_raise_in_check_order(call, utility, c1, x_social, er
     agent = d.AgentSpec(utility, c1, d.LinearCost(1.0), (point_mass(3.0),))
     with pytest.raises(d.DeferralError) as raised:
         if call == "deferral_best_response":
-            d.deferral_best_response(d.GameSpec((agent, agent), 8.0), 0, (x_social,), _GRID)
+            d.deferral_best_response(d.GameSpec((agent, agent)), 0, (x_social,), _GRID)
         else:
             getattr(d, call)(agent, x_social, _GRID)
     assert raised.type is error
+
+
+@pytest.mark.parametrize("call", [d.best_response, d.deferral_best_response])
+@pytest.mark.parametrize("n,opponents", [
+    (3, (1.0, 2.0, 3.0)), (3, (1.0,)), (3, (1.0, 20.0)), (3, (-1.0, 2.0)), (2, (1.0, 2.0)),
+], ids=["three-for-two", "one-for-two", "above-bound", "negative", "two-for-one"])
+def test_opponents_need_one_choice_in_bound_per_other_agent(call, n, opponents, akerlof_game):
+    game, grid = (_three_agent_game(), d.Grid(10.0, 20)) if n == 3 else (akerlof_game, d.Grid(8.0, 16))
+    assert call(game, 0, (grid.x_max,) * (n - 1), grid)  # the bound itself is a choice
+    with pytest.raises(d.DomainError):
+        call(game, 0, opponents, grid)
+
+
+def test_the_grid_is_the_only_strategy_bound():
+    # the peak and the belief at 5 lie inside Grid(8, 16); every solve reads the bound from it
+    grid = d.Grid(8.0, 16)
+
+    def agent(opponents):
+        return d.AgentSpec(d.Quadratic(1.0, 10.0), d.LinearCost(1.0), d.LinearCost(1.0),
+                           (point_mass(5.0),) * opponents)
+
+    pair, trio = two_agent_game(agent(1), agent(1)), d.GameSpec((agent(2),) * 3)
+    for finder in (d.find_equilibria, d.find_equilibria_after_deferral):
+        assert [c.profile for c in finder(pair, grid)] == [(5.0, 5.0)]
+        assert [c.profile for c in finder(trio, grid)] == [(5.0, 5.0, 5.0)]
+    assert d.classify_profile(pair, (5.0, 5.0), grid).kind is d.EquilibriumKind.BOTH
+    assert d.best_response(pair, 0, (5.0,), grid) == d.best_response(pair, 0, (5.0,), grid, "exact")
+    with pytest.raises(TypeError):
+        d.GameSpec(pair.agents, 8.0)  # the aggregators are keyword-only
 
 
 class TestFindEquilibria:
@@ -222,7 +254,7 @@ class TestFindEquilibria:
     def test_decoupled_agents_single_profile(self):
         agent = quad_agent(c1=d.LinearCost(4.0), c2=d.LinearCost(4.0), belief=6.0,
                            weights=(1.0, 0.0, 0.0))
-        game = two_agent_game(agent, agent, x_max=8.0)
+        game = two_agent_game(agent, agent)
         certs = d.find_equilibria(game, d.Grid(8.0, 400))
         assert [c.profile for c in certs] == [(1.0, 1.0)]
 
@@ -238,8 +270,8 @@ class TestFindEquilibria:
         assert len(profiles) == 71  # (3.75 - 0.25) / 0.05 + 1
 
     def test_zero_c1_standard_search_still_works(self):
-        agent = quad_agent(c1=d.ZeroCost(), c2=d.LinearCost(2.0), belief=3.0)
-        game = two_agent_game(agent, agent, x_max=8.0)
+        agent = quad_agent(c1=d.LinearCost(0.0), c2=d.LinearCost(2.0), belief=3.0)
+        game = two_agent_game(agent, agent)
         certs = d.find_equilibria(game, d.Grid(8.0, 400))
         # decoupled payoff: unique maximizer between peak and belief
         assert len(certs) == 1
@@ -265,31 +297,30 @@ class TestFindEquilibriaAfterDeferral:
         )
 
     def test_zero_c1_propagates_precondition(self):
-        agent = quad_agent(c1=d.ZeroCost(), c2=d.LinearCost(2.0), belief=3.0)
-        game = two_agent_game(agent, agent, x_max=8.0)
+        agent = quad_agent(c1=d.LinearCost(0.0), c2=d.LinearCost(2.0), belief=3.0)
+        game = two_agent_game(agent, agent)
         with pytest.raises(d.ClosedFormUnavailable):
             d.find_equilibria_after_deferral(game, d.Grid(8.0, 400))
 
     def test_zero_c1_propagates_precondition_for_three_agents(self):
         game = _three_agent_game()
-        zero = d.AgentSpec(utility=d.Quadratic(2, 4, 5), c1=d.ZeroCost(), c2=d.ZeroCost(),
+        zero = d.AgentSpec(utility=d.Quadratic(2, 4, 5), c1=d.LinearCost(0.0), c2=d.LinearCost(0.0),
                            beliefs=(point_mass(2.0), point_mass(6.0)))
-        game = d.GameSpec(agents=game.agents[:2] + (zero,), x_max=game.x_max)
+        game = d.GameSpec(agents=game.agents[:2] + (zero,))
         with pytest.raises(d.ClosedFormUnavailable):
             d.find_equilibria_after_deferral(game, d.Grid(10.0, 40))
 
     def test_precondition_is_checked_before_the_search_starts(self):
         # The closed-form check runs before the lattice looks at its starts,
         # so it wins over the lattice's own errors and over an empty start list.
-        agent = d.AgentSpec(utility=d.Quadratic(2, 4, 5), c1=d.ZeroCost(), c2=d.ZeroCost(),
+        agent = d.AgentSpec(utility=d.Quadratic(2, 4, 5), c1=d.LinearCost(0.0), c2=d.LinearCost(0.0),
                             beliefs=(point_mass(1.0),) * 4)
-        five = d.GameSpec(agents=(agent,) * 5, x_max=4.0)
+        five = d.GameSpec(agents=(agent,) * 5)
         with pytest.raises(d.MethodUnsupported):
             d.find_equilibria(five, d.Grid(4.0, 20))
         with pytest.raises(d.ClosedFormUnavailable):
             d.find_equilibria_after_deferral(five, d.Grid(4.0, 20))
-        three = d.GameSpec(agents=tuple(replace(a, beliefs=a.beliefs[:2]) for a in five.agents[:3]),
-                           x_max=4.0)
+        three = d.GameSpec(agents=tuple(replace(a, beliefs=a.beliefs[:2]) for a in five.agents[:3]))
         for starts in ([], [(1.0,)]):
             with pytest.raises(d.ClosedFormUnavailable):
                 d.find_equilibria_after_deferral(three, d.Grid(4.0, 20), starts=starts)
@@ -318,8 +349,8 @@ class TestClassifyProfile:
     def test_off_grid_tabulated_choice_is_rejected(self):
         grid = d.Grid(8.0, 40)
         utility = d.Tabulated(tuple(-(x - 3.0) ** 2 for x in grid.points.tolist()), grid)
-        agent = d.AgentSpec(utility, d.LinearCost(1.0), d.ZeroCost(), (point_mass(3.0),))
-        game = d.GameSpec((quad_agent(b=12.0), agent), 8.0)
+        agent = d.AgentSpec(utility, d.LinearCost(1.0), d.LinearCost(0.0), (point_mass(3.0),))
+        game = d.GameSpec((quad_agent(b=12.0), agent))
         assert d.classify_profile(game, (3.0, 3.0), grid).kind is d.EquilibriumKind.BOTH
         # an off-grid choice is fine for the quadratic agent, not for the tabulated one
         assert d.classify_profile(game, (3.05, 3.0), grid) is not None
@@ -354,7 +385,7 @@ class TestClassifyProfile:
     @pytest.mark.parametrize("fixture,steps", [("akerlof_game", 40), ("belief_heavy_game", 40)])
     def test_exhaustive_matches_classify_on_small_grid(self, fixture, steps, request):
         game = request.getfixturevalue(fixture)
-        grid = d.Grid(game.x_max, steps)
+        grid = d.Grid(X_MAX[fixture], steps)
         found = {c.profile: c.kind for c in d.find_equilibria(game, grid)}
         found_deferral = {
             c.profile: c.kind for c in d.find_equilibria_after_deferral(game, grid)
@@ -385,7 +416,7 @@ class TestClassifyProfile:
         # still pick different defaults (whole table against the profile's own
         # vectors).  Power costs need every payoff bit-equal to its table entry.
         game = request.getfixturevalue(fixture)
-        grid = d.Grid(game.x_max, steps)
+        grid = d.Grid(X_MAX[fixture], steps)
         for finder in (d.find_equilibria, d.find_equilibria_after_deferral):
             certs = finder(game, grid, tolerance)
             assert certs
@@ -424,7 +455,7 @@ class TestTabulatedGame:
         agents = tuple(
             d.AgentSpec(d.Tabulated(tuple(map(float, v)), self.grid), c1, c2, (point_mass(belief),))
             for v, (c1, c2), belief in zip(self.values, costs, (3.0, 1.0)))
-        return d.GameSpec(agents, self.grid.x_max)
+        return d.GameSpec(agents)
 
     def test_certificates_equal_brute_force(self):
         game, grid = self.game(), self.grid
@@ -496,7 +527,7 @@ def _classification_oracle(game, profile, grid, tolerance):
 
 
 _c1_costs = st.sampled_from([d.LinearCost(0.5), d.LinearCost(3.0), d.PowerCost(1.0, 1.5),
-                             d.PowerCost(2.0, 2.0), d.ZeroCost()])
+                             d.PowerCost(2.0, 2.0), d.LinearCost(0.0)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -519,7 +550,7 @@ def test_classification_matches_per_agent_rebuild(n, a, b, c1, c2, beliefs, step
         d.AgentSpec(utility=d.Quadratic(a, float(b), 0.0), c1=cost1, c2=cost2,
                     beliefs=(point_mass(belief),) * (n - 1))
         for cost1, cost2, belief in zip(c1[:n], c2, beliefs))
-    game = d.GameSpec(agents=agents, x_max=8.0)
+    game = d.GameSpec(agents=agents)
     grid = d.Grid(8.0, steps)
     # every profile of choices near a grid point by the common peak, so that
     # many are equilibria: on grid points, half steps and arbitrary points
@@ -537,10 +568,10 @@ class TestLatticeSearch:
         agent = d.AgentSpec(
             utility=d.Quadratic(2, 4, 5),
             c1=d.LinearCost(4.0),
-            c2=d.ZeroCost(),
+            c2=d.LinearCost(0.0),
             beliefs=(point_mass(1.0), point_mass(1.0)),
         )
-        game = d.GameSpec(agents=(agent,) * 3, x_max=4.0)
+        game = d.GameSpec(agents=(agent,) * 3)
         grid = d.Grid(4.0, 200)
         certs = d.find_equilibria(game, grid)
         assert certs, "iteration should find at least one fixed point"
@@ -553,10 +584,10 @@ class TestLatticeSearch:
         agent = d.AgentSpec(
             utility=d.Quadratic(2, 4, 5),
             c1=d.LinearCost(4.0),
-            c2=d.ZeroCost(),
+            c2=d.LinearCost(0.0),
             beliefs=(point_mass(1.0), point_mass(1.0)),
         )
-        game = d.GameSpec(agents=(agent,) * 3, x_max=4.0)
+        game = d.GameSpec(agents=(agent,) * 3)
         certs = d.find_equilibria_after_deferral(game, d.Grid(4.0, 200))
         assert certs
         for cert in certs:
@@ -566,10 +597,10 @@ class TestLatticeSearch:
         agent = d.AgentSpec(
             utility=d.Quadratic(2, 4, 5),
             c1=d.LinearCost(4.0),
-            c2=d.ZeroCost(),
+            c2=d.LinearCost(0.0),
             beliefs=(point_mass(1.0),) * 4,
         )
-        game = d.GameSpec(agents=(agent,) * 5, x_max=4.0)
+        game = d.GameSpec(agents=(agent,) * 5)
         with pytest.raises(d.MethodUnsupported):
             d.find_equilibria(game, d.Grid(4.0, 50))
 
@@ -615,7 +646,7 @@ def _outcome(fn, *args):
                    min_size=3, max_size=3),
     c1=st.lists(_c1_costs, min_size=3, max_size=3),
     c2=st.lists(st.sampled_from([d.LinearCost(1.0), d.LinearCost(8.0), d.PowerCost(1.0, 2.0),
-                                 d.ZeroCost()]), min_size=3, max_size=3),
+                                 d.LinearCost(0.0)]), min_size=3, max_size=3),
     w_1=st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=3, max_size=3),
     beliefs=st.lists(st.integers(0, 8), min_size=3, max_size=3),
     weighted=st.booleans(),
@@ -639,7 +670,7 @@ def test_public_argmaxes_equal_the_slice_reference(n, tabulated, peaks, c1, c2, 
     aggregator = d.WeightedChoice(weights) if weighted else d.MeanChoice()
     # the second-stage functions take the agent's own belief mean, the game ones the mixture's
     mix = d.BeliefMixture((0.25, 0.75)) if mixture and n == 3 else d.BeliefMixture()
-    game = d.GameSpec(agents=agents, x_max=8.0, choice_aggregator=aggregator,
+    game = d.GameSpec(agents=agents, choice_aggregator=aggregator,
                       belief_aggregator=mix)
     xs = [x if isinstance(x, float) else float(grid.points[min(x, steps)]) for x in opponents]
     pairs = ((d.best_response, slice_argmax.best_response),
@@ -656,13 +687,13 @@ def test_public_argmaxes_equal_the_slice_reference(n, tabulated, peaks, c1, c2, 
                 assert _outcome(public, *args) == _outcome(reference, *args)
 
 
-def _lattice(game):
-    axis = np.linspace(0.0, game.x_max, START_LATTICE_POINTS)
+def _lattice(game, grid):
+    axis = np.linspace(0.0, grid.x_max, START_LATTICE_POINTS)
     return list(itertools.product(axis, repeat=game.n))
 
 
 def _searches_match_oracle(game, grid, starts=None):
-    oracle_starts = _lattice(game) if starts is None else starts
+    oracle_starts = _lattice(game, grid) if starts is None else starts
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # cycling starts are legal here
         standard = d.find_equilibria(game, grid, starts=starts)
@@ -693,14 +724,14 @@ class TestBatchedLatticeMatchesOracle:
         starts=st.lists(st.tuples(*[st.floats(0.0, 8.0)] * 3), min_size=30, max_size=100),
     )
     def test_three_agent_games(self, agents, aggregator, steps, starts):
-        game = d.GameSpec(agents=tuple(agents), x_max=8.0, choice_aggregator=aggregator)
+        game = d.GameSpec(agents=tuple(agents), choice_aggregator=aggregator)
         _searches_match_oracle(game, d.Grid(8.0, steps), starts)
 
     def test_three_agent_default_lattice(self):
         game = d.GameSpec(agents=tuple(
             d.AgentSpec(utility=d.Quadratic(a, b, 0.0), c1=d.LinearCost(d1), c2=d.LinearCost(1.0),
                         beliefs=(point_mass(5.0), point_mass(1.0)))
-            for a, b, d1 in ((1.0, 4.0, 1.0), (0.5, 6.0, 2.0), (2.0, 2.0, 3.0))), x_max=8.0)
+            for a, b, d1 in ((1.0, 4.0, 1.0), (0.5, 6.0, 2.0), (2.0, 2.0, 3.0))))
         grid = d.Grid(8.0, 40)
         assert START_LATTICE_POINTS**3 > _BLOCK_CELLS // (grid.steps + 1)
         _searches_match_oracle(game, grid)
@@ -710,7 +741,7 @@ class TestBatchedLatticeMatchesOracle:
             d.AgentSpec(utility=d.Quadratic(a, b, 0.0), c1=d.LinearCost(d1), c2=d.LinearCost(1.0),
                         beliefs=(point_mass(3.0),) * 3)
             for a, b, d1 in ((1.0, 4.0, 2.0), (2.0, 12.0, 1.0), (0.5, 5.0, 3.0), (1.5, 3.0, 0.5)))
-        game = d.GameSpec(agents=agents, x_max=8.0,
+        game = d.GameSpec(agents=agents,
                           choice_aggregator=d.WeightedChoice(weights=(0.1, 0.2, 0.3, 0.4)))
         grid = d.Grid(8.0, 400)
         starts = [tuple(p) for p in np.random.default_rng(5).uniform(0.0, 8.0, (150, 4))]
@@ -721,7 +752,7 @@ class TestBatchedLatticeMatchesOracle:
         game = d.GameSpec(agents=tuple(
             d.AgentSpec(utility=d.Quadratic(a, b, 1.0), c1=d.LinearCost(2.0), c2=d.LinearCost(0.5),
                         beliefs=(point_mass(6.0), point_mass(2.0)))
-            for a, b in ((1.0, 2.0), (1.0, 8.0), (2.0, 10.0))), x_max=8.0)
+            for a, b in ((1.0, 2.0), (1.0, 8.0), (2.0, 10.0))))
         grid = d.Grid(8.0, 40)
         half = grid.step / 2
         # half-step ties, points beyond both ends and arbitrary interior points
@@ -739,7 +770,7 @@ class TestLatticeConvergenceCounts:
                         beliefs=tuple(point_mass(v) for v in beliefs))
             for a, b, k, c1, c2, beliefs in ((2, 8, 5, 3, 1, [4, 5]), (1, 5, 0, 2, 1, [3, 4]),
                                              (1.5, 9, 2, 4, 2, [5, 3])))
-        game = d.GameSpec(agents=agents, x_max=8.0)
+        game = d.GameSpec(agents=agents)
         grid = d.Grid(8.0, 400)
         with pytest.warns(RuntimeWarning, match=r"standard best-response iteration: "
                           r"1177 of 1331 starts converged, 154 cycled, 0 hit the 500-sweep cap"):
@@ -760,18 +791,18 @@ class TestLatticeConvergenceCounts:
             assert all(c.kind is d.EquilibriumKind.BOTH and c.max_regret == 0.0 for c in certs)
 
     def test_converging_search_is_silent(self):
-        agent = d.AgentSpec(utility=d.Quadratic(2, 4, 5), c1=d.LinearCost(4.0), c2=d.ZeroCost(),
+        agent = d.AgentSpec(utility=d.Quadratic(2, 4, 5), c1=d.LinearCost(4.0), c2=d.LinearCost(0.0),
                             beliefs=(point_mass(1.0), point_mass(1.0)))
-        game = d.GameSpec(agents=(agent,) * 3, x_max=4.0)
+        game = d.GameSpec(agents=(agent,) * 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert d.find_equilibria(game, d.Grid(4.0, 200))
             assert d.find_equilibria_after_deferral(game, d.Grid(4.0, 200))
 
     def test_starts_must_match_agent_count(self):
-        agent = d.AgentSpec(utility=d.Quadratic(2, 4, 5), c1=d.LinearCost(4.0), c2=d.ZeroCost(),
+        agent = d.AgentSpec(utility=d.Quadratic(2, 4, 5), c1=d.LinearCost(4.0), c2=d.LinearCost(0.0),
                             beliefs=(point_mass(1.0), point_mass(1.0)))
-        game = d.GameSpec(agents=(agent,) * 3, x_max=4.0)
+        game = d.GameSpec(agents=(agent,) * 3)
         with pytest.raises(d.DomainError):
             d.find_equilibria(game, d.Grid(4.0, 40), starts=[(1.0, 2.0)])
         assert d.find_equilibria(game, d.Grid(4.0, 40), starts=[]) == []

@@ -87,13 +87,13 @@ class TestValidate:
 
     def test_game_belief_count(self):
         a = quad_agent()
-        game = d.GameSpec(agents=(a, a, a), x_max=8.0)  # 1 belief each, need 2
+        game = d.GameSpec(agents=(a, a, a))  # 1 belief each, need 2
         assert "BeliefCountMismatch" in [v.code for v in d.validate(game)]
 
     def test_weighted_aggregator_weights(self):
         a = quad_agent(c1=d.LinearCost(1.0))
         game = d.GameSpec(
-            agents=(a, a), x_max=8.0,
+            agents=(a, a),
             choice_aggregator=d.WeightedChoice(weights=(0.7, 0.7)),
         )
         assert "AggregatorWeightsInvalid" in [v.code for v in d.validate(game)]
@@ -107,7 +107,7 @@ class TestValidate:
         with pytest.raises(d.SpecValidationError):
             d.payoff(game, 0, (1.0, 1.0))
         with pytest.raises(d.SpecValidationError):
-            d.find_equilibria(game, d.Grid(game.x_max, 8))
+            d.find_equilibria(game, d.Grid(8.0, 8))
 
     def test_violations_returned_not_raised(self):
         assert isinstance(d.validate(quad_agent(a=-1.0)), list)
@@ -119,7 +119,7 @@ class TestValidate:
         d.ComprehensiveUtilityForm(float("inf"), 1.0, 1.0),
         d.Tabulated((0.0, 1.0, float("inf"), 1.0, 0.0), d.Grid(1.0, 4)),
         d.Tabulated((0.0, 1.0, 2.0, 1.0, 0.0), d.Grid(float("inf"), 4)),
-        d.GameSpec(agents=(quad_agent(),) * 2, x_max=float("inf")),
+        d.GameSpec(agents=(quad_agent(c1=d.LinearCost(float("inf"))), quad_agent())),
     ], ids=["grid", "linear", "power", "form", "tabulated_value", "tabulated_grid", "game"])
     def test_non_finite_number_rejected(self, spec):
         assert [v.code for v in d.validate(spec)] == ["NonFiniteParameter"]
@@ -146,7 +146,7 @@ class TestGrid:
 
 
 cost_variants = st.one_of(
-    st.just(d.ZeroCost()),
+    st.just(d.LinearCost(0.0)),
     st.builds(d.LinearCost, st.floats(0, 10)),
     st.builds(d.PowerCost, st.floats(0, 10), st.floats(1, 3)),
 )
@@ -184,7 +184,7 @@ def test_belief_mean_uniform_mixture():
     agent = d.AgentSpec(
         utility=d.Quadratic(2, 4, 5),
         c1=d.LinearCost(1.0),
-        c2=d.ZeroCost(),
+        c2=d.LinearCost(0.0),
         beliefs=(point_mass(2.0), point_mass(6.0)),
     )
     assert d.belief_mean(agent) == 4.0

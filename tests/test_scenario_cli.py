@@ -99,10 +99,9 @@ def _utility_json(u):
 
 
 def _cost_json(c):
-    if isinstance(c, d.ZeroCost):
-        return {"variant": "zero"}
     if isinstance(c, d.LinearCost):
-        return {"variant": "linear", "d": c.d}
+        # slope 0 is written as the zero variant, which loads as LinearCost(0.0)
+        return {"variant": "zero"} if c.d == 0 else {"variant": "linear", "d": c.d}
     return {"variant": "power", "d": c.d, "p": c.p}
 
 
@@ -141,18 +140,19 @@ def _every_variant():
     tabulated = d.Tabulated((0.0, 1.0, 2.0, 3.0, 4.0, 3.5, 2.0, 1.0, 0.0), grid)
     beliefs = (d.FiniteRandomVariable(((1.0, 0.25), (3.0, 0.75))), point_mass(2.0))
     agents = (
-        d.AgentSpec(d.Quadratic(2.0, 4.0, 5.0), d.LinearCost(1.5), d.ZeroCost(), beliefs),
+        d.AgentSpec(d.Quadratic(2.0, 4.0, 5.0), d.LinearCost(1.5), d.LinearCost(0.0), beliefs),
         d.AgentSpec(tabulated, d.PowerCost(2.0, 1.5), d.LinearCost(0.5), beliefs,
                     d.ComprehensiveUtilityForm(1.0, 0.0, 2.0)),
-        d.AgentSpec(d.Quadratic(1.0, 3.0), d.ZeroCost(), d.PowerCost(1.0, 2.0), beliefs,
+        d.AgentSpec(d.Quadratic(1.0, 3.0), d.LinearCost(0.0), d.PowerCost(1.0, 2.0), beliefs,
                     d.ComprehensiveUtilityForm(0.5, 1.0, 0.25)),
     )
     return [
         d.Scenario("single_agent", grid, None, None, x_social=2.5, agent=agents[1]),
         d.Scenario("game", grid, 0.5, "out", game=d.GameSpec(
-            agents, 4.0, d.WeightedChoice((0.5, 0.25, 0.25)), d.BeliefMixture((0.25, 0.75)))),
+            agents, choice_aggregator=d.WeightedChoice((0.5, 0.25, 0.25)),
+            belief_aggregator=d.BeliefMixture((0.25, 0.75)))),
         d.Scenario("game", grid, None, None, game=d.GameSpec(
-            tuple(replace(a, beliefs=beliefs[:1]) for a in agents[1:]), 4.0)),
+            tuple(replace(a, beliefs=beliefs[:1]) for a in agents[1:]))),
     ]
 
 
@@ -246,18 +246,18 @@ class TestNonFiniteAndOutOfRangeNumbers:
         data["x_max"] = _INF
         scenario = _write(tmp_path, "g.json", data)
         assert main(["equilibria", scenario, "--output-dir", str(tmp_path / "out")]) == 2
-        assert "game: x_max must be finite" in capsys.readouterr().err
+        assert "grid: x_max must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("x_max,message", [(-1.0, "must be > 0, got -1.0"),
                                                (_INF, "must be finite")])
     def test_game_bound_is_reported_once(self, x_max, message, tmp_path, capsys):
-        # the grid shares the game's x_max, so only the game reports it
+        # the grid's x_max is the only strategy bound, so only the grid reports it
         data = json.loads(_AKERLOF.read_text())
         data["x_max"] = x_max
         scenario = _write(tmp_path, "g.json", data)
         assert main(["equilibria", scenario, "--output-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert f"game: x_max {message}" in err
+        assert f"grid: x_max {message}" in err
         assert err.count("x_max") == 1
 
     @pytest.mark.parametrize("tolerance", [-0.5, _NAN, _INF])
@@ -285,6 +285,20 @@ class TestNonFiniteAndOutOfRangeNumbers:
         assert main(["best-response", str(_AKERLOF), "--steps", "40", "--agent", "1",
                      f"--sweep={sweep}", "--output-dir", str(tmp_path / "out")]) == 2
         assert "--sweep needs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sweep", ["0:8", "0:8:3:4", "x"])
+    def test_sweep_without_three_parts_is_2(self, sweep, tmp_path, capsys):
+        assert main(["best-response", str(_AKERLOF), "--steps", "40", "--agent", "1",
+                     f"--sweep={sweep}", "--output-dir", str(tmp_path / "out")]) == 2
+        assert "--sweep must be lo:hi:n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("agent", ["0", "3", "-1"])
+    def test_agent_outside_the_game_is_2(self, agent, tmp_path, capsys):
+        assert main(["best-response", str(_AKERLOF), "--steps", "40", "--agent", agent,
+                     "--sweep", "0:8:3", "--output-dir", str(tmp_path / "out")]) == 2
+        assert "--agent must be in 1..2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("document,path,value", [
@@ -315,8 +329,8 @@ class TestNonFiniteAndOutOfRangeNumbers:
     def _tabulated_game(self, tmp_path):
         grid = d.Grid(4.0, 4)
         agent = d.AgentSpec(d.Tabulated((0.0, 2.0, 3.0, 2.0, 0.0), grid), d.LinearCost(1.0),
-                            d.ZeroCost(), (point_mass(2.0),))
-        scenario = d.Scenario("game", grid, None, None, game=d.GameSpec((agent, agent), 4.0))
+                            d.LinearCost(0.0), (point_mass(2.0),))
+        scenario = d.Scenario("game", grid, None, None, game=d.GameSpec((agent, agent)))
         return _write(tmp_path, "g.json", _scenario_json(scenario))
 
     def test_steps_override_on_tabulated_utility_is_2(self, tmp_path, capsys):
@@ -374,6 +388,18 @@ class TestCliOutputs:
         assert lines[0] == "x"
         values = [float(v) for v in lines[1:]]
         assert values[0] == 1.0 and values[-1] == 4.0
+
+    def test_output_dir_precedence(self, tmp_path, monkeypatch):
+        # --output-dir first, then the scenario's output_dir, then deferral_out in the working directory
+        monkeypatch.chdir(tmp_path)
+        pinned = _write(tmp_path, "pinned.json", _single_agent_scenario(output_dir="from_scenario"))
+        plain = _write(tmp_path, "plain.json", _single_agent_scenario())
+        for argv, where in (([pinned, "--output-dir", "from_flag"], "from_flag"),
+                            ([pinned], "from_scenario"), ([plain], "deferral_out")):
+            assert main(["consider", *argv]) == 0
+            assert (tmp_path / where / "consideration.csv").is_file()
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == [
+            "deferral_out", "from_flag", "from_scenario"]
 
     def test_choose_csv_round_trips(self, tmp_path):
         scenario = _write(tmp_path, "s.json", _single_agent_scenario())
@@ -465,7 +491,7 @@ class TestCliOutputs:
         grid = d.Grid(8.0, 40)
         data = _scenario_json(d.Scenario("game", grid, None, None, game=d.GameSpec(
             (d.AgentSpec(d.Tabulated(tuple(-(x - 3.0) ** 2 for x in grid.points.tolist()), grid),
-                         d.LinearCost(1.0), d.ZeroCost(), (point_mass(3.0),)),) * 2, 8.0)))
+                         d.LinearCost(1.0), d.LinearCost(0.0), (point_mass(3.0),)),) * 2)))
         scenario = _write(tmp_path, "g.json", data)
         standard = _write(tmp_path, "standard.json", {"profile": [3.05, 3.0]})
         deferred = _write(tmp_path, "deferred.json", {"profile": [3.0, 3.0]})

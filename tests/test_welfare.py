@@ -165,8 +165,8 @@ class TestDeferralLoss:
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0, 2), st.floats(0, 2), st.floats(0, 2), st.floats(0, 2))
 def test_gap_antisymmetry_random(p1, p2, q1, q2):
-    agent = quad_agent(c1=d.LinearCost(4.0), c2=d.ZeroCost(), belief=1.0)
-    game = two_agent_game(agent, agent, x_max=8.0)
+    agent = quad_agent(c1=d.LinearCost(4.0), c2=d.LinearCost(0.0), belief=1.0)
+    game = two_agent_game(agent, agent)
     a = d.welfare_gap(game, (p1, p2), (q1, q2)).total
     b = d.welfare_gap(game, (q1, q2), (p1, p2)).total
     assert a == pytest.approx(-b, abs=1e-12)
