@@ -21,7 +21,6 @@ from .consideration import consideration_interval, maximal_set_grid
 from .errors import DeferralError, DomainError, ScenarioError, SpecValidationError
 from .game import (
     EquilibriumCertificate,
-    EquilibriumKind,
     _check_profile,
     best_response_curve,
     find_equilibria,
@@ -163,22 +162,21 @@ def _cmd_equilibria(args, scenario: Scenario) -> int:
     return 0
 
 
-def _claimed(path: str, game, grid: Grid, kind: EquilibriumKind) -> EquilibriumCertificate:
-    """The profile in ``path``, checked as ``classify_profile`` checks it, claimed to be ``kind``."""
+def _claimed(path: str, game, grid: Grid) -> tuple[float, ...]:
+    """The profile in ``path``, checked as ``classify_profile`` checks it."""
     profile = load_profile(path)
     try:
         _check_profile(game, profile, grid.x_max)
     except DomainError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
-    return EquilibriumCertificate(profile, kind, 0.0, None)
+    return profile
 
 
 def _cmd_loss(args, scenario: Scenario) -> int:
     game, grid = scenario.game, scenario.grid
     # deferral_loss classifies both profiles and raises on the wrong kind
-    standard = _claimed(args.standard, game, grid, EquilibriumKind.STANDARD)
-    deferred = _claimed(args.deferred, game, grid, EquilibriumKind.AFTER_DEFERRAL)
-    report = deferral_loss(game, standard, deferred, grid, scenario.tolerance)
+    report = deferral_loss(game, _claimed(args.standard, game, grid),
+                           _claimed(args.deferred, game, grid), grid, scenario.tolerance)
     out = _outdir(args, scenario)
     write_csv(out / "loss.csv",
               [f"gap_{i + 1}" for i in range(game.n)] + ["total"],

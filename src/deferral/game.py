@@ -167,7 +167,7 @@ def _check_choices(choices: Sequence[float], count: int, x_max: float, what: str
     if len(choices) != count:
         raise DomainError(f"{what}: {len(choices)} entries, expected {count}")
     for x in choices:
-        if x < 0 or x > x_max:
+        if not 0 <= x <= x_max:
             raise DomainError(f"choice {x} outside [0, {x_max}]")
 
 
@@ -367,26 +367,33 @@ _KINDS = {
 _VERDICTS = {kind: verdicts for verdicts, kind in _KINDS.items()}
 
 
-def _certificates(profiles, values, best, standard, deferral, slices):
-    """Certificates of profiles that passed at least one equilibrium test.
+def _certificates(profiles, values, best, slices, member, tol):
+    """The one equilibrium verdict: certificates of the profiles that pass a test.
 
     ``profiles``, ``values`` and ``best`` have one row per profile and one
     column per agent: the choices, each agent's payoff and their best payoff
-    over the grid.  ``standard`` and ``deferral`` are the caller's verdicts,
-    one per profile; the kind follows from them, and ``max_regret`` is the
-    largest regret over the tests passed.  ``slices`` is ``_slice_step``'s
-    ``(rbest, lo, hi)`` shaped like ``best``, or ``None``.
+    over the grid.  ``slices`` is ``_slice_step``'s ``(rbest, lo, hi)`` shaped
+    like ``best``, or ``None`` without the closed form, and ``member`` says
+    per profile whether every choice lies in its consideration set.  The
+    standard test passes when every payoff is ``>= best - tol``; the
+    after-deferral test needs ``member`` and every payoff ``>= rbest - tol``.
+    The kind follows from the tests passed, and ``max_regret`` is the
+    largest regret over them.
     """
+    standard = (values >= best - tol).all(axis=1)
+    deferral = np.zeros_like(standard)
     regret = np.where(standard, _regret(best, values), -np.inf)
     intervals = [None] * len(profiles)
     if slices is not None:
         rbest, lo, hi = slices
+        deferral = member & (values >= rbest - tol).all(axis=1)
         regret = np.maximum(regret, np.where(deferral, _regret(rbest, values), -np.inf))
         intervals = [tuple(map(ClosedInterval, l, h)) for l, h in zip(lo.tolist(), hi.tolist())]
     return [
         EquilibriumCertificate(tuple(p), _KINDS[s, d], r, iv)
         for p, s, d, r, iv in zip(
             profiles.tolist(), standard.tolist(), deferral.tolist(), regret.tolist(), intervals)
+        if s or d
     ]
 
 
@@ -412,14 +419,16 @@ def classify_profile(
     grid: Grid,
     tolerance: float | None = None,
 ) -> EquilibriumCertificate | None:
-    """Run both equilibrium tests on one profile.
+    """Run both equilibrium tests on one profile: the two-agent search's verdict on one row.
 
     Returns a certificate of the strongest applicable kind, or ``None`` when
     the profile is no equilibrium of either sort.  Deviations are grid
     points.  The profile itself may be off-grid, except that an agent with a
     tabulated utility must choose one of its grid points (else
-    ``DomainError``).  When the closed-form consideration interval is
-    unavailable the after-deferral test is skipped and only standard
+    ``DomainError``).  A choice is in its consideration set when it lies in
+    its interval or its grid slice, within ``EXACT_TOL``; on grid points that
+    is the search's slice mask.  When the closed-form consideration interval
+    is unavailable the after-deferral test is skipped and only standard
     classification is possible.
     """
     _check_profile(game, profile, grid.x_max)
@@ -431,24 +440,16 @@ def classify_profile(
         vectors.append(comprehensive_values(agent, grid, socials[-1], future))
         values.append(comprehensive_value(agent, profile[i], socials[-1].item(), future))
     tolerance = _tolerance(game, vectors, tolerance)
-    values = np.array([values])
-    best = np.array([[v.max() for v in vectors]])
-    standard = _regret(best, values) <= tolerance
-
-    deferral = np.zeros(1, dtype=bool)
+    member = None
     slices, masks = _slice_step(game, grid, socials, vectors)
     if slices is not None:
-        rbest, lo, hi = slices
-        # a choice is a member when it lies in its interval or its grid slice, within EXACT_TOL
+        _, lo, hi = slices
         ends = [grid.points[mask[0]][[0, -1]] for mask in masks]
-        if all(min(l, first) - EXACT_TOL <= x <= max(h, last) + EXACT_TOL
-               for x, l, h, (first, last) in zip(profile, lo[0], hi[0], ends)):
-            deferral = _regret(rbest, values) <= tolerance
-
-    if not (standard[0] or deferral[0]):
-        return None
-    profiles = np.array([profile], dtype=float)
-    return _certificates(profiles, values, best, standard, deferral, slices)[0]
+        member = np.array([all(min(l, first) - EXACT_TOL <= x <= max(h, last) + EXACT_TOL
+                               for x, l, h, (first, last) in zip(profile, lo[0], hi[0], ends))])
+    certificates = _certificates(np.array([profile], dtype=float), np.array([values]),
+                                 np.array([[v.max() for v in vectors]]), slices, member, tolerance)
+    return certificates[0] if certificates else None
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +464,9 @@ def _two_player_find(game, grid, tolerance, restricted):
     with a column of social choices, one per opponent grid choice.  Agent 0
     plays ``i1`` against ``i2`` and agent 1 plays ``i2`` against ``i1``, so
     verdicts ``ok[a][j, k]`` in that layout become the profile mask
-    ``ok[0].T & ok[1]``.  Returns the profiles that pass the after-deferral
-    test when ``restricted``, else the standard test.
+    ``ok[0].T & ok[1]``.  Only the searched test is built on every profile:
+    the after-deferral test when ``restricted``, else the standard test.
+    ``_certificates`` then runs both tests on the profiles that pass it.
     """
     pts = grid.points
     # row j's opponent plays grid point j
@@ -473,29 +475,24 @@ def _two_player_find(game, grid, tolerance, restricted):
               for a, (agent, s) in enumerate(zip(game.agents, socials))]
     tol = _tolerance(game, tables, tolerance)
     best = np.stack([t.max(axis=1) for t in tables], axis=1)
-    ok = [t >= b[:, None] - tol for t, b in zip(tables, best.T)]
-    standard = ok[0].T & ok[1]
-    # m x m verdicts: free the standard ones and build the after-deferral ones
-    # in the slice masks, so that fewer such arrays are live at once
-    del ok
-
-    deferral = np.zeros_like(standard)
     slices, masks = _slice_step(game, grid, socials, tables)
-    if slices is not None:
+    if restricted:
+        # built in place in the slice masks, which then still hold at every hit
         for t, mask, r in zip(tables, masks, slices[0].T):
             mask &= t >= r[:, None] - tol
-        deferral = masks[0].T & masks[1]
-
-    i1, i2 = np.nonzero(deferral if restricted else standard)
+        ok = masks
+    else:
+        ok = [t >= b[:, None] - tol for t, b in zip(tables, best.T)]
+    i1, i2 = np.nonzero(ok[0].T & ok[1])
     # agent a's entry of a per-row array sits in column a of the opponent's row
     at_opponent = np.stack([i2, i1], axis=1), np.arange(2)
     return _certificates(
         pts[np.stack([i1, i2], axis=1)],
         np.stack([tables[0][i2, i1], tables[1][i1, i2]], axis=1),
         best[at_opponent],
-        standard[i1, i2],
-        deferral[i1, i2],
         None if slices is None else tuple(s[at_opponent] for s in slices),
+        None if slices is None else masks[0][i2, i1] & masks[1][i1, i2],
+        tol,
     )
 
 

@@ -192,10 +192,8 @@ def _run_example42(scenario: Scenario, out: Path) -> CaseResult:
     ]
 
     # Route the reference pair through the guarded loss; record the verdict.
-    claimed_standard = EquilibriumCertificate(ref_eq, EquilibriumKind.STANDARD, 0.0, None)
-    claimed_deferred = EquilibriumCertificate((1.0, 1.0), EquilibriumKind.AFTER_DEFERRAL, 0.0, None)
     try:
-        report = deferral_loss(game, claimed_standard, claimed_deferred, grid, scenario.tolerance)
+        report = deferral_loss(game, ref_eq, (1.0, 1.0), grid, scenario.tolerance)
         rows.append(ReportRow("guarded_loss_vs_1_1", report.total, ref["loss_vs_1_1"]))
     except PreconditionViolated as exc:
         rows.append(ReportRow("guarded_loss_vs_1_1", float("nan"), ref["loss_vs_1_1"],

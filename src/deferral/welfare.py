@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import PreconditionViolated
-from .game import EquilibriumCertificate, EquilibriumKind, classify_profile, payoff
+from .game import EquilibriumKind, classify_profile, payoff
 from .model import EXACT_TOL, GameSpec, Grid
 
 
@@ -49,37 +49,37 @@ def welfare_gap(game: GameSpec, p: Sequence[float], q: Sequence[float]) -> Welfa
 
 def deferral_loss(
     game: GameSpec,
-    standard: EquilibriumCertificate,
-    deferred: EquilibriumCertificate,
+    standard: Sequence[float],
+    deferred: Sequence[float],
     grid: Grid,
     tolerance: float | None = None,
 ) -> WelfareReport:
-    """Summed payoff shortfall of ``deferred`` relative to ``standard``.
+    """Summed payoff shortfall of profile ``deferred`` relative to profile ``standard``.
 
-    Preconditions, each verified by re-classifying the profiles:
+    Preconditions, each verified by classifying the profiles:
     ``standard`` must be an equilibrium but not an equilibrium after deferral,
     ``deferred`` the reverse, and ``standard`` must Pareto dominate
     ``deferred``.  Violations raise ``PreconditionViolated`` with codes
     ``StandardKindMismatch``, ``DeferredKindMismatch``, ``NoParetoDominance``.
     """
-    got = classify_profile(game, standard.profile, grid, tolerance)
+    got = classify_profile(game, standard, grid, tolerance)
     if got is None or got.kind is not EquilibriumKind.STANDARD:
         raise PreconditionViolated(
             "StandardKindMismatch",
-            f"profile {standard.profile} classifies as "
+            f"profile {standard} classifies as "
             f"{got.kind.value if got else 'no equilibrium'}, need a pure standard equilibrium",
         )
-    got = classify_profile(game, deferred.profile, grid, tolerance)
+    got = classify_profile(game, deferred, grid, tolerance)
     if got is None or got.kind is not EquilibriumKind.AFTER_DEFERRAL:
         raise PreconditionViolated(
             "DeferredKindMismatch",
-            f"profile {deferred.profile} classifies as "
+            f"profile {deferred} classifies as "
             f"{got.kind.value if got else 'no equilibrium'}, need a pure equilibrium after deferral",
         )
-    report = welfare_gap(game, standard.profile, deferred.profile)
+    report = welfare_gap(game, standard, deferred)
     if not _dominates(report.per_agent_gaps):
         raise PreconditionViolated(
             "NoParetoDominance",
-            f"{standard.profile} does not Pareto dominate {deferred.profile}",
+            f"{standard} does not Pareto dominate {deferred}",
         )
     return report

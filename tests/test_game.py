@@ -57,6 +57,11 @@ class TestAggregateChoices:
         assert d.aggregate_choices(akerlof_game, 0, (1.0, 9.0)) == 9.0
         with pytest.raises(d.DomainError, match=r"choice 9.0 outside \[0, 8.0\]"):
             d.classify_profile(akerlof_game, (1.0, 9.0), d.Grid(8.0, 16))
+        # a NaN choice is outside every bound
+        with pytest.raises(d.DomainError, match=r"choice nan outside \[0, 8.0\]"):
+            d.classify_profile(akerlof_game, (float("nan"), 1.0), d.Grid(8.0, 16))
+        with pytest.raises(d.DomainError, match=r"choice nan outside \[0, inf\]"):
+            d.payoff(akerlof_game, 0, (1.0, float("nan")))
 
 
 class TestAggregateBeliefs:
@@ -216,7 +221,8 @@ def test_restricted_choices_raise_in_check_order(call, utility, c1, x_social, er
 @pytest.mark.parametrize("call", [d.best_response, d.deferral_best_response])
 @pytest.mark.parametrize("n,opponents", [
     (3, (1.0, 2.0, 3.0)), (3, (1.0,)), (3, (1.0, 20.0)), (3, (-1.0, 2.0)), (2, (1.0, 2.0)),
-], ids=["three-for-two", "one-for-two", "above-bound", "negative", "two-for-one"])
+    (2, (float("nan"),)),
+], ids=["three-for-two", "one-for-two", "above-bound", "negative", "two-for-one", "nan"])
 def test_opponents_need_one_choice_in_bound_per_other_agent(call, n, opponents, akerlof_game):
     game, grid = (_three_agent_game(), d.Grid(10.0, 20)) if n == 3 else (akerlof_game, d.Grid(8.0, 16))
     assert call(game, 0, (grid.x_max,) * (n - 1), grid)  # the bound itself is a choice
@@ -370,6 +376,25 @@ class TestClassifyProfile:
         assert interval == d.ClosedInterval(1.0, 3.75)
         assert not interval.contains(4.0)
 
+    def test_standard_verdict_is_search_membership_at_the_profiles_own_regret(self):
+        # a tolerance equal to the profile's own regret puts it on the pass
+        # boundary, where two roundings of the one comparison would disagree
+        agent = quad_agent(c1=d.LinearCost(4.0), c2=d.LinearCost(0.0), belief=0.0)
+        game, grid = two_agent_game(agent, agent), d.Grid(8.0, 40)
+        pts = grid.points.tolist()
+        # tables[a][j][k]: agent a's payoff for own choice pts[k] against pts[j]
+        tables = [d.comprehensive_values(a, grid, grid.points[:, None], 0.0).tolist()
+                  for a in game.agents]
+        regret = {(pts[i1], pts[i2]): max(0.0, max(tables[0][i2]) - tables[0][i2][i1],
+                                          max(tables[1][i1]) - tables[1][i1][i2])
+                  for i1, i2 in itertools.product(range(len(pts)), repeat=2)}
+        found = {tol: {c.profile for c in d.find_equilibria(game, grid, tol)}
+                 for tol in set(regret.values())}
+        for profile, tol in regret.items():
+            cert = d.classify_profile(game, profile, grid, tol)
+            standard = cert is not None and cert.kind is not d.EquilibriumKind.AFTER_DEFERRAL
+            assert standard == (profile in found[tol]), profile
+
     def test_finder_outputs_reclassify_identically(self, belief_heavy_game):
         grid = d.Grid(40.0, 400)
         tol = None
@@ -475,8 +500,9 @@ class TestTabulatedGame:
             regret = max(max(row) - row[k] for row, k in zip(rows, own))
             restricted_regret = max(max(row[j] for j in idx) - row[k]
                                     for row, idx, k in zip(rows, slices, own))
-            standard = regret <= tol
-            deferral = all(k in idx for k, idx in zip(own, slices)) and restricted_regret <= tol
+            standard = all(row[k] >= max(row) - tol for row, k in zip(rows, own))
+            deferral = all(k in idx and row[k] >= max(row[j] for j in idx) - tol
+                           for row, idx, k in zip(rows, slices, own))
             if not (standard or deferral):
                 continue
             kind = {(True, False): d.EquilibriumKind.STANDARD,
@@ -502,7 +528,7 @@ def _classification_oracle(game, profile, grid, tolerance):
     values = [d.comprehensive_value(a, x, s, f)
               for a, x, s, f in zip(agents, profile, socials, futures)]
     standard_regret = max(max(0.0, float(v.max()) - x) for v, x in zip(vectors, values))
-    standard = standard_regret <= tolerance
+    standard = all(x >= float(v.max()) - tolerance for v, x in zip(vectors, values))
     deferral, intervals = False, None
     try:
         intervals = tuple(
@@ -516,7 +542,8 @@ def _classification_oracle(game, profile, grid, tolerance):
         pts = grid.points
         inside = all(min(iv.lo, pts[idx[0]]) - 1e-12 <= x <= max(iv.hi, pts[idx[-1]]) + 1e-12
                      for iv, idx, x in zip(intervals, slices, profile))
-        deferral = inside and deferral_regret <= tolerance
+        deferral = inside and all(x >= float(v[idx].max()) - tolerance
+                                  for v, idx, x in zip(vectors, slices, values))
     if standard and deferral:
         return d.EquilibriumKind.BOTH, max(standard_regret, deferral_regret), intervals
     if standard:

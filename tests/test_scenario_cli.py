@@ -500,6 +500,11 @@ class TestCliOutputs:
         err = capsys.readouterr().err
         assert "standard.json" in err and "agents[0]" in err and "3.05" in err
 
+    def test_loss_nan_profile_is_2(self, tmp_path, capsys):
+        assert _loss(tmp_path, [_NAN, 1.0], [1.0, 1.0]) == 2
+        err = capsys.readouterr().err
+        assert "standard.json" in err and "choice nan outside" in err
+
     def test_tolerance_override(self, tmp_path):
         # a tolerance above every regret makes every profile an equilibrium
         bundled = Path(__file__).resolve().parents[1] / "src/deferral/scenarios/akerlof.json"

@@ -6,10 +6,6 @@ import deferral as d
 from conftest import quad_agent, two_agent_game
 
 
-def _certificate(profile, kind):
-    return d.EquilibriumCertificate(profile, kind, 0.0, None)
-
-
 class TestParetoDominates:
     def test_no_profile_dominates_itself(self, akerlof_game):
         assert not d.pareto_dominates(akerlof_game, (1.0, 1.0), (1.0, 1.0))
@@ -63,12 +59,7 @@ class TestDeferralLoss:
         #                     U2 = -11 - 1 - 16*36 = -588
         # deferred (1, 1):    U1 = 7 - 7*39 = -266, U2 = 7 - 16*39 = -617
         grid = d.Grid(40.0, 1600)
-        report = d.deferral_loss(
-            belief_heavy_game,
-            _certificate((3.75, 4.0), d.EquilibriumKind.STANDARD),
-            _certificate((1.0, 1.0), d.EquilibriumKind.AFTER_DEFERRAL),
-            grid,
-        )
+        report = d.deferral_loss(belief_heavy_game, (3.75, 4.0), (1.0, 1.0), grid)
         assert report.per_agent_gaps == (3.125, 29.0)
         assert report.total == 32.125
         assert report.total == d.welfare_gap(belief_heavy_game, (3.75, 4.0), (1.0, 1.0)).total
@@ -76,12 +67,7 @@ class TestDeferralLoss:
     def test_loss_against_midpoint_profile(self, belief_heavy_game):
         # deferred (1.5, 1.5): U1 = 6.5 - 7*38.5 = -263, U2 = 6.5 - 16*38.5 = -609.5
         grid = d.Grid(40.0, 1600)
-        report = d.deferral_loss(
-            belief_heavy_game,
-            _certificate((3.75, 4.0), d.EquilibriumKind.STANDARD),
-            _certificate((1.5, 1.5), d.EquilibriumKind.AFTER_DEFERRAL),
-            grid,
-        )
+        report = d.deferral_loss(belief_heavy_game, (3.75, 4.0), (1.5, 1.5), grid)
         assert report.per_agent_gaps == (0.125, 21.5)
         assert report.total == 21.625
 
@@ -90,31 +76,20 @@ class TestDeferralLoss:
         # U1(2,2) = 5 - 7*38 = -261 > -262.875
         grid = d.Grid(40.0, 1600)
         with pytest.raises(d.PreconditionViolated) as err:
-            d.deferral_loss(
-                belief_heavy_game,
-                _certificate((3.75, 4.0), d.EquilibriumKind.STANDARD),
-                _certificate((2.0, 2.0), d.EquilibriumKind.AFTER_DEFERRAL),
-                grid,
-            )
+            d.deferral_loss(belief_heavy_game, (3.75, 4.0), (2.0, 2.0), grid)
         assert err.value.code == "NoParetoDominance"
 
     def test_same_profile_refused(self, belief_heavy_game):
         grid = d.Grid(40.0, 1600)
-        cert = _certificate((2.0, 2.0), d.EquilibriumKind.AFTER_DEFERRAL)
         with pytest.raises(d.PreconditionViolated) as err:
-            d.deferral_loss(belief_heavy_game, cert, cert, grid)
+            d.deferral_loss(belief_heavy_game, (2.0, 2.0), (2.0, 2.0), grid)
         assert err.value.code == "StandardKindMismatch"
 
     def test_literal_reading_pair_fails_gate(self, example42_game):
         # under the literal payoffs (3.75, 4) is no equilibrium at all
         grid = d.Grid(40.0, 800)
         with pytest.raises(d.PreconditionViolated) as err:
-            d.deferral_loss(
-                example42_game,
-                _certificate((3.75, 4.0), d.EquilibriumKind.STANDARD),
-                _certificate((1.0, 1.0), d.EquilibriumKind.AFTER_DEFERRAL),
-                grid,
-            )
+            d.deferral_loss(example42_game, (3.75, 4.0), (1.0, 1.0), grid)
         assert err.value.code == "StandardKindMismatch"
 
     def test_both_kind_rejected_for_deferred_slot(self, akerlof_game):
@@ -122,22 +97,12 @@ class TestDeferralLoss:
         # a legal "after deferral but not standard" witness
         grid = d.Grid(8.0, 400)
         with pytest.raises(d.PreconditionViolated) as err:
-            d.deferral_loss(
-                akerlof_game,
-                _certificate((2.0, 2.0), d.EquilibriumKind.STANDARD),
-                _certificate((1.0, 1.0), d.EquilibriumKind.AFTER_DEFERRAL),
-                grid,
-            )
+            d.deferral_loss(akerlof_game, (2.0, 2.0), (1.0, 1.0), grid)
         assert err.value.code in ("StandardKindMismatch", "DeferredKindMismatch")
 
     def test_loss_positive_and_consistent(self, belief_heavy_game):
         grid = d.Grid(40.0, 1600)
-        report = d.deferral_loss(
-            belief_heavy_game,
-            _certificate((3.75, 4.0), d.EquilibriumKind.STANDARD),
-            _certificate((1.0, 1.0), d.EquilibriumKind.AFTER_DEFERRAL),
-            grid,
-        )
+        report = d.deferral_loss(belief_heavy_game, (3.75, 4.0), (1.0, 1.0), grid)
         assert report.total > 0
         assert all(g >= 0 for g in report.per_agent_gaps)
         assert any(g > 0 for g in report.per_agent_gaps)
@@ -152,12 +117,7 @@ class TestDeferralLoss:
             return d.payoff(game, i, profile)
 
         monkeypatch.setattr("deferral.welfare.payoff", counted)
-        report = d.deferral_loss(
-            belief_heavy_game,
-            _certificate((3.75, 4.0), d.EquilibriumKind.STANDARD),
-            _certificate((1.0, 1.0), d.EquilibriumKind.AFTER_DEFERRAL),
-            d.Grid(40.0, 1600),
-        )
+        report = d.deferral_loss(belief_heavy_game, (3.75, 4.0), (1.0, 1.0), d.Grid(40.0, 1600))
         assert len(calls) == 2 * belief_heavy_game.n
         assert report.per_agent_gaps == (3.125, 29.0)
 
