@@ -12,6 +12,7 @@ current-distance cost) or a grid too large for memory, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -245,8 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing leaves it unchanged, so calls share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args, None if args.mode is None else _load(args))
     except (ScenarioError, SpecValidationError) as exc:

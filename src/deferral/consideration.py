@@ -6,7 +6,7 @@ utility *and* weakly lower cost of distance to the current social choice.
 With a strictly quasiconcave utility, a strictly increasing current-distance
 cost and the Euclidean metric, the undominated set is the closed interval
 between the social choice and the personal optimum; without those conditions
-only the exhaustive grid oracle defines it.
+only the grid oracle ``maximal_indices_grid`` defines it.
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ def interval_index_bounds(lo, hi, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """First and last grid index identified with each interval ``[lo, hi]`` (vectorized).
 
     Endpoints snap to the nearest grid point, with exact half-step ties
-    rounding inward; this is precisely the boundary behaviour of the pairwise
-    dominance oracle on the grid, so the indexed set equals
+    rounding inward; this is precisely the boundary behaviour of the dominance
+    oracle on the grid, so the indexed set equals
     ``maximal_set_grid`` under the closed-form preconditions.  A degenerate
     interval maps to the nearest grid point (two points if exactly halfway
     between neighbours, matching the mutual-weak-dominance tie).  A sub-cell
@@ -175,6 +175,26 @@ def consideration_slice(u: UtilityFunction, c1: CostFunction, x_social,
     return lo, hi, (own >= i_lo) & (own <= i_hi)
 
 
+def _undominated(uv: np.ndarray, cv: np.ndarray) -> np.ndarray:
+    """Ascending indices of the points that no point strictly beats on ``(uv, cv)``.
+
+    After one stable sort by descending utility, ``upto[g]`` is the smallest
+    cost over the first ``g + 1`` groups of equal utility, so the rule of
+    ``maximal_indices_grid`` reads ``upto[g - 1] <= c`` or ``upto[g] < c``.
+    O(m log m) time and O(m) memory; it only compares values, so it is exact.
+    """
+    order = np.argsort(-uv, kind="stable")
+    u, c = uv[order], cv[order]
+    starts = np.r_[True, u[1:] != u[:-1]]  # the first point of each run of equal utilities
+    group = np.cumsum(starts) - 1
+    upto = np.minimum.accumulate(np.minimum.reduceat(c, np.flatnonzero(starts)))
+    beaten_higher = (group > 0) & (upto[np.maximum(group - 1, 0)] <= c)  # the top group has none
+    dominated = beaten_higher | (upto[group] < c)
+    keep = np.empty(len(order), dtype=bool)
+    keep[order] = ~dominated
+    return np.flatnonzero(keep)
+
+
 def maximal_indices_grid(
     u: UtilityFunction,
     c1: CostFunction,
@@ -183,16 +203,21 @@ def maximal_indices_grid(
 ) -> np.ndarray:
     """Indices of grid points not strictly dominated under the one-many ordering.
 
-    Exhaustive pairwise scan; this is the defined semantics of the
-    consideration set on the grid and makes no quasiconcavity assumption.
+    This is the defined semantics of the consideration set on the grid and
+    makes no quasiconcavity assumption.  Point ``j`` is strictly dominated
+    exactly when some point of higher utility costs no more, or some point
+    of equal or higher utility costs strictly less; one sort by utility
+    decides both.  Raises ``DomainError`` for a negative social choice, a
+    utility that is not finite on the grid or a cost that is NaN.
     """
     if x_social < 0:
         raise DomainError(f"social choice must be nonnegative, got {x_social}")
     uv = utility_values(u, grid)
-    cv = eval_cost(c1, np.abs(grid.points - x_social))
-    weak = (uv[:, None] >= uv[None, :]) & (cv[:, None] <= cv[None, :])
-    strict = weak & ~weak.T
-    return np.flatnonzero(~strict.any(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cv = eval_cost(c1, np.abs(grid.points - x_social))
+    if np.isnan(cv).any():
+        raise DomainError(f"current-distance cost {c1} is NaN on the grid")
+    return _undominated(uv, cv)
 
 
 def maximal_set_grid(

@@ -259,13 +259,23 @@ def eval_utility(u: UtilityFunction, x: float) -> float:
 
 
 def utility_values(u: UtilityFunction, grid: Grid) -> np.ndarray:
-    """Vector of utility values on every grid point."""
+    """Vector of utility values on every grid point.
+
+    Raises ``DomainError`` if a value is not finite, as when the
+    coefficients of a valid quadratic overflow on the grid.
+    """
     if isinstance(u, Quadratic):
         pts = grid.points
-        return -u.a * pts * pts + u.b * pts + u.k
-    if u.grid != grid:
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = -u.a * pts * pts + u.b * pts + u.k
+    elif u.grid != grid:
         raise GridLookupError("tabulated utility is bound to a different grid")
-    return np.asarray(u.values, dtype=float)
+    else:
+        vals = np.asarray(u.values, dtype=float)
+    if not np.isfinite(vals).all():
+        raise DomainError(f"{type(u).__name__} utility is not finite on every point of "
+                          f"grid(x_max={grid.x_max}, steps={grid.steps})")
+    return vals
 
 
 def eval_cost(c: CostFunction, delta) -> float | np.ndarray:

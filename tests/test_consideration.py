@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import deferral as d
+from conftest import quad_agent
+from deferral.consideration import _undominated, maximal_indices_grid
+from dominance_scan import maximal_indices_scan, undominated_scan
 
 U = d.Quadratic(2, 4, 5)  # peak at 1
 
@@ -185,3 +188,100 @@ def test_index_bounds_of_many_intervals_match_one_at_a_time():
         consideration_slice(u, c1, np.array([[2.0], [-0.5]]), grid)
     with pytest.raises(d.ClosedFormUnavailable):
         consideration_slice(u, d.LinearCost(0.0), socials[:, None], grid)
+
+
+# --- the sort oracle against the pairwise scan ----------------------------------
+
+#: Few distinct values, so equal utilities and equal costs are common.
+_TIED = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_TIED, _TIED), min_size=1, max_size=40))
+@example([(0.0, 0.0)])
+@example([(0.0, 1.0), (-0.0, 1.0), (0.0, -0.0)])
+@example([(np.inf, np.inf), (1.0, np.inf), (np.inf, 1.0)])
+def test_sort_equals_scan_on_tied_values(points):
+    uv, cv = (np.array(v) for v in zip(*points))
+    assert _undominated(uv, cv).tolist() == undominated_scan(uv, cv).tolist()
+
+
+_COSTS = st.one_of(
+    st.just(d.LinearCost(0.0)),
+    st.builds(d.LinearCost, st.floats(0.01, 10)),
+    st.builds(d.PowerCost, st.floats(0, 10), st.floats(1, 4)),
+)
+
+
+@st.composite
+def _oracle_cases(draw):
+    """A utility, a current-distance cost, a social choice up to twice ``x_max`` and a grid.
+
+    Tabulated utilities take small integer values in any order, so they
+    repeat values and need not be quasiconcave.  Half the social choices sit
+    on the half-step lattice, where distances to grid points tie.
+    """
+    grid = d.Grid(draw(st.sampled_from([1.0, 6.0, 8.0, 10.0])), draw(st.integers(1, 40)))
+    if draw(st.booleans()):
+        u = d.Quadratic(draw(st.floats(0.1, 5)), draw(st.floats(-5, 20)), draw(st.floats(-5, 5)))
+    else:
+        values = draw(st.lists(st.integers(-3, 3), min_size=grid.steps + 1, max_size=grid.steps + 1))
+        u = d.Tabulated(tuple(float(v) for v in values), grid)
+    if draw(st.booleans()):
+        x_social = draw(st.integers(0, 4 * grid.steps)) * grid.step / 2
+    else:
+        x_social = draw(st.floats(0, 2 * grid.x_max))
+    return u, draw(_COSTS), x_social, grid
+
+
+#: Repeated values, several local peaks: not quasiconcave.
+_BUMPY = d.Tabulated((0.0, 2.0, 1.0, 3.0, 3.0, 1.0, 2.0, 0.0, 0.0, 4.0, 1.0, 1.0, 2.0, 0.0, 3.0, 3.0, 0.0),
+                     d.Grid(8.0, 16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_oracle_cases())
+@example((_BUMPY, d.LinearCost(0.0), 3.25, _BUMPY.grid))
+@example((_BUMPY, d.PowerCost(1.5, 2.0), 11.0, _BUMPY.grid))
+@example((U, d.LinearCost(2.0), 11.0, _BUMPY.grid))
+def test_grid_oracle_equals_scan(case):
+    assert maximal_indices_grid(*case).tolist() == maximal_indices_scan(*case).tolist()
+
+
+class TestNonFiniteValues:
+    """Valid parameters whose values on the grid are not finite are refused, not solved."""
+
+    OVERFLOW = d.Quadratic(1e308, 1e308, 0.0)  # -1e308·x² + 1e308·x is inf − inf on Grid(10, 8)
+    GRID = d.Grid(10.0, 8)
+
+    def test_overflowing_utility_passes_validate_but_not_the_grid(self):
+        assert d.validate(self.OVERFLOW) == []
+        with pytest.raises(d.DomainError, match="not finite"):
+            d.model.utility_values(self.OVERFLOW, self.GRID)
+        with pytest.raises(d.DomainError, match="not finite"):
+            d.maximal_set_grid(self.OVERFLOW, d.LinearCost(1.0), 2.0, self.GRID)
+
+    def test_nan_tabulated_utility_never_reaches_the_oracle(self):
+        # the sort and the scan disagree on NaN utilities, so neither may see one
+        u = d.Tabulated((1.0, float("nan"), 3.0, 2.0), d.Grid(3.0, 3))
+        with pytest.raises(d.DomainError, match="not finite"):
+            maximal_indices_grid(u, d.LinearCost(0.0), 0.0, u.grid)
+
+    @pytest.mark.parametrize("run", [d.second_stage_choice, d.two_criteria_certificate, d.detect_trap])
+    def test_choice_and_certificate_refuse_an_overflowing_utility(self, run):
+        with pytest.raises(d.DomainError, match="not finite"):
+            run(quad_agent(a=1e308, b=1e308, k=0.0), 2.0, self.GRID)
+
+    def test_nan_cost_is_refused(self):
+        # 0 · 8**400 is 0 · inf, which is NaN
+        c1 = d.PowerCost(0.0, 400.0)
+        assert d.validate(c1) == []
+        with pytest.raises(d.DomainError, match="NaN"):
+            d.maximal_set_grid(U, c1, 0.0, d.Grid(8.0, 8))
+
+    def test_infinite_cost_is_still_a_cost(self):
+        # 8**400 overflows to inf: an extreme but comparable cost
+        grid, c1 = d.Grid(8.0, 8), d.PowerCost(1.0, 400.0)
+        with np.errstate(over="ignore"):
+            expected = maximal_indices_scan(U, c1, 0.0, grid).tolist()
+        assert maximal_indices_grid(U, c1, 0.0, grid).tolist() == expected == [0, 1]

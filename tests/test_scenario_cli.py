@@ -215,6 +215,17 @@ class TestCliExitCodes:
         scenario = _write(tmp_path, "s.json", _single_agent_scenario())
         assert main(["equilibria", scenario, "--output-dir", str(tmp_path / "out")]) == 2
 
+    def test_main_reuses_one_parser(self, tmp_path, capsys):
+        from deferral.cli import _parser, build_parser
+
+        assert _parser() is _parser()
+        assert build_parser() is not build_parser()
+        scenario = _write(tmp_path, "s.json", _single_agent_scenario())
+        assert main(["consider", scenario, "--output-dir", str(tmp_path / "a")]) == 0
+        assert main(["equilibria", scenario, "--output-dir", str(tmp_path / "b")]) == 2
+        assert main(["certify", scenario, "--output-dir", str(tmp_path / "c")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "c", "s.json"]
+
 
 _AKERLOF = Path(__file__).resolve().parents[1] / "src/deferral/scenarios/akerlof.json"
 _INF, _NAN = float("inf"), float("nan")
@@ -233,6 +244,25 @@ class TestNonFiniteAndOutOfRangeNumbers:
         scenario = _write(tmp_path, "s.json", data)
         assert main(["choose", scenario, "--output-dir", str(tmp_path / "out")]) == 2
         assert "NonFiniteParameter" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["consider", "choose", "certify"])
+    def test_utility_not_finite_on_the_grid_is_3(self, command, tmp_path, capsys):
+        # valid coefficients whose values on the grid are inf − inf, which is NaN
+        data = _single_agent_scenario(x_max=10.0, steps=8, x_s=2.0)
+        data["agent"]["utility"] = {"variant": "quadratic", "a": 1e308, "b": 1e308, "k": 0.0}
+        scenario = _write(tmp_path, "s.json", data)
+        assert main([command, scenario, "--output-dir", str(tmp_path / "out")]) == 3
+        assert "utility is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_nan_current_distance_cost_is_3(self, tmp_path, capsys):
+        # 0 · 8**400 is 0 · inf, which is NaN; consider and choose already refuse slope 0
+        data = _single_agent_scenario(steps=8, x_s=0.0)
+        data["agent"]["c1"] = {"variant": "power", "d": 0.0, "p": 400.0}
+        scenario = _write(tmp_path, "s.json", data)
+        assert main(["certify", scenario, "--output-dir", str(tmp_path / "out")]) == 3
+        assert "is NaN on the grid" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("x_s", [_INF, _NAN, -1.0])
