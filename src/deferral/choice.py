@@ -19,6 +19,7 @@ from .consideration import (
     ClosedInterval,
     consideration_interval,
     consideration_slice,
+    in_slice,
     maximal_indices_grid,
 )
 from .errors import DomainError
@@ -82,22 +83,45 @@ class SequentialCriteriaCertificate:
     stage1_survivors: tuple[float, ...]
 
 
-def _comprehensive(agent: AgentSpec, own: np.ndarray, u_own: np.ndarray, x_social,
-                   future_mean: float | None) -> np.ndarray:
-    """``w_u·u − w_2·c2 − w_1·c1`` at the own choices ``own``, whose utilities are ``u_own``."""
-    if (np.asarray(x_social) < 0).any():
-        raise DomainError(f"social choice must be nonnegative, got {x_social}")
+def _own_values(agent: AgentSpec, own: np.ndarray, u_own: np.ndarray, future_mean: float | None,
+                reach: float) -> np.ndarray:
+    """``w_u·u − w_2·c2`` at the own choices ``own``, whose utilities are ``u_own``.
+
+    The part of the kernel that the social choice leaves alone, so a search
+    computes it once.  ``reach`` is the largest ``|own − x_social|`` that
+    ``_comprehensive`` will meet.  A valid cost ``d·δ^p`` is NaN only as
+    ``0·inf``, once ``δ^p`` overflows, and then at every larger distance; so
+    a NaN in these values, or in ``c1`` at ``reach``, raises ``DomainError``.
+    That decides it from O(m) values, never from a table.
+    """
     if future_mean is None:
         future_mean = belief_mean(agent)
     w = agent.form
     vals = w.w_u * u_own
-    if w.w_2 != 0.0:
-        vals = vals - w.w_2 * eval_cost(agent.c2, np.abs(own - future_mean))
-    if w.w_1 != 0.0:
-        return vals - w.w_1 * eval_cost(agent.c1, np.abs(own - x_social))
-    if np.ndim(x_social):
-        return np.broadcast_to(vals, (np.shape(x_social)[0], len(vals)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if w.w_2 != 0.0:
+            vals = vals - w.w_2 * eval_cost(agent.c2, np.abs(own - future_mean))
+        far = eval_cost(agent.c1, np.float64(reach)) if w.w_1 != 0.0 else 0.0
+    if np.isnan(vals).any():
+        raise DomainError(f"future-distance cost {agent.c2} is NaN on the grid")
+    if np.isnan(far):
+        raise DomainError(f"current-distance cost {agent.c1} is NaN at distance {reach}")
     return vals
+
+
+def _comprehensive(agent: AgentSpec, own: np.ndarray, base: np.ndarray, x_social) -> np.ndarray:
+    """``base − w_1·c1(|own − x_social|)``: the comprehensive values at the own choices ``own``.
+
+    ``base`` is their ``_own_values``.  The result has the broadcast shape of
+    ``own`` and ``x_social``, and is a read-only view of ``base`` when
+    ``w_1 = 0``.
+    """
+    if (np.asarray(x_social) < 0).any():
+        raise DomainError(f"social choice must be nonnegative, got {x_social}")
+    w_1 = agent.form.w_1
+    if w_1 != 0.0:
+        return base - w_1 * eval_cost(agent.c1, np.abs(own - x_social))
+    return np.broadcast_to(base, np.broadcast_shapes(np.shape(base), np.shape(x_social)))
 
 
 def comprehensive_value(
@@ -115,8 +139,10 @@ def comprehensive_value(
     """
     if x < 0 or x_social < 0:
         raise DomainError(f"comprehensive_value needs nonnegative inputs, got ({x}, {x_social})")
-    u_own = np.array([eval_utility(agent.utility, x)])
-    return float(_comprehensive(agent, np.array([x], dtype=float), u_own, x_social, future_mean)[0])
+    own = np.array([x], dtype=float)
+    base = _own_values(agent, own, np.array([eval_utility(agent.utility, x)]), future_mean,
+                       abs(x - x_social))
+    return float(_comprehensive(agent, own, base, x_social)[0])
 
 
 def comprehensive_values(
@@ -132,20 +158,30 @@ def comprehensive_values(
     (a read-only view when the rows coincide).  Rows do not depend on how
     many are computed together.
     """
-    return _comprehensive(agent, grid.points, utility_values(agent.utility, grid), x_social, future_mean)
+    pts = grid.points
+    reach = np.abs(pts[[0, -1]] - np.asarray(x_social)).max(initial=0.0)  # pts ascend
+    base = _own_values(agent, pts, utility_values(agent.utility, grid), future_mean, reach)
+    return _comprehensive(agent, pts, base, x_social)
 
 
 def grid_argmax(agent: AgentSpec, grid: Grid, x_social, future_mean: float | None = None,
-                restricted: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                restricted: bool = False,
+                values: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``near_best`` of the comprehensive values: the one grid argmax of every choice.
 
     ``x_social`` is a scalar or a column, as for ``comprehensive_values``.  When
     ``restricted``, points outside the ``consideration_slice`` count as
-    ``-inf``, and the slice's checks run before the kernel's.
+    ``-inf``, and the slice's checks run before the kernel's.  A caller that
+    already has the comprehensive values passes them as ``values``; the
+    kernel does not run again, and ``future_mean`` goes unused.
     """
-    mask = consideration_slice(agent.utility, agent.c1, x_social, grid)[2] if restricted else None
-    vals = comprehensive_values(agent, grid, x_social, future_mean)
-    return near_best(vals if mask is None else np.where(mask, vals, -np.inf))
+    mask = None
+    if restricted:
+        first, last = consideration_slice(agent.utility, agent.c1, x_social, grid)[2:]
+        mask = in_slice(np.arange(len(grid.points)), first, last)
+    if values is None:
+        values = comprehensive_values(agent, grid, x_social, future_mean)
+    return near_best(values if mask is None else np.where(mask, values, -np.inf))
 
 
 def second_stage_choice(agent: AgentSpec, x_social: float, grid: Grid) -> ChoiceResult:
@@ -185,12 +221,13 @@ def two_criteria_certificate(
     certificate signals an implementation bug, not a model state.
     """
     survivors = maximal_indices_grid(agent.utility, agent.c1, x_social, grid)
-    gamma = survivors[near_best(comprehensive_values(agent, grid, x_social)[survivors])[1]]
-    chosen = second_stage_choice(agent, x_social, grid)
-    gamma_points = tuple(float(x) for x in grid.points[gamma])
-    holds = gamma_points == chosen.chosen
+    # one kernel table serves both routes: gamma over the survivors, the choice over the slice
+    vals = comprehensive_values(agent, grid, x_social)
+    gamma = survivors[near_best(vals[survivors])[1]]
+    chosen = grid_argmax(agent, grid, x_social, restricted=True, values=vals)[1]
+    pts = grid.points
     return SequentialCriteriaCertificate(
-        holds=holds,
-        gamma=gamma_points,
-        stage1_survivors=tuple(float(x) for x in grid.points[survivors]),
+        holds=np.array_equal(gamma, np.flatnonzero(chosen)),
+        gamma=tuple(float(x) for x in pts[gamma]),
+        stage1_survivors=tuple(float(x) for x in pts[survivors]),
     )

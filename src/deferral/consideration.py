@@ -160,19 +160,27 @@ def interval_grid_indices(interval: ClosedInterval, grid: Grid) -> np.ndarray:
 
 
 def consideration_slice(u: UtilityFunction, c1: CostFunction, x_social,
-                        grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                        grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The consideration interval of each social choice and its grid slice (vectorized).
 
     The one interval-to-grid mapping of the grid searches.  ``x_social`` is
     a scalar or a column of social choices (shape ``(rows, 1)``).  Returns
-    the interval bounds ``lo`` and ``hi``, shaped like ``x_social``, and the
-    mask of the grid points in each slice (see ``interval_index_bounds``),
-    one row per social choice.  Raises as ``consideration_bounds`` does.
+    the interval bounds ``lo`` and ``hi`` and the slice's first and last
+    grid index (see ``interval_index_bounds``), all shaped like
+    ``x_social``; ``in_slice`` tests grid indices against them.  Raises as
+    ``consideration_bounds`` does.
     """
     lo, hi = consideration_bounds(u, c1, x_social)
-    i_lo, i_hi = interval_index_bounds(lo, hi, grid)
-    own = np.arange(len(grid.points))
-    return lo, hi, (own >= i_lo) & (own <= i_hi)
+    return lo, hi, *interval_index_bounds(lo, hi, grid)
+
+
+def in_slice(own, first, last) -> np.ndarray:
+    """Whether each grid index ``own`` lies in the slice ``[first, last]`` (broadcast).
+
+    With ``own`` the grid's indices and a column of slices, it is the mask of
+    the grid points in each slice, one row per slice.
+    """
+    return (own >= first) & (own <= last)
 
 
 def _undominated(uv: np.ndarray, cv: np.ndarray) -> np.ndarray:

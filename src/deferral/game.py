@@ -10,10 +10,12 @@ aggregated beliefs.  Two equilibrium notions are supported:
 * after deferral: every agent's choice lies in, and maximizes their payoff
   over, the consideration set induced by the others' choices.
 
-For two agents the search is exhaustive on the grid (every profile tested);
-for more agents a simultaneous best-response iteration from a start lattice
-finds fixed points without any completeness claim.  Every start is iterated
-at once, one row per start, in blocks of rows.
+For two agents the search is exhaustive on the grid (every profile tested),
+in blocks of payoff rows that keep O(m) results between them for m grid
+points; for more agents a simultaneous best-response iteration from a start
+lattice finds fixed points without any completeness claim.  Every start is
+iterated at once, one row per start, in blocks of rows.  One cap on the
+cells of a block, ``_BLOCK_CELLS``, bounds the memory of both engines.
 """
 
 from __future__ import annotations
@@ -26,8 +28,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .choice import comprehensive_value, comprehensive_values, grid_argmax
-from .consideration import ClosedInterval, consideration_slice, require_closed_form
+from .choice import (
+    _comprehensive,
+    _own_values,
+    comprehensive_value,
+    comprehensive_values,
+    grid_argmax,
+)
+from .consideration import ClosedInterval, consideration_slice, in_slice, require_closed_form
 from .errors import (
     ClosedFormUnavailable,
     DomainError,
@@ -45,6 +53,7 @@ from .model import (
     Quadratic,
     Tabulated,
     Violation,
+    utility_values,
 )
 
 Profile = tuple[float, ...]
@@ -54,8 +63,9 @@ START_LATTICE_POINTS = 11
 #: The default lattice has START_LATTICE_POINTS**n starts; cap n to keep it sane.
 MAX_LATTICE_AGENTS = 4
 _MAX_ITERATIONS = 500
-#: Cap on the cells (rows x grid points) of one payoff block in the lattice
-#: search; it bounds the search's memory whatever the number of starts.
+#: Cap on the cells (rows x grid points) of one payoff block in both engines:
+#: the two-agent search's blocks of table rows and the lattice's blocks of
+#: starts.  It bounds their memory whatever the grid or the number of starts.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -334,9 +344,21 @@ def is_exact_family(game: GameSpec) -> bool:
     )
 
 
-def _tolerance(game: GameSpec, tables: Sequence[np.ndarray], tolerance: float | None) -> float:
-    """``tolerance``, else the default regret tolerance for payoffs indexed by own choice last.
+def _tolerance_stat(exact: bool, rows: np.ndarray) -> float:
+    """The default tolerance's statistic over payoff rows, own choice last.
 
+    The largest ``|U|`` in the exact family (``exact``), else the largest
+    payoff change between neighbouring own choices.
+    """
+    if exact:
+        return float(np.abs(rows).max())
+    return float(np.abs(np.diff(rows, axis=-1)).max())
+
+
+def _tolerance(exact: bool, stats, tolerance: float | None) -> float:
+    """``tolerance``, else the default regret tolerance from ``_tolerance_stat`` values.
+
+    ``stats`` has one row per block of payoff rows and one column per agent.
     For the exact (quadratic + linear) family the equilibria are exact and
     only float noise must be absorbed: ``1e-9 * (1 + max|U|)`` over the
     tables.  Otherwise a one-grid-step payoff Lipschitz bound: the largest
@@ -344,9 +366,8 @@ def _tolerance(game: GameSpec, tables: Sequence[np.ndarray], tolerance: float | 
     """
     if tolerance is not None:
         return tolerance
-    if is_exact_family(game):
-        return 1e-9 * (1.0 + max(float(np.abs(t).max()) for t in tables))
-    return max(float(np.abs(np.diff(t, axis=-1)).max()) for t in tables)
+    stat = max(np.max(stats, axis=0).tolist())  # each agent's over the blocks, then over agents
+    return 1e-9 * (1.0 + stat) if exact else stat
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +393,10 @@ def _certificates(profiles, values, best, slices, member, tol):
 
     ``profiles``, ``values`` and ``best`` have one row per profile and one
     column per agent: the choices, each agent's payoff and their best payoff
-    over the grid.  ``slices`` is ``_slice_step``'s ``(rbest, lo, hi)`` shaped
-    like ``best``, or ``None`` without the closed form, and ``member`` says
-    per profile whether every choice lies in its consideration set.  The
+    over the grid.  ``slices`` is ``(rbest, lo, hi)`` from ``_slice_best``
+    and ``_slices``, shaped like ``best``, or ``None`` without the closed
+    form, and ``member`` says per profile whether every choice lies in its
+    consideration set.  The
     standard test passes when every payoff is ``>= best - tol``; the
     after-deferral test needs ``member`` and every payoff ``>= rbest - tol``.
     The kind follows from the tests passed, and ``max_regret`` is the
@@ -397,20 +419,28 @@ def _certificates(profiles, values, best, slices, member, tol):
     ]
 
 
-def _slice_step(game: GameSpec, grid: Grid, socials, tables):
-    """``(rbest, lo, hi)`` and the slice masks, or ``(None, None)`` without the closed form.
+def _slices(game: GameSpec, grid: Grid, socials):
+    """``(lo, hi, first, last)`` of each agent's ``consideration_slice``, one column per agent.
 
-    ``socials[a]`` is a column of agent ``a``'s social choices and ``tables[a]`` their
-    payoffs, a row each.  ``rbest`` is each row's best payoff over its slice and
-    ``lo``, ``hi`` its interval bounds, one column per agent.
+    ``socials[a]`` is a column of agent ``a``'s social choices.  ``None``
+    without the closed form.
     """
     try:
-        lo, hi, masks = zip(*(consideration_slice(a.utility, a.c1, s, grid)
-                              for a, s in zip(game.agents, socials)))
+        parts = [consideration_slice(a.utility, a.c1, s, grid) for a, s in zip(game.agents, socials)]
     except ClosedFormUnavailable:
-        return None, None
-    rbest = [t.max(axis=-1, where=mask, initial=-np.inf) for t, mask in zip(tables, masks)]
-    return (np.stack(rbest, axis=1), np.hstack(lo), np.hstack(hi)), masks
+        return None
+    return tuple(np.hstack(c) for c in zip(*parts))
+
+
+def _slice_best(tables, first, last) -> np.ndarray:
+    """``rbest``: each row's best payoff over its slice, one column per agent.
+
+    ``tables[a]`` holds agent ``a``'s payoffs, a row each, and column ``a``
+    of ``first`` and ``last`` the grid index bounds of the rows' slices.
+    """
+    own = np.arange(tables[0].shape[-1])
+    return np.stack([t.max(axis=-1, where=in_slice(own, f[:, None], l[:, None]), initial=-np.inf)
+                     for t, f, l in zip(tables, first.T, last.T)], axis=1)
 
 
 def classify_profile(
@@ -439,14 +469,16 @@ def classify_profile(
         future = aggregate_beliefs(game, i).mean()
         vectors.append(comprehensive_values(agent, grid, socials[-1], future))
         values.append(comprehensive_value(agent, profile[i], socials[-1].item(), future))
-    tolerance = _tolerance(game, vectors, tolerance)
-    member = None
-    slices, masks = _slice_step(game, grid, socials, vectors)
-    if slices is not None:
-        _, lo, hi = slices
-        ends = [grid.points[mask[0]][[0, -1]] for mask in masks]
-        member = np.array([all(min(l, first) - EXACT_TOL <= x <= max(h, last) + EXACT_TOL
-                               for x, l, h, (first, last) in zip(profile, lo[0], hi[0], ends))])
+    exact = is_exact_family(game)
+    tolerance = _tolerance(exact, [[_tolerance_stat(exact, v) for v in vectors]], tolerance)
+    slices = member = None
+    bounds = _slices(game, grid, socials)
+    if bounds is not None:
+        lo, hi, first, last = bounds
+        slices = _slice_best(vectors, first, last), lo, hi
+        ends = grid.points[first[0]], grid.points[last[0]]
+        member = np.array([all(min(l, f) - EXACT_TOL <= x <= max(h, g) + EXACT_TOL
+                               for x, l, h, f, g in zip(profile, lo[0], hi[0], *ends))])
     certificates = _certificates(np.array([profile], dtype=float), np.array([values]),
                                  np.array([[v.max() for v in vectors]]), slices, member, tolerance)
     return certificates[0] if certificates else None
@@ -457,41 +489,77 @@ def classify_profile(
 
 
 def _two_player_find(game, grid, tolerance, restricted):
-    """Test every grid profile ``(i1, i2)`` of a two-agent game at once.
+    """Test every grid profile ``(i1, i2)`` of a two-agent game, in blocks of rows.
 
-    Agent ``a``'s table ``tables[a][j, k]`` is their payoff for own grid
-    choice ``k`` against the opponent's grid choice ``j``: one kernel call
-    with a column of social choices, one per opponent grid choice.  Agent 0
-    plays ``i1`` against ``i2`` and agent 1 plays ``i2`` against ``i1``, so
-    verdicts ``ok[a][j, k]`` in that layout become the profile mask
-    ``ok[0].T & ok[1]``.  Only the searched test is built on every profile:
-    the after-deferral test when ``restricted``, else the standard test.
-    ``_certificates`` then runs both tests on the profiles that pass it.
+    Row ``j`` of agent ``a``'s payoff table holds their payoff for each own
+    grid choice against the opponent's grid choice ``j``; agent 0 plays
+    ``i1`` against ``i2`` and agent 1 plays ``i2`` against ``i1``.  No table
+    is ever whole.  Pass 1 goes over both tables in blocks of at most
+    ``_BLOCK_CELLS`` cells and keeps O(m) results per agent, m being the
+    number of grid points: each row's best and best over its slice
+    (``rbest``), the slices' bounds and the default tolerance's statistic.
+    Pass 2 goes over agent 1's rows again, one block of ``i1`` at a time,
+    and runs the searched test there (after deferral when ``restricted``,
+    else standard).  It evaluates agent 0's payoff only at the surviving
+    profiles and runs agent 0's test on them.  ``_certificates`` then runs
+    both tests on the profiles that pass both agents' searched test, in the
+    order of ``(i1, i2)``.
     """
     pts = grid.points
-    # row j's opponent plays grid point j
+    rows = max(1, _BLOCK_CELLS // len(pts))
+    blocks = [slice(first, first + rows) for first in range(0, len(pts), rows)]
+    exact = is_exact_family(game)
+    # row j's opponent plays grid point j, so no distance exceeds the grid's span
     socials = [_reference_points([pts[:, None]], *_social_weights(game, a)) for a in range(2)]
-    tables = [comprehensive_values(agent, grid, s, aggregate_beliefs(game, a).mean())
-              for a, (agent, s) in enumerate(zip(game.agents, socials))]
-    tol = _tolerance(game, tables, tolerance)
-    best = np.stack([t.max(axis=1) for t in tables], axis=1)
-    slices, masks = _slice_step(game, grid, socials, tables)
-    if restricted:
-        # built in place in the slice masks, which then still hold at every hit
-        for t, mask, r in zip(tables, masks, slices[0].T):
-            mask &= t >= r[:, None] - tol
-        ok = masks
-    else:
-        ok = [t >= b[:, None] - tol for t, b in zip(tables, best.T)]
-    i1, i2 = np.nonzero(ok[0].T & ok[1])
+    bases = [_own_values(agent, pts, utility_values(agent.utility, grid),
+                         aggregate_beliefs(game, a).mean(), pts[-1] - pts[0])
+             for a, agent in enumerate(game.agents)]
+
+    def table(a, block):
+        return _comprehensive(game.agents[a], pts, bases[a], socials[a][block])
+
+    bounds = _slices(game, grid, socials)  # O(m) per agent, so every row at once
+    best, rbest, stats = [], [], []
+    for block in blocks:
+        tables = [table(a, block) for a in range(2)]
+        best.append(np.stack([t.max(axis=1) for t in tables], axis=1))
+        if bounds is not None:
+            rbest.append(_slice_best(tables, bounds[2][block], bounds[3][block]))
+        if tolerance is None:
+            stats.append([_tolerance_stat(exact, t) for t in tables])
+    tol = _tolerance(exact, stats, tolerance)
+    best = np.concatenate(best)
+    if bounds is not None:
+        rbest = np.concatenate(rbest)
+        lo, hi, first, last = bounds
+    # the searched test: payoff >= limit - tol, and each choice in its slice after deferral
+    limit = rbest if restricted else best
+
+    own = np.arange(len(pts))
+    hits = []
+    for block in blocks:
+        values = table(1, block)
+        ok = values >= limit[block, 1:] - tol
+        if restricted:
+            ok &= in_slice(own, first[block, 1:], last[block, 1:])
+        r, i2 = np.nonzero(ok)
+        i1 = r + block.start
+        # agent 0's payoffs at the hits only, as columns so that w_1 = 0 keeps one value per hit
+        v0 = _comprehensive(game.agents[0], pts[i1, None], bases[0][i1, None], socials[0][i2])[:, 0]
+        ok = v0 >= limit[i2, 0] - tol
+        if restricted:
+            ok &= in_slice(i1, first[i2, 0], last[i2, 0])
+        hits.append((i1[ok], i2[ok], v0[ok], values[r[ok], i2[ok]]))
+    i1, i2, v0, v1 = (np.concatenate(c) for c in zip(*hits))
+    profiles = np.stack([i1, i2], axis=1)
     # agent a's entry of a per-row array sits in column a of the opponent's row
     at_opponent = np.stack([i2, i1], axis=1), np.arange(2)
     return _certificates(
-        pts[np.stack([i1, i2], axis=1)],
-        np.stack([tables[0][i2, i1], tables[1][i1, i2]], axis=1),
+        pts[profiles],
+        np.stack([v0, v1], axis=1),
         best[at_opponent],
-        None if slices is None else tuple(s[at_opponent] for s in slices),
-        None if slices is None else masks[0][i2, i1] & masks[1][i1, i2],
+        None if bounds is None else tuple(s[at_opponent] for s in (rbest, lo, hi)),
+        None if bounds is None else in_slice(profiles, first[at_opponent], last[at_opponent]).all(axis=1),
         tol,
     )
 
@@ -517,9 +585,10 @@ def _lattice_sweep(game: GameSpec, grid: Grid, restricted: bool):
     smallest ``grid_argmax`` point (restricted to their consideration slice
     when ``restricted``) against the row's other choices.  It works through
     the rows in blocks of at most ``_BLOCK_CELLS`` payoff cells, so its
-    memory is bounded whatever the number of rows.  Aggregated beliefs and aggregator weights are computed
-    once here, so their errors propagate before any iteration.  The
-    restricted map reads ``consideration_slice``, whose closed-form checks
+    memory is bounded whatever the number of rows.  Aggregator weights and
+    each agent's ``_own_values`` on the grid are computed once here, so
+    their errors propagate before any iteration.  The restricted map reads
+    ``consideration_slice``, whose closed-form checks
     ``find_equilibria_after_deferral`` also runs before any search.
     """
     pts = grid.points
@@ -527,16 +596,22 @@ def _lattice_sweep(game: GameSpec, grid: Grid, restricted: bool):
     agents = []
     for i, agent in enumerate(game.agents):
         others = [j for j in range(game.n) if j != i]
-        agents.append((agent, others, _social_weights(game, i), aggregate_beliefs(game, i).mean()))
+        weights = _social_weights(game, i)
+        # rounding is monotone, so the largest social choice is every other agent at the end
+        reach = max(pts[-1], _reference_points([pts[-1]] * len(others), *weights))
+        base = _own_values(agent, pts, utility_values(agent.utility, grid),
+                           aggregate_beliefs(game, i).mean(), reach)
+        agents.append((agent, others, weights, base))
 
     def sweep(state: np.ndarray) -> np.ndarray:
         updated = np.empty_like(state)
         for first in range(0, len(state), rows):
             block = slice(first, first + rows)
             xs = pts[state[block]]
-            for i, (agent, others, social_weights, future) in enumerate(agents):
-                socials = _reference_points(xs[:, others].T, *social_weights)
-                near = grid_argmax(agent, grid, socials[:, None], future, restricted)[1]
+            for i, (agent, others, social_weights, base) in enumerate(agents):
+                socials = _reference_points(xs[:, others].T, *social_weights)[:, None]
+                values = _comprehensive(agent, pts, base, socials)
+                near = grid_argmax(agent, grid, socials, restricted=restricted, values=values)[1]
                 updated[block, i] = np.argmax(near, axis=1)
         return updated
 

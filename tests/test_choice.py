@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import deferral as d
 from conftest import point_mass, quad_agent
+from deferral import choice
 
 
 @pytest.fixture
@@ -32,6 +33,26 @@ class TestComprehensiveValue:
     def test_negative_inputs_rejected(self, example_agent):
         with pytest.raises(d.DomainError):
             d.comprehensive_value(example_agent, -1.0, 2.0)
+
+    def test_a_nan_cost_is_refused_where_it_is_met(self):
+        # 0 · δ**400 is 0 · inf = NaN once δ**400 overflows, beyond δ ≈ 5.87
+        far = d.PowerCost(0.0, 400.0)
+        grid = d.Grid(8.0, 8)
+        future, current = quad_agent(c2=far, belief=0.0), quad_agent(c1=far)
+        for agent, x_social in ((future, 4.0), (current, 0.0)):
+            for call in (lambda: d.comprehensive_values(agent, grid, x_social),
+                         lambda: d.comprehensive_values(agent, grid, grid.points[:, None]),
+                         lambda: d.unconstrained_optimum(agent, x_social, grid),
+                         lambda: d.comprehensive_value(agent, 8.0, x_social)):
+                with pytest.raises(d.DomainError, match="is NaN"):
+                    call()
+        # nearer than the overflow the same costs are zero, and a zero weight never reads one
+        assert d.comprehensive_value(future, 1.0, 2.0) == 6.0
+        assert d.comprehensive_value(current, 5.0, 0.0) == -25.0
+        assert d.comprehensive_values(current, grid, 4.0)[5] == -25.0
+        no_current = quad_agent(c1=far, weights=(1.0, 0.0, 1.0))
+        assert np.array_equal(d.comprehensive_values(no_current, grid, 0.0),
+                              [d.eval_utility(no_current.utility, x) for x in grid.points])
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -162,6 +183,16 @@ class TestTwoCriteriaCertificate:
         cert = d.two_criteria_certificate(example_agent, 4.0, d.Grid(8.0, 400))
         assert cert.holds
         assert set(cert.gamma) <= set(cert.stage1_survivors)
+
+    def test_one_kernel_table_gives_gamma_and_the_choice(self, example_agent, monkeypatch):
+        grid = d.Grid(8.0, 400)
+        kernel, calls = choice.comprehensive_values, []
+        monkeypatch.setattr(choice, "comprehensive_values",
+                            lambda *args: calls.append(args) or kernel(*args))
+        cert = d.two_criteria_certificate(example_agent, 4.0, grid)
+        assert len(calls) == 1
+        assert cert.holds is True
+        assert cert.gamma == d.second_stage_choice(example_agent, 4.0, grid).chosen
 
     def test_singleton_interval_certificate(self, example_agent):
         cert = d.two_criteria_certificate(example_agent, 1.0, d.Grid(8.0, 400))

@@ -172,17 +172,23 @@ def test_index_bounds_of_many_intervals_match_one_at_a_time():
 
     # the slice of a column of social choices: half-step tie at the peak, sub-cell,
     # clipped beyond x_max and ordinary rows, each as its interval's grid indices
-    from deferral.consideration import consideration_slice
+    from deferral.consideration import consideration_slice, in_slice
+
+    def slice_mask(first, last):
+        return in_slice(np.arange(len(grid.points)), first, last)
 
     u, c1 = d.Quadratic(1.0, 2.0 * (1.0 + h), 0.0), d.LinearCost(1.0)  # peak 1 + h
     socials = np.array([1.0 + h, 1.0 + 1.2 * h, 0.0, 3.0 - h, 2.3, 7.9, 9.0, 1.0])
-    lo, hi, mask = consideration_slice(u, c1, socials[:, None], grid)
-    assert lo.shape == hi.shape == (len(socials), 1) and mask.shape == (len(socials), len(grid.points))
+    lo, hi, first, last = consideration_slice(u, c1, socials[:, None], grid)
+    mask = slice_mask(first, last)
+    assert lo.shape == hi.shape == first.shape == last.shape == (len(socials), 1)
+    assert mask.shape == (len(socials), len(grid.points))
     for k, x_social in enumerate(socials):
         iv = d.consideration_interval(u, c1, float(x_social))
         assert (lo[k, 0], hi[k, 0]) == (iv.lo, iv.hi)
         assert np.flatnonzero(mask[k]).tolist() == d.interval_grid_indices(iv, grid).tolist()
-        assert np.array_equal(consideration_slice(u, c1, float(x_social), grid)[2], mask[k])
+        assert np.array_equal(slice_mask(*consideration_slice(u, c1, float(x_social), grid)[2:]),
+                              mask[k])
     assert np.flatnonzero(mask[0]).tolist() == [4, 5]
     with pytest.raises(d.DomainError):
         consideration_slice(u, c1, np.array([[2.0], [-0.5]]), grid)

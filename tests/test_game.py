@@ -1,6 +1,8 @@
 import itertools
+import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deferral as d
+import dense_search
 import slice_argmax
 from conftest import X_MAX, point_mass, quad_agent, two_agent_game
 from deferral.game import _BLOCK_CELLS, START_LATTICE_POINTS
@@ -833,3 +836,102 @@ class TestLatticeConvergenceCounts:
         with pytest.raises(d.DomainError):
             d.find_equilibria(game, d.Grid(4.0, 40), starts=[(1.0, 2.0)])
         assert d.find_equilibria(game, d.Grid(4.0, 40), starts=[]) == []
+
+
+# --- the row-blocked two-agent search against the search on whole tables ---------
+
+
+_FAMILIES = ("exact", "power", "tabulated", "weighted", "zero c1", "w_1 = 0")
+
+
+@st.composite
+def _two_agent_games(draw):
+    """A two-agent game of one family on a grid of 7, 17 or 41 points, none a multiple of 3."""
+    family = draw(st.sampled_from(_FAMILIES))
+    steps = draw(st.sampled_from([6, 16, 40]))
+    grid = d.Grid(8.0, steps)
+    linear = st.sampled_from([0.5, 1.0, 3.0]).map(d.LinearCost)
+    power = st.builds(d.PowerCost, st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([1.5, 2.0, 2.5]))
+    agents = []
+    for a in range(2):
+        # a peak on a grid point or a midpoint, where ties (and invalid tabulations) occur
+        peak = draw(st.integers(0, 2 * steps)) * grid.step / 2
+        if family == "tabulated":
+            utility = d.Tabulated(tuple(3.0 - abs(x - peak) ** 1.5 for x in grid.points), grid)
+        else:
+            curvature = draw(st.sampled_from([0.5, 1.0, 2.0]))
+            utility = d.Quadratic(curvature, 2.0 * curvature * peak, draw(st.sampled_from([0.0, 5.0])))
+        costs = power if family == "power" else linear
+        c1, c2 = draw(costs), draw(costs | st.just(d.LinearCost(0.0)))
+        if family == "zero c1" and a == 0:
+            c1 = d.LinearCost(0.0)  # no closed form: the standard search only
+        form = d.ComprehensiveUtilityForm(1.0, 0.0 if family == "w_1 = 0" and a == 1 else 1.0, 1.0)
+        agents.append(d.AgentSpec(utility, c1, c2, (point_mass(draw(st.integers(0, 8))),), form))
+    weights = draw(st.sampled_from([(0.3, 0.7), (0.9, 0.1)]))
+    aggregator = d.WeightedChoice(weights) if family == "weighted" else d.MeanChoice()
+    return d.GameSpec(tuple(agents), choice_aggregator=aggregator), grid
+
+
+#: Rows per block for ``m`` grid points: one, three (which never divide the
+#: m of ``_two_agent_games``) and more than the table has.
+_BLOCK_ROWS = {"one row": lambda m: 1, "not a divisor": lambda m: 3, "beyond m": lambda m: m + 1}
+
+
+@pytest.mark.parametrize("block", _BLOCK_ROWS)
+@settings(max_examples=60, deadline=None)
+@given(game_grid=_two_agent_games(), tolerance=st.sampled_from([None, 0.0, 1e-9, 0.5]))
+def test_row_blocks_give_the_dense_certificates(block, game_grid, tolerance):
+    game, grid = game_grid
+    m = len(grid.points)
+    with mock.patch("deferral.game._BLOCK_CELLS", _BLOCK_ROWS[block](m) * m):
+        for finder, dense in ((d.find_equilibria, dense_search.find_equilibria),
+                              (d.find_equilibria_after_deferral,
+                               dense_search.find_equilibria_after_deferral)):
+            assert _outcome(finder, game, grid, tolerance) == _outcome(dense, game, grid, tolerance)
+
+
+@pytest.mark.parametrize("fixture,steps", [("akerlof_game", 400), ("example42_game", 400),
+                                           ("power_cost_game", 200), ("weighted_pair_game", 400)])
+def test_fixture_certificates_equal_the_dense_oracle(fixture, steps, request):
+    # several rows per block at these sizes, and the last block is short
+    game = request.getfixturevalue(fixture)
+    grid = d.Grid(X_MAX[fixture], steps)
+    assert (steps + 1) % (_BLOCK_CELLS // (steps + 1)) != 0
+    assert d.find_equilibria(game, grid) == dense_search.find_equilibria(game, grid)
+    assert (d.find_equilibria_after_deferral(game, grid)
+            == dense_search.find_equilibria_after_deferral(game, grid))
+
+
+def test_both_searches_hold_no_table_at_4000_steps(akerlof_game):
+    # a table of 4001 x 4001 float64 is 128 MB and its boolean mask 16 MB
+    grid = d.Grid(8.0, 4000)
+    grid.points  # cached on the grid, not the searches' memory
+    tracemalloc.start()
+    try:
+        standard = d.find_equilibria(akerlof_game, grid)
+        deferred = d.find_equilibria_after_deferral(akerlof_game, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c.profile for c in standard] == [c.profile for c in deferred]
+    assert [c.profile for c in standard] == [(x, x) for x in grid.points[:1001].tolist()]
+    assert peak < 16 * 2**20
+
+
+def test_a_nan_cost_is_refused_before_the_search():
+    # 0 · 8**400 is 0 · inf = NaN at the far end of the grid
+    far = d.PowerCost(0.0, 400.0)
+    grid = d.Grid(8.0, 8)
+    for agent in (quad_agent(c1=far), quad_agent(c2=far, belief=0.0)):
+        game = two_agent_game(agent, quad_agent())
+        for finder in (d.find_equilibria, dense_search.find_equilibria):
+            with pytest.raises(d.DomainError, match="is NaN"):
+                finder(game, grid)
+        # the lattice refuses it too, before its first sweep
+        beliefs = (point_mass(0.0),) * 2
+        trio = d.GameSpec(tuple(replace(a, beliefs=beliefs) for a in (agent, quad_agent(), quad_agent())))
+        with pytest.raises(d.DomainError, match="is NaN"):
+            d.find_equilibria(trio, grid, starts=[(0.0, 0.0, 0.0)])
+    # with w_1 = 0 the current-distance cost is never evaluated
+    game = two_agent_game(quad_agent(c1=far, weights=(1.0, 0.0, 1.0)), quad_agent())
+    assert d.find_equilibria(game, grid) == dense_search.find_equilibria(game, grid)

@@ -265,6 +265,16 @@ class TestNonFiniteAndOutOfRangeNumbers:
         assert "is NaN on the grid" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_nan_future_distance_cost_is_3(self, tmp_path, capsys):
+        # far from the belief at 0, 0 · δ**400 is 0 · inf; choose used to write x_hat 0, not 1
+        data = _single_agent_scenario(steps=8, x_s=2.0)
+        data["agent"].update(c1={"variant": "linear", "d": 1.0},
+                             c2={"variant": "power", "d": 0.0, "p": 400.0}, beliefs=[[[0.0, 1.0]]])
+        scenario = _write(tmp_path, "s.json", data)
+        assert main(["choose", scenario, "--output-dir", str(tmp_path / "out")]) == 3
+        assert "future-distance cost" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("x_s", [_INF, _NAN, -1.0])
     def test_social_choice_out_of_range_is_2(self, x_s, tmp_path, capsys):
         scenario = _write(tmp_path, "s.json", _single_agent_scenario(x_s=x_s))
