@@ -30,6 +30,7 @@ from .model import (
     eval_cost,
     eval_utility,
     near_best,
+    require_nonnegative,
     utility_values,
 )
 
@@ -83,44 +84,35 @@ class SequentialCriteriaCertificate:
     stage1_survivors: tuple[float, ...]
 
 
-def _own_values(agent: AgentSpec, own: np.ndarray, u_own: np.ndarray, future_mean: float | None,
-                reach: float) -> np.ndarray:
+def _own_values(agent: AgentSpec, own: np.ndarray, u_own: np.ndarray,
+                future_mean: float | None) -> np.ndarray:
     """``w_u·u − w_2·c2`` at the own choices ``own``, whose utilities are ``u_own``.
 
     The part of the kernel that the social choice leaves alone, so a search
-    computes it once.  ``reach`` is the largest ``|own − x_social|`` that
-    ``_comprehensive`` will meet.  A valid cost ``d·δ^p`` is NaN only as
-    ``0·inf``, once ``δ^p`` overflows, and then at every larger distance; so
-    a NaN in these values, or in ``c1`` at ``reach``, raises ``DomainError``.
-    That decides it from O(m) values, never from a table.
+    computes it once.  No cost is NaN (``eval_cost``), so the values could be
+    NaN only where ``w_u·u`` is ``+inf`` and meets an infinite cost; a
+    ``w_u·u`` that is not finite, decided from ``max|u|`` without overflowing,
+    raises ``DomainError`` instead, as does a future mean that is not finite.
     """
     if future_mean is None:
         future_mean = belief_mean(agent)
+    require_nonnegative("future mean", future_mean)
     w = agent.form
-    vals = w.w_u * u_own
-    with np.errstate(over="ignore", invalid="ignore"):
-        if w.w_2 != 0.0:
-            vals = vals - w.w_2 * eval_cost(agent.c2, np.abs(own - future_mean))
-        far = eval_cost(agent.c1, np.float64(reach)) if w.w_1 != 0.0 else 0.0
-    if np.isnan(vals).any():
-        raise DomainError(f"future-distance cost {agent.c2} is NaN on the grid")
-    if np.isnan(far):
-        raise DomainError(f"current-distance cost {agent.c1} is NaN at distance {reach}")
-    return vals
+    if not np.isfinite(w.w_u * float(np.abs(u_own).max())):
+        raise DomainError(f"weighted utility w_u·u is not finite (w_u = {w.w_u})")
+    return w.w_u * u_own - eval_cost(agent.c2, np.abs(own - future_mean), w.w_2)
 
 
 def _comprehensive(agent: AgentSpec, own: np.ndarray, base: np.ndarray, x_social) -> np.ndarray:
     """``base − w_1·c1(|own − x_social|)``: the comprehensive values at the own choices ``own``.
 
-    ``base`` is their ``_own_values``.  The result has the broadcast shape of
-    ``own`` and ``x_social``, and is a read-only view of ``base`` when
-    ``w_1 = 0``.
+    ``base`` is their ``_own_values``, and every social choice is finite and
+    nonnegative.  The result has the broadcast shape of ``own`` and
+    ``x_social``, and is a read-only view of ``base`` when ``w_1 = 0``.
     """
-    if (np.asarray(x_social) < 0).any():
-        raise DomainError(f"social choice must be nonnegative, got {x_social}")
     w_1 = agent.form.w_1
     if w_1 != 0.0:
-        return base - w_1 * eval_cost(agent.c1, np.abs(own - x_social))
+        return base - eval_cost(agent.c1, np.abs(own - x_social), w_1)
     return np.broadcast_to(base, np.broadcast_shapes(np.shape(base), np.shape(x_social)))
 
 
@@ -137,11 +129,9 @@ def comprehensive_value(
     value explicitly.  It is the ``comprehensive_values`` kernel on a one-element
     array, so it equals the table entry at ``x`` bit for bit.
     """
-    if x < 0 or x_social < 0:
-        raise DomainError(f"comprehensive_value needs nonnegative inputs, got ({x}, {x_social})")
+    require_nonnegative("comprehensive_value inputs", (x, x_social))
     own = np.array([x], dtype=float)
-    base = _own_values(agent, own, np.array([eval_utility(agent.utility, x)]), future_mean,
-                       abs(x - x_social))
+    base = _own_values(agent, own, np.array([eval_utility(agent.utility, x)]), future_mean)
     return float(_comprehensive(agent, own, base, x_social)[0])
 
 
@@ -156,12 +146,11 @@ def comprehensive_values(
     ``x_social`` is one social choice, giving one value per grid point, or a
     column of them (shape ``(rows, 1)``), giving one row per social choice
     (a read-only view when the rows coincide).  Rows do not depend on how
-    many are computed together.
+    many are computed together.  Each social choice must be finite and ``>= 0``.
     """
-    pts = grid.points
-    reach = np.abs(pts[[0, -1]] - np.asarray(x_social)).max(initial=0.0)  # pts ascend
-    base = _own_values(agent, pts, utility_values(agent.utility, grid), future_mean, reach)
-    return _comprehensive(agent, pts, base, x_social)
+    require_nonnegative("social choice", x_social)
+    base = _own_values(agent, grid.points, utility_values(agent.utility, grid), future_mean)
+    return _comprehensive(agent, grid.points, base, x_social)
 
 
 def grid_argmax(agent: AgentSpec, grid: Grid, x_social, future_mean: float | None = None,

@@ -24,6 +24,7 @@ from .model import (
     cost_is_strictly_increasing,
     eval_cost,
     eval_utility,
+    require_nonnegative,
     require_valid,
     utility_values,
 )
@@ -70,10 +71,9 @@ def one_many_compare(
     reverse weak comparison fails.  Ties in both coordinates therefore yield
     mutual weak dominance and no strict dominance.
     """
-    if x_i < 0 or x_j < 0 or x_social < 0:
-        raise DomainError(f"one_many_compare needs nonnegative inputs, got ({x_i}, {x_j}, {x_social})")
+    require_nonnegative("one_many_compare inputs", (x_i, x_j, x_social))
     u_i, u_j = eval_utility(u, x_i), eval_utility(u, x_j)
-    c_i, c_j = eval_cost(c1, abs(x_i - x_social)), eval_cost(c1, abs(x_j - x_social))
+    c_i, c_j = (float(eval_cost(c1, abs(x - x_social))) for x in (x_i, x_j))
     weak = u_i >= u_j and c_i <= c_j
     reverse = u_j >= u_i and c_j <= c_i
     return DominanceVerdict(weak=weak, strict=weak and not reverse)
@@ -113,12 +113,11 @@ def consideration_bounds(u: UtilityFunction, c1: CostFunction, x_social) -> tupl
 
     The interval runs between ``x_social`` and the peak of ``u`` and
     degenerates to the peak when the two coincide within ``EXACT_TOL``.
-    Raises ``DomainError`` for a negative social choice, then as
-    ``require_closed_form`` does when the closed form does not apply.
+    Raises ``DomainError`` unless each social choice is finite and ``>= 0``,
+    then as ``require_closed_form`` does when the closed form does not apply.
     """
     social = np.asarray(x_social, dtype=float)
-    if (social < 0).any():
-        raise DomainError(f"social choice must be nonnegative, got {x_social}")
+    require_nonnegative("social choice", x_social)
     require_closed_form(u, c1)
     peak = u.peak
     at_peak = np.abs(social - peak) <= EXACT_TOL
@@ -215,17 +214,11 @@ def maximal_indices_grid(
     makes no quasiconcavity assumption.  Point ``j`` is strictly dominated
     exactly when some point of higher utility costs no more, or some point
     of equal or higher utility costs strictly less; one sort by utility
-    decides both.  Raises ``DomainError`` for a negative social choice, a
-    utility that is not finite on the grid or a cost that is NaN.
+    decides both, an infinite cost included.  Raises ``DomainError`` for a
+    social choice that is not finite and ``>= 0``, or a non-finite utility.
     """
-    if x_social < 0:
-        raise DomainError(f"social choice must be nonnegative, got {x_social}")
-    uv = utility_values(u, grid)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cv = eval_cost(c1, np.abs(grid.points - x_social))
-    if np.isnan(cv).any():
-        raise DomainError(f"current-distance cost {c1} is NaN on the grid")
-    return _undominated(uv, cv)
+    require_nonnegative("social choice", x_social)
+    return _undominated(utility_values(u, grid), eval_cost(c1, np.abs(grid.points - x_social)))
 
 
 def maximal_set_grid(

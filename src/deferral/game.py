@@ -48,11 +48,11 @@ from .model import (
     FiniteRandomVariable,
     GameSpec,
     Grid,
-    LinearCost,
     MeanChoice,
     Quadratic,
     Tabulated,
     Violation,
+    cost_is_linear,
     utility_values,
 )
 
@@ -173,11 +173,11 @@ def aggregate_beliefs(game: GameSpec, i: int) -> FiniteRandomVariable:
 
 
 def _check_choices(choices: Sequence[float], count: int, x_max: float, what: str) -> None:
-    """Raise ``DomainError`` unless there are ``count`` choices, each in ``[0, x_max]``."""
+    """Raise ``DomainError`` unless there are ``count`` choices, each finite and in ``[0, x_max]``."""
     if len(choices) != count:
         raise DomainError(f"{what}: {len(choices)} entries, expected {count}")
     for x in choices:
-        if not 0 <= x <= x_max:
+        if not (0 <= x <= x_max and x < np.inf):
             raise DomainError(f"choice {x} outside [0, {x_max}]")
 
 
@@ -260,7 +260,7 @@ def _exact_best_response(game: GameSpec, i: int, x_social: float, grid: Grid) ->
     if not isinstance(u, Quadratic):
         raise MethodUnsupported("exact best response needs a quadratic utility")
     for c in (agent.c1, agent.c2):
-        if not isinstance(c, LinearCost):
+        if not cost_is_linear(c):
             raise MethodUnsupported("exact best response needs zero or linear costs")
     w = agent.form
     if w.w_u * u.a <= 0:
@@ -335,13 +335,9 @@ def best_response_curve(
 
 
 def is_exact_family(game: GameSpec) -> bool:
-    """Whether every agent has quadratic utility and linear costs."""
-    return all(
-        isinstance(a.utility, Quadratic)
-        and isinstance(a.c1, LinearCost)
-        and isinstance(a.c2, LinearCost)
-        for a in game.agents
-    )
+    """Whether every agent has quadratic utility and linear costs (``cost_is_linear``)."""
+    return all(isinstance(a.utility, Quadratic) and cost_is_linear(a.c1) and cost_is_linear(a.c2)
+               for a in game.agents)
 
 
 def _tolerance_stat(exact: bool, rows: np.ndarray) -> float:
@@ -352,7 +348,8 @@ def _tolerance_stat(exact: bool, rows: np.ndarray) -> float:
     """
     if exact:
         return float(np.abs(rows).max())
-    return float(np.abs(np.diff(rows, axis=-1)).max())
+    with np.errstate(invalid="ignore"):  # NaN between two -inf payoffs
+        return float(np.abs(np.diff(rows, axis=-1)).max())
 
 
 def _tolerance(exact: bool, stats, tolerance: float | None) -> float:
@@ -362,12 +359,17 @@ def _tolerance(exact: bool, stats, tolerance: float | None) -> float:
     For the exact (quadratic + linear) family the equilibria are exact and
     only float noise must be absorbed: ``1e-9 * (1 + max|U|)`` over the
     tables.  Otherwise a one-grid-step payoff Lipschitz bound: the largest
-    payoff change between neighbouring own choices.
+    payoff change between neighbouring own choices.  A default that is not
+    finite, NaN included whatever the agents' order, raises ``DomainError``.
     """
     if tolerance is not None:
         return tolerance
-    stat = max(np.max(stats, axis=0).tolist())  # each agent's over the blocks, then over agents
-    return 1e-9 * (1.0 + stat) if exact else stat
+    stat = float(np.max(stats))
+    tolerance = 1e-9 * (1.0 + stat) if exact else stat
+    if not np.isfinite(tolerance):
+        raise DomainError("the default tolerance is not finite, as a payoff is infinite; "
+                          "pass a tolerance (--tolerance)")
+    return tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +511,8 @@ def _two_player_find(game, grid, tolerance, restricted):
     rows = max(1, _BLOCK_CELLS // len(pts))
     blocks = [slice(first, first + rows) for first in range(0, len(pts), rows)]
     exact = is_exact_family(game)
-    # row j's opponent plays grid point j, so no distance exceeds the grid's span
     socials = [_reference_points([pts[:, None]], *_social_weights(game, a)) for a in range(2)]
-    bases = [_own_values(agent, pts, utility_values(agent.utility, grid),
-                         aggregate_beliefs(game, a).mean(), pts[-1] - pts[0])
+    bases = [_own_values(agent, pts, utility_values(agent.utility, grid), aggregate_beliefs(game, a).mean())
              for a, agent in enumerate(game.agents)]
 
     def table(a, block):
@@ -597,10 +597,7 @@ def _lattice_sweep(game: GameSpec, grid: Grid, restricted: bool):
     for i, agent in enumerate(game.agents):
         others = [j for j in range(game.n) if j != i]
         weights = _social_weights(game, i)
-        # rounding is monotone, so the largest social choice is every other agent at the end
-        reach = max(pts[-1], _reference_points([pts[-1]] * len(others), *weights))
-        base = _own_values(agent, pts, utility_values(agent.utility, grid),
-                           aggregate_beliefs(game, i).mean(), reach)
+        base = _own_values(agent, pts, utility_values(agent.utility, grid), aggregate_beliefs(game, i).mean())
         agents.append((agent, others, weights, base))
 
     def sweep(state: np.ndarray) -> np.ndarray:

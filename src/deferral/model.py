@@ -246,16 +246,24 @@ class GameSpec:
 # evaluation
 
 
+def require_nonnegative(what: str, x) -> None:
+    """Raise ``DomainError`` unless ``x`` (a number, a tuple or an array) is finite and ``>= 0``."""
+    values = np.asarray(x, dtype=float)
+    if not ((values >= 0) & (values < np.inf)).all():
+        raise DomainError(f"{what} must be finite and nonnegative, got {x}")
+
+
 def eval_utility(u: UtilityFunction, x: float) -> float:
     """Personal utility at ``x >= 0``.
 
-    Tabulated utilities are defined only on their grid points.
+    Tabulated utilities are defined only on their grid points.  A value
+    that is not finite raises ``DomainError``, as in ``utility_values``.
     """
-    if x < 0:
-        raise DomainError(f"utility argument must be nonnegative, got {x}")
-    if isinstance(u, Quadratic):
-        return -u.a * x * x + u.b * x + u.k
-    return u.values[u.grid.index_of(x)]
+    require_nonnegative("utility argument", x)
+    value = -u.a * x * x + u.b * x + u.k if isinstance(u, Quadratic) else u.values[u.grid.index_of(x)]
+    if not math.isfinite(value):
+        raise DomainError(f"{type(u).__name__} utility is not finite at {x}")
+    return value
 
 
 def utility_values(u: UtilityFunction, grid: Grid) -> np.ndarray:
@@ -278,11 +286,23 @@ def utility_values(u: UtilityFunction, grid: Grid) -> np.ndarray:
     return vals
 
 
-def eval_cost(c: CostFunction, delta) -> float | np.ndarray:
-    """Distance cost at ``delta >= 0``; accepts scalars or arrays."""
-    if isinstance(c, LinearCost):
-        return c.d * delta
-    return c.d * delta**c.p
+def eval_cost(c: CostFunction, delta, weight: float = 1.0) -> float | np.ndarray:
+    """``weight`` times the distance cost at finite ``delta >= 0``; accepts scalars or arrays.
+
+    The one cost arithmetic: a zero slope or weight is zero without taking a
+    power, and an overflow is ``+inf`` without a warning, so no cost is NaN.
+    """
+    if weight == 0.0 or c.d == 0.0:
+        return 0.0 * delta
+    with np.errstate(over="ignore"):
+        if isinstance(c, LinearCost):
+            return weight * (c.d * delta)
+        return weight * (c.d * np.asarray(delta, dtype=np.float64)**c.p)
+
+
+def cost_is_linear(c: CostFunction) -> bool:
+    """Whether ``c`` is ``d * delta``: a linear cost, or a zero slope, zero everywhere."""
+    return isinstance(c, LinearCost) or c.d == 0.0
 
 
 def cost_is_strictly_increasing(c: CostFunction) -> bool:

@@ -22,12 +22,18 @@ from deferral.game import _certificates, _reference_points, _social_weights
 
 def _tolerance(game, tables, tolerance):
     """``tolerance``, else ``1e-9·(1 + max|U|)`` in the exact family and the
-    largest one-step payoff change outside it, over the whole tables."""
+    largest one-step payoff change outside it, over the whole tables; a
+    default that is not finite (NaN included) raises ``DomainError``."""
     if tolerance is not None:
         return tolerance
     if d.is_exact_family(game):
-        return 1e-9 * (1.0 + max(float(np.abs(t).max()) for t in tables))
-    return max(float(np.abs(np.diff(t, axis=-1)).max()) for t in tables)
+        tolerance = 1e-9 * (1.0 + np.max([np.abs(t).max() for t in tables]))
+    else:
+        with np.errstate(invalid="ignore"):  # -inf - (-inf)
+            tolerance = np.max([np.abs(np.diff(t, axis=-1)).max() for t in tables])
+    if not np.isfinite(tolerance):
+        raise d.DomainError("the default tolerance is not finite")
+    return float(tolerance)
 
 
 def _slices(game, grid, socials, tables):

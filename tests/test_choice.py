@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,18 +36,31 @@ class TestComprehensiveValue:
         with pytest.raises(d.DomainError):
             d.comprehensive_value(example_agent, -1.0, 2.0)
 
-    def test_a_nan_cost_is_refused_where_it_is_met(self):
-        # 0 · δ**400 is 0 · inf = NaN once δ**400 overflows, beyond δ ≈ 5.87
-        far = d.PowerCost(0.0, 400.0)
+    @pytest.mark.parametrize("x_social", [-1.0, float("nan"), float("inf")])
+    def test_a_social_choice_must_be_finite_and_nonnegative(self, example_agent, x_social):
+        # without the check a NaN or infinite social choice would give NaN values
+        grid, u, c1 = d.Grid(8.0, 8), example_agent.utility, example_agent.c1
+        for call in (lambda: d.comprehensive_values(example_agent, grid, x_social),
+                     lambda: d.comprehensive_values(example_agent, grid, np.array([[1.0], [x_social]])),
+                     lambda: d.comprehensive_value(example_agent, 1.0, x_social),
+                     lambda: d.maximal_set_grid(u, c1, x_social, grid),
+                     lambda: d.consideration_interval(u, c1, x_social),
+                     lambda: d.one_many_compare(1.0, 2.0, u, c1, x_social)):
+            with pytest.raises(d.DomainError, match="must be finite and nonnegative"):
+                call()
+
+    def test_a_zero_power_cost_is_the_zero_linear_cost(self):
+        # 0 · δ**400 is zero also beyond δ ≈ 5.87, where δ**400 overflows to inf
+        far, zero = d.PowerCost(0.0, 400.0), d.LinearCost(0.0)
         grid = d.Grid(8.0, 8)
         future, current = quad_agent(c2=far, belief=0.0), quad_agent(c1=far)
-        for agent, x_social in ((future, 4.0), (current, 0.0)):
-            for call in (lambda: d.comprehensive_values(agent, grid, x_social),
-                         lambda: d.comprehensive_values(agent, grid, grid.points[:, None]),
-                         lambda: d.unconstrained_optimum(agent, x_social, grid),
-                         lambda: d.comprehensive_value(agent, 8.0, x_social)):
-                with pytest.raises(d.DomainError, match="is NaN"):
-                    call()
+        for agent, linear, x_social in ((future, quad_agent(c2=zero, belief=0.0), 4.0),
+                                        (current, quad_agent(c1=zero), 0.0)):
+            for call in (lambda a: d.comprehensive_values(a, grid, x_social),
+                         lambda a: d.comprehensive_values(a, grid, grid.points[:, None]),
+                         lambda a: d.unconstrained_optimum(a, x_social, grid),
+                         lambda a: d.comprehensive_value(a, 8.0, x_social)):
+                assert np.array_equal(call(agent), call(linear))
         # nearer than the overflow the same costs are zero, and a zero weight never reads one
         assert d.comprehensive_value(future, 1.0, 2.0) == 6.0
         assert d.comprehensive_value(current, 5.0, 0.0) == -25.0
@@ -53,6 +68,21 @@ class TestComprehensiveValue:
         no_current = quad_agent(c1=far, weights=(1.0, 0.0, 1.0))
         assert np.array_equal(d.comprehensive_values(no_current, grid, 0.0),
                               [d.eval_utility(no_current.utility, x) for x in grid.points])
+
+    def test_a_steep_cost_is_inf_without_a_warning(self):
+        # 6**400 overflows float64 and 5.5**400 does not
+        values = d.comprehensive_values(quad_agent(c1=d.PowerCost(1.0, 400.0)), d.Grid(8.0, 16), 0.0)
+        assert np.isfinite(values[:12]).all() and np.isneginf(values[12:]).all()
+
+    def test_an_overflowing_weighted_utility_is_refused_by_name(self):
+        # 2 · 1e308 overflows to inf, and inf − inf would be NaN where c1 is inf
+        agent = d.AgentSpec(d.Quadratic(1.0, 0.0, 1e308), d.PowerCost(1.0, 400.0), d.LinearCost(0.0),
+                            (point_mass(0.0),), d.ComprehensiveUtilityForm(2.0, 1.0, 1.0))
+        assert d.validate(agent) == []
+        for call in (lambda: d.comprehensive_values(agent, d.Grid(8.0, 16), 0.0),
+                     lambda: d.comprehensive_value(agent, 8.0, 0.0)):
+            with pytest.raises(d.DomainError, match="w_u·u is not finite"):
+                call()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -77,6 +107,32 @@ class TestComprehensiveValue:
         table = d.comprehensive_values(agent, grid, x_social, future_mean)
         for k, x in enumerate(grid.points):
             assert d.comprehensive_value(agent, float(x), x_social, future_mean) == table[k]
+
+
+_SLOPES = st.just(0.0) | st.floats(0, 5, exclude_min=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    grid=st.builds(d.Grid, st.floats(0.5, 20), st.integers(1, 60)),
+    utility=st.builds(d.Quadratic, st.floats(0.1, 3), st.floats(-5, 10), st.floats(-5, 5)),
+    costs=st.lists(st.builds(d.LinearCost, _SLOPES) | st.builds(d.PowerCost, _SLOPES, st.floats(1, 1000)),
+                   min_size=2, max_size=2),
+    weights=st.tuples(*[st.sampled_from((0.0, 1.0)) | st.floats(0, 3)] * 3),
+    x_social=st.floats(0, 25),
+    belief=st.floats(0, 25),
+)
+def test_kernel_and_oracle_are_never_nan_and_never_warn(grid, utility, costs, weights, x_social, belief):
+    # a zero slope is zero and a steep power is inf, wherever δ**p overflows
+    agent = d.AgentSpec(utility, *costs, (point_mass(belief),), d.ComprehensiveUtilityForm(*weights))
+    assert d.validate(agent) == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tables = [d.comprehensive_values(agent, grid, x_social),
+                  d.comprehensive_values(agent, grid, grid.points[:, None])]
+        survivors = d.maximal_set_grid(utility, agent.c1, x_social, grid)
+    assert not any(np.isnan(t).any() for t in tables)
+    assert len(survivors) > 0
 
 
 class TestSecondStageChoice:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -264,6 +266,8 @@ class TestNonFiniteValues:
         assert d.validate(self.OVERFLOW) == []
         with pytest.raises(d.DomainError, match="not finite"):
             d.model.utility_values(self.OVERFLOW, self.GRID)
+        with pytest.raises(d.DomainError, match="utility is not finite"):
+            d.eval_utility(self.OVERFLOW, 8.0)
         with pytest.raises(d.DomainError, match="not finite"):
             d.maximal_set_grid(self.OVERFLOW, d.LinearCost(1.0), 2.0, self.GRID)
 
@@ -278,16 +282,25 @@ class TestNonFiniteValues:
         with pytest.raises(d.DomainError, match="not finite"):
             run(quad_agent(a=1e308, b=1e308, k=0.0), 2.0, self.GRID)
 
-    def test_nan_cost_is_refused(self):
-        # 0 · 8**400 is 0 · inf, which is NaN
+    def test_a_zero_power_cost_is_the_zero_linear_cost(self):
+        # 0 · 8**400 is zero, though 8**400 overflows to inf
         c1 = d.PowerCost(0.0, 400.0)
         assert d.validate(c1) == []
-        with pytest.raises(d.DomainError, match="NaN"):
-            d.maximal_set_grid(U, c1, 0.0, d.Grid(8.0, 8))
+        grid = d.Grid(8.0, 8)
+        assert np.array_equal(d.maximal_set_grid(U, c1, 0.0, grid),
+                              d.maximal_set_grid(U, d.LinearCost(0.0), 0.0, grid))
 
     def test_infinite_cost_is_still_a_cost(self):
-        # 8**400 overflows to inf: an extreme but comparable cost
+        # 8**400 overflows to inf: an extreme but comparable cost, with no warning
         grid, c1 = d.Grid(8.0, 8), d.PowerCost(1.0, 400.0)
-        with np.errstate(over="ignore"):
-            expected = maximal_indices_scan(U, c1, 0.0, grid).tolist()
+        expected = maximal_indices_scan(U, c1, 0.0, grid).tolist()
         assert maximal_indices_grid(U, c1, 0.0, grid).tolist() == expected == [0, 1]
+
+    def test_the_pairwise_compare_meets_an_infinite_cost_as_the_oracle_does(self):
+        # 8**400 overflows; 0 beats 8 on both counts instead of raising OverflowError
+        grid, c1 = d.Grid(8.0, 8), d.PowerCost(1.0, 400.0)
+        verdict = d.one_many_compare(0.0, 8.0, U, c1, 0.0)
+        assert verdict.weak is True and verdict.strict is True
+        beaten = {j for i, j in itertools.product(range(len(grid.points)), repeat=2)
+                  if d.one_many_compare(float(grid.points[i]), float(grid.points[j]), U, c1, 0.0).strict}
+        assert sorted(set(range(len(grid.points))) - beaten) == maximal_indices_grid(U, c1, 0.0, grid).tolist()

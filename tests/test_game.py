@@ -65,6 +65,11 @@ class TestAggregateChoices:
             d.classify_profile(akerlof_game, (float("nan"), 1.0), d.Grid(8.0, 16))
         with pytest.raises(d.DomainError, match=r"choice nan outside \[0, inf\]"):
             d.payoff(akerlof_game, 0, (1.0, float("nan")))
+        # so is an infinite one, even where the bound is inf
+        with pytest.raises(d.DomainError, match=r"choice inf outside \[0, inf\]"):
+            d.payoff(akerlof_game, 0, (float("inf"), 1.0))
+        with pytest.raises(d.DomainError, match=r"choice inf outside \[0, 8.0\]"):
+            d.classify_profile(akerlof_game, (1.0, float("inf")), d.Grid(8.0, 16))
 
 
 class TestAggregateBeliefs:
@@ -918,20 +923,46 @@ def test_both_searches_hold_no_table_at_4000_steps(akerlof_game):
     assert peak < 16 * 2**20
 
 
-def test_a_nan_cost_is_refused_before_the_search():
-    # 0 · 8**400 is 0 · inf = NaN at the far end of the grid
-    far = d.PowerCost(0.0, 400.0)
+def test_a_zero_power_cost_solves_as_the_zero_linear_cost():
+    # 0 · 8**400 is zero at the far end of the grid, though 8**400 overflows to inf
+    far, zero = d.PowerCost(0.0, 400.0), d.LinearCost(0.0)
     grid = d.Grid(8.0, 8)
-    for agent in (quad_agent(c1=far), quad_agent(c2=far, belief=0.0)):
-        game = two_agent_game(agent, quad_agent())
-        for finder in (d.find_equilibria, dense_search.find_equilibria):
-            with pytest.raises(d.DomainError, match="is NaN"):
-                finder(game, grid)
-        # the lattice refuses it too, before its first sweep
+    finders = (d.find_equilibria, dense_search.find_equilibria,
+               d.find_equilibria_after_deferral, dense_search.find_equilibria_after_deferral)
+    for agent, linear in ((quad_agent(c1=far), quad_agent(c1=zero)),
+                          (quad_agent(c2=far, belief=0.0), quad_agent(c2=zero, belief=0.0))):
+        games = [two_agent_game(a, quad_agent()) for a in (agent, linear)]
+        assert d.find_equilibria(games[1], grid)
+        for finder in finders:
+            assert _outcome(finder, games[0], grid) == _outcome(finder, games[1], grid)
+        # the lattice too
         beliefs = (point_mass(0.0),) * 2
-        trio = d.GameSpec(tuple(replace(a, beliefs=beliefs) for a in (agent, quad_agent(), quad_agent())))
-        with pytest.raises(d.DomainError, match="is NaN"):
-            d.find_equilibria(trio, grid, starts=[(0.0, 0.0, 0.0)])
+        trios = [d.GameSpec(tuple(replace(a, beliefs=beliefs) for a in (first, quad_agent(), quad_agent())))
+                 for first in (agent, linear)]
+        assert (d.find_equilibria(trios[0], grid, starts=[(0.0, 0.0, 0.0)])
+                == d.find_equilibria(trios[1], grid, starts=[(0.0, 0.0, 0.0)]) != [])
     # with w_1 = 0 the current-distance cost is never evaluated
     game = two_agent_game(quad_agent(c1=far, weights=(1.0, 0.0, 1.0)), quad_agent())
     assert d.find_equilibria(game, grid) == dense_search.find_equilibria(game, grid)
+
+
+def test_the_default_tolerance_does_not_depend_on_the_agents_order():
+    # PowerCost(1, 400) is inf far from the social choice, so the steep agent's
+    # payoffs hold -inf there and the one-step statistic is inf or NaN
+    steep = quad_agent(c1=d.PowerCost(1.0, 400.0))
+    mild = quad_agent(a=1.0, b=6.0, k=0.0, c1=d.PowerCost(1.0, 2.0))
+    grid = d.Grid(8.0, 16)
+    profiles, kinds = [], []
+    for first, second in ((steep, mild), (mild, steep)):
+        game = two_agent_game(first, second)
+        for finder in (d.find_equilibria, d.find_equilibria_after_deferral, dense_search.find_equilibria):
+            with pytest.raises(d.DomainError, match="default tolerance is not finite"):
+                finder(game, grid)
+        with pytest.raises(d.DomainError, match="not finite.*pass a tolerance"):
+            d.classify_profile(game, (1.5, 2.0), grid)
+        profiles.append([[c.profile for c in finder(game, grid, 1e-9)]
+                         for finder in (d.find_equilibria, d.find_equilibria_after_deferral)])
+        kinds.append(d.classify_profile(game, (1.5, 2.0) if first is steep else (2.0, 1.5), grid, 1e-9).kind)
+    assert profiles[0] == [[(1.5, 2.0), (1.5, 2.5)]] * 2
+    assert profiles[1] == [[(2.0, 1.5), (2.5, 1.5)]] * 2
+    assert kinds == [d.EquilibriumKind.BOTH] * 2

@@ -256,24 +256,43 @@ class TestNonFiniteAndOutOfRangeNumbers:
         assert "utility is not finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_nan_current_distance_cost_is_3(self, tmp_path, capsys):
-        # 0 · 8**400 is 0 · inf, which is NaN; consider and choose already refuse slope 0
-        data = _single_agent_scenario(steps=8, x_s=0.0)
-        data["agent"]["c1"] = {"variant": "power", "d": 0.0, "p": 400.0}
-        scenario = _write(tmp_path, "s.json", data)
-        assert main(["certify", scenario, "--output-dir", str(tmp_path / "out")]) == 3
-        assert "is NaN on the grid" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+    def test_zero_power_current_distance_cost_certifies_as_linear_zero(self, tmp_path, capsys):
+        # 0 · 8**400 is zero, though 8**400 overflows; consider and choose refuse slope 0 first
+        errors = []
+        for name, c1 in (("power", {"variant": "power", "d": 0.0, "p": 400.0}),
+                         ("linear", {"variant": "linear", "d": 0.0})):
+            data = _single_agent_scenario(steps=8, x_s=0.0)
+            data["agent"]["c1"] = c1
+            scenario = _write(tmp_path, f"{name}.json", data)
+            assert main(["certify", scenario, "--output-dir", str(tmp_path / name)]) == 3
+            errors.append(capsys.readouterr().err)
+            assert not (tmp_path / name).exists()
+        assert errors[0] == errors[1]
+        assert "needs a strictly increasing current-distance cost" in errors[0]
 
-    def test_nan_future_distance_cost_is_3(self, tmp_path, capsys):
-        # far from the belief at 0, 0 · δ**400 is 0 · inf; choose used to write x_hat 0, not 1
-        data = _single_agent_scenario(steps=8, x_s=2.0)
-        data["agent"].update(c1={"variant": "linear", "d": 1.0},
-                             c2={"variant": "power", "d": 0.0, "p": 400.0}, beliefs=[[[0.0, 1.0]]])
-        scenario = _write(tmp_path, "s.json", data)
-        assert main(["choose", scenario, "--output-dir", str(tmp_path / "out")]) == 3
-        assert "future-distance cost" in capsys.readouterr().err
+    def test_zero_power_future_distance_cost_chooses_as_linear_zero(self, tmp_path):
+        # far from the belief at 0, 0 · δ**400 is zero though δ**400 overflows; x_hat is 1, not 0
+        written = []
+        for name, c2 in (("power", {"variant": "power", "d": 0.0, "p": 400.0}),
+                         ("linear", {"variant": "linear", "d": 0.0})):
+            data = _single_agent_scenario(steps=8, x_s=2.0)
+            data["agent"].update(c1={"variant": "linear", "d": 1.0}, c2=c2, beliefs=[[[0.0, 1.0]]])
+            scenario = _write(tmp_path, f"{name}.json", data)
+            assert main(["choose", scenario, "--output-dir", str(tmp_path / name)]) == 0
+            written.append((tmp_path / name / "choose.csv").read_text())
+        assert written[0] == written[1]
+        assert written[0].splitlines()[1].split(",")[3] == "1"
+
+    def test_infinite_payoffs_need_a_tolerance(self, tmp_path, capsys):
+        # 1 · 8**400 is inf, so the default one-step tolerance is not finite
+        data = json.loads(_AKERLOF.read_text())
+        data.update(steps=16)
+        data["agents"][0]["c1"] = {"variant": "power", "d": 1.0, "p": 400.0}
+        scenario = _write(tmp_path, "g.json", data)
+        assert main(["equilibria", scenario, "--output-dir", str(tmp_path / "out")]) == 3
+        assert "pass a tolerance (--tolerance)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+        assert main(["equilibria", scenario, "--tolerance", "1e-9", "--output-dir", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("x_s", [_INF, _NAN, -1.0])
     def test_social_choice_out_of_range_is_2(self, x_s, tmp_path, capsys):
