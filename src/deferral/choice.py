@@ -100,7 +100,9 @@ def _own_values(agent: AgentSpec, own: np.ndarray, u_own: np.ndarray,
     w = agent.form
     if not np.isfinite(w.w_u * float(np.abs(u_own).max())):
         raise DomainError(f"weighted utility w_u·u is not finite (w_u = {w.w_u})")
-    return w.w_u * u_own - eval_cost(agent.c2, np.abs(own - future_mean), w.w_2)
+    cost = eval_cost(agent.c2, np.abs(own - future_mean), w.w_2)
+    with np.errstate(over="ignore"):  # past the float range the difference is -inf, which is right
+        return w.w_u * u_own - cost
 
 
 def _comprehensive(agent: AgentSpec, own: np.ndarray, base: np.ndarray, x_social) -> np.ndarray:
@@ -112,7 +114,9 @@ def _comprehensive(agent: AgentSpec, own: np.ndarray, base: np.ndarray, x_social
     """
     w_1 = agent.form.w_1
     if w_1 != 0.0:
-        return base - eval_cost(agent.c1, np.abs(own - x_social), w_1)
+        cost = eval_cost(agent.c1, np.abs(own - x_social), w_1)
+        with np.errstate(over="ignore"):  # two finite costs may sum past the float range: -inf
+            return base - cost
     return np.broadcast_to(base, np.broadcast_shapes(np.shape(base), np.shape(x_social)))
 
 

@@ -152,12 +152,6 @@ def interval_index_bounds(lo, hi, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return i_lo, i_hi
 
 
-def interval_grid_indices(interval: ClosedInterval, grid: Grid) -> np.ndarray:
-    """Indices of the grid points identified with ``interval`` (see ``interval_index_bounds``)."""
-    i_lo, i_hi = interval_index_bounds(interval.lo, interval.hi, grid)
-    return np.arange(int(i_lo), int(i_hi) + 1)
-
-
 def consideration_slice(u: UtilityFunction, c1: CostFunction, x_social,
                         grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The consideration interval of each social choice and its grid slice (vectorized).

@@ -11,16 +11,22 @@ aggregated beliefs.  Two equilibrium notions are supported:
   over, the consideration set induced by the others' choices.
 
 For two agents the search is exhaustive on the grid (every profile tested),
-in blocks of payoff rows that keep O(m) results between them for m grid
-points; for more agents a simultaneous best-response iteration from a start
-lattice finds fixed points without any completeness claim.  Every start is
-iterated at once, one row per start, in blocks of rows.  One cap on the
-cells of a block, ``_BLOCK_CELLS``, bounds the memory of both engines.
+in blocks of windows of payoff rows that keep O(m) results between them for
+m grid points.  A window is the whole row, unless the row is certified
+concave (the exact family with ``w_u·a > 0``): then a curvature bound,
+``F(k+d) ≤ F(k) + d·D_k − w_u·a·h²·d(d−1)`` with a rounding margin, rules
+out the cells away from the row's bisected peak, and at the default
+tolerance the search reads O(m log m) cells with the verdicts of whole rows.
+For more agents a simultaneous best-response iteration from a start lattice
+finds fixed points without any completeness claim.  Every start is iterated
+at once, one row per start, in blocks of rows.  One cap on the cells of a
+block, ``_BLOCK_CELLS``, bounds the memory of both engines.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -63,8 +69,8 @@ START_LATTICE_POINTS = 11
 #: The default lattice has START_LATTICE_POINTS**n starts; cap n to keep it sane.
 MAX_LATTICE_AGENTS = 4
 _MAX_ITERATIONS = 500
-#: Cap on the cells (rows x grid points) of one payoff block in both engines:
-#: the two-agent search's blocks of table rows and the lattice's blocks of
+#: Cap on the cells (rows x own choices) of one payoff block in both engines:
+#: the two-agent search's blocks of row windows and the lattice's blocks of
 #: starts.  It bounds their memory whatever the grid or the number of starts.
 _BLOCK_CELLS = 1 << 14
 
@@ -355,7 +361,7 @@ def _tolerance_stat(exact: bool, rows: np.ndarray) -> float:
 def _tolerance(exact: bool, stats, tolerance: float | None) -> float:
     """``tolerance``, else the default regret tolerance from ``_tolerance_stat`` values.
 
-    ``stats`` has one row per block of payoff rows and one column per agent.
+    ``stats`` holds the statistic of each agent's payoff rows.
     For the exact (quadratic + linear) family the equilibria are exact and
     only float noise must be absorbed: ``1e-9 * (1 + max|U|)`` over the
     tables.  Otherwise a one-grid-step payoff Lipschitz bound: the largest
@@ -377,8 +383,13 @@ def _tolerance(exact: bool, stats, tolerance: float | None) -> float:
 
 
 def _regret(best: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Largest ``max(0, best - value)`` over the agents (last axis) of each profile."""
-    return np.maximum(0.0, best - values).max(axis=-1)
+    """Largest ``max(0, best - value)`` over the agents (last axis) of each profile.
+
+    An agent whose every grid payoff is ``-inf`` has ``-inf`` as both, and no
+    deviation improves on it: its regret is 0.
+    """
+    with np.errstate(invalid="ignore"):  # -inf - (-inf) is NaN, which fmax drops
+        return np.fmax(0.0, best - values).max(axis=-1)
 
 
 _KINDS = {
@@ -434,15 +445,13 @@ def _slices(game: GameSpec, grid: Grid, socials):
     return tuple(np.hstack(c) for c in zip(*parts))
 
 
-def _slice_best(tables, first, last) -> np.ndarray:
-    """``rbest``: each row's best payoff over its slice, one column per agent.
+def _slice_best(values, own, first, last) -> np.ndarray:
+    """``rbest``: each row's best payoff over its slice ``[first, last]``.
 
-    ``tables[a]`` holds agent ``a``'s payoffs, a row each, and column ``a``
-    of ``first`` and ``last`` the grid index bounds of the rows' slices.
+    ``values`` holds a payoff per row and own grid choice ``own``, which has
+    a row per row or one row for all.
     """
-    own = np.arange(tables[0].shape[-1])
-    return np.stack([t.max(axis=-1, where=in_slice(own, f[:, None], l[:, None]), initial=-np.inf)
-                     for t, f, l in zip(tables, first.T, last.T)], axis=1)
+    return values.max(axis=-1, where=in_slice(own, first[:, None], last[:, None]), initial=-np.inf)
 
 
 def classify_profile(
@@ -477,7 +486,9 @@ def classify_profile(
     bounds = _slices(game, grid, socials)
     if bounds is not None:
         lo, hi, first, last = bounds
-        slices = _slice_best(vectors, first, last), lo, hi
+        own = np.arange(len(grid.points))
+        slices = np.stack([_slice_best(v, own, f, l) for v, f, l in zip(vectors, first.T, last.T)],
+                          axis=1), lo, hi
         ends = grid.points[first[0]], grid.points[last[0]]
         member = np.array([all(min(l, f) - EXACT_TOL <= x <= max(h, g) + EXACT_TOL
                                for x, l, h, f, g in zip(profile, lo[0], hi[0], *ends))])
@@ -490,66 +501,229 @@ def classify_profile(
 # exhaustive two-agent search
 
 
+#: Rounding allowance of the certified windows, in units of a payoff's size:
+#: 2^-48 is 32 units in the last place.  ``ε`` is this times the sum of the
+#: kernel terms' magnitudes, and the relative slack ``ρ`` is this times the
+#: number of grid points, as each grid point carries two roundings of its size.
+_ROUNDING = 2.0**-48
+
+
+def _concavity(game, grid, a):
+    """``(c, ε, ρ)`` certifying agent ``a``'s payoff rows as concave, else ``None``.
+
+    In the exact family a row is ``−A·x²`` plus a concave piecewise-linear
+    function of the own choice, ``A = w_u·a``.  So with ``h`` the grid step
+    and ``D_k = F(k+1) − F(k)``, ``F(k+d) ≤ F(k) + d·D_k − A·h²·d(d−1)``
+    for ``d ≥ 1``, and mirrored on the left.  ``c`` is ``A·h²`` shrunk by
+    ``ρ``, and ``ε`` bounds the distance of each float payoff from the exact
+    one.  ``None`` outside the exact family, for ``A = 0``, and for terms
+    or a curvature at the float range's ends: those rows stay whole.
+    """
+    agent = game.agents[a]
+    u, w, x_max = agent.utility, agent.form, grid.x_max
+    if not is_exact_family(game) or w.w_u * u.a <= 0:
+        return None
+    terms = (w.w_u * (u.a * x_max * x_max + abs(u.b) * x_max + abs(u.k))
+             + w.w_2 * agent.c2.d * max(x_max, aggregate_beliefs(game, a).mean())
+             + w.w_1 * agent.c1.d * x_max)
+    rho = _ROUNDING * len(grid.points)
+    c = w.w_u * u.a * grid.step * grid.step * (1.0 - rho)
+    if not (np.isfinite(2.0 * terms) and c > 0):
+        return None
+    return c, _ROUNDING * terms, rho
+
+
+def _peak(payoff_at, m):
+    """A grid argmax of each of m rows of m cells, all rows at once.
+
+    ``payoff_at(rows, k)`` gives row ``rows[i]``'s payoff at own choice
+    ``k[i]``.  Bisection on the sign of ``D``: on a concave row the index
+    found is the argmax up to float rounding, which only widens the windows
+    that ``_window`` builds around it.
+    """
+    lo, hi = np.zeros(m, dtype=np.intp), np.full(m, m - 1)
+    live = np.arange(m)  # a grid has two points or more
+    while len(live):
+        mid = (lo[live] + hi[live]) // 2
+        rise = payoff_at(live, mid + 1) > payoff_at(live, mid)
+        lo[live] = np.where(rise, mid + 1, lo[live])
+        hi[live] = np.where(rise, hi[live], mid)
+        live = live[lo[live] < hi[live]]
+    return lo
+
+
+def _window(payoff_at, k, span, tol, certificate):
+    """Each row's cells in its ``span`` that the curvature bound cannot put below ``F(k) − tol``.
+
+    With ``(c, ε, ρ)`` from ``_concavity``, the cell ``d`` steps from the
+    anchor ``k`` lies below ``F(k) − tol``, in the float comparison too, once
+    ``c·d(d−1) − d·s > tol·(1+ρ) + 3ε``, where ``s = D + 3ε + 3ρ|D|`` bounds
+    the exact slope of the step from ``k`` towards it.  That holds beyond the
+    larger root of the quadratic, taken in its stable form and rounded out by
+    a cell; a root that is not finite keeps the whole span.  Any anchor is
+    sound, and the limits that a window serves are never below ``F(k)``.
+    """
+    c, eps, rho = certificate
+    m = len(k)
+    rows = np.arange(m)
+    here = payoff_at(rows, k)
+    slack = tol * (1.0 + rho) + 3.0 * eps
+    reach = []
+    for step in (-1, 1):
+        slope = payoff_at(rows, np.clip(k + step, 0, m - 1)) - here
+        b = c + slope + 3.0 * eps + 3.0 * rho * np.abs(slope)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            root = np.sqrt(b * b + 4.0 * c * slack)
+            d = np.where(b >= 0, (b + root) / (2.0 * c), 2.0 * slack / (root - b))
+        reach.append(np.where(d < m, np.floor(d * (1.0 + rho)) + 1, m).astype(np.intp))
+    return np.maximum(k - reach[0], span[0]), np.minimum(k + reach[1], span[1])
+
+
+def _ends(certificate, m):
+    """The windows at the row ends that hold each concave row's smallest payoff.
+
+    A concave row lies above the line through its ends, by ``c·j(m−1−j)`` at
+    cell ``j``.  So a cell more than ``4ε / (c·(m−1))`` cells from both ends
+    pays more than one end, up to the rounding ``2ε``.
+    """
+    c, eps, rho = certificate
+    reach = 4.0 * eps / (c * (m - 1))  # inf on overflow, as c > 0
+    reach = int(reach * (1.0 + rho)) + 1 if reach < m else m
+    zero, last = np.zeros(m, dtype=np.intp), np.full(m, m - 1)
+    return (zero, np.minimum(zero + reach, last)), (np.maximum(last - reach, zero), last)
+
+
+def _window_blocks(window):
+    """Blocks ``(rows, cols)`` of at most ``_BLOCK_CELLS`` cells covering each window ``[lo, hi]``.
+
+    There are m rows of m grid points.  ``rows`` is a slice of consecutive
+    rows and ``cols`` their own grid choices: each window padded to the
+    block's widest and kept on the grid, one row of ``cols`` per row.  A
+    block of whole rows shares the one row ``arange(m)``, which broadcasts.
+    Padding adds real cells, so a verdict there is exact too; a row never
+    costs more than a whole row.
+    """
+    lo, hi = window
+    m = len(lo)
+    width = hi - lo + 1
+    count = max(1, _BLOCK_CELLS // int(width.max()))
+    for first in range(0, m, count):
+        rows = slice(first, first + count)
+        w = int(width[rows].max())
+        cols = np.arange(w)
+        yield rows, cols if w == m else np.minimum(lo[rows], m - w)[:, None] + cols
+
+
+def _row_bests(payoffs, window, part, exact, stat):
+    """Over each row's ``window``: its best, its best in the slice ``part`` and the statistic.
+
+    ``payoffs(rows, cols)`` evaluates a block of ``_window_blocks``.
+    ``part`` is ``(first, last)`` per row, or ``None`` and a best of
+    ``-inf``; the ``_tolerance_stat`` of every cell is taken when ``stat``,
+    else it is ``-inf``.
+    """
+    best, rbest, stats = np.empty(len(window[0])), np.full(len(window[0]), -np.inf), [-np.inf]
+    for rows, cols in _window_blocks(window):
+        values = payoffs(rows, cols)
+        best[rows] = values.max(axis=1)
+        if part is not None:
+            rbest[rows] = _slice_best(values, cols, part[0][rows], part[1][rows])
+        if stat:
+            stats.append(_tolerance_stat(exact, values))
+    return best, rbest, np.max(stats)  # NaN-propagating
+
+
 def _two_player_find(game, grid, tolerance, restricted):
-    """Test every grid profile ``(i1, i2)`` of a two-agent game, in blocks of rows.
+    """Test every grid profile ``(i1, i2)`` of a two-agent game, on row windows.
 
     Row ``j`` of agent ``a``'s payoff table holds their payoff for each own
     grid choice against the opponent's grid choice ``j``; agent 0 plays
     ``i1`` against ``i2`` and agent 1 plays ``i2`` against ``i1``.  No table
-    is ever whole.  Pass 1 goes over both tables in blocks of at most
-    ``_BLOCK_CELLS`` cells and keeps O(m) results per agent, m being the
-    number of grid points: each row's best and best over its slice
-    (``rbest``), the slices' bounds and the default tolerance's statistic.
-    Pass 2 goes over agent 1's rows again, one block of ``i1`` at a time,
-    and runs the searched test there (after deferral when ``restricted``,
-    else standard).  It evaluates agent 0's payoff only at the surviving
-    profiles and runs agent 0's test on them.  ``_certificates`` then runs
-    both tests on the profiles that pass both agents' searched test, in the
-    order of ``(i1, i2)``.
+    is ever whole: every pass reads each row's window, in blocks of at most
+    ``_BLOCK_CELLS`` cells (``_window_blocks``).  A window is the whole row,
+    unless ``_concavity`` certifies the agent's rows as concave.  Then it is
+    the cells around the row's bisected argmax (``_peak``) that the
+    curvature bound of ``_window`` cannot rule out: about
+    ``2·sqrt(tol / (w_u·a·h²))`` of them, so at tolerances of float noise,
+    the default's, a search reads O(m log m) cells for m grid points
+    instead of 3m².  Every cell read is the one kernel's, so the results
+    are the whole rows' bit for bit.
+
+    Pass 1 keeps O(m) results per agent: each row's best over the row and
+    ``rbest`` over its slice, the slices' bounds and the default tolerance's
+    statistic.  On concave rows the row maximum is in the ``tol = 0`` window
+    and the minimum in the ``_ends`` windows.  Pass 2 goes over agent 1's
+    windows for ``tol`` and runs the searched test there (after deferral when
+    ``restricted``, else standard).  It evaluates agent 0's payoff only at
+    the surviving profiles and runs agent 0's test on them.
+    ``_certificates`` then runs both tests on the profiles that pass both
+    agents' searched test, in the order of ``(i1, i2)``.
     """
     pts = grid.points
-    rows = max(1, _BLOCK_CELLS // len(pts))
-    blocks = [slice(first, first + rows) for first in range(0, len(pts), rows)]
+    m = len(pts)
     exact = is_exact_family(game)
     socials = [_reference_points([pts[:, None]], *_social_weights(game, a)) for a in range(2)]
     bases = [_own_values(agent, pts, utility_values(agent.utility, grid), aggregate_beliefs(game, a).mean())
              for a, agent in enumerate(game.agents)]
 
-    def table(a, block):
-        return _comprehensive(game.agents[a], pts, bases[a], socials[a][block])
+    def payoffs(a, rows, cols):
+        # one row of cols is a whole row (_window_blocks), which broadcasts ungathered
+        own = (pts, bases[a]) if cols.ndim == 1 else (pts[cols], bases[a][cols])
+        return _comprehensive(game.agents[a], *own, socials[a][rows])
+
+    def payoff_at(a):
+        return lambda rows, k: payoffs(a, rows, k[:, None])[:, 0]
 
     bounds = _slices(game, grid, socials)  # O(m) per agent, so every row at once
-    best, rbest, stats = [], [], []
-    for block in blocks:
-        tables = [table(a, block) for a in range(2)]
-        best.append(np.stack([t.max(axis=1) for t in tables], axis=1))
-        if bounds is not None:
-            rbest.append(_slice_best(tables, bounds[2][block], bounds[3][block]))
-        if tolerance is None:
-            stats.append([_tolerance_stat(exact, t) for t in tables])
+    whole = np.zeros(m, dtype=np.intp), np.full(m, m - 1)
+    best, rbest = np.empty((m, 2)), np.empty((m, 2))
+    stats, certificates, anchors = [], [], []
+    for a in range(2):
+        row = functools.partial(payoffs, a)
+        part = None if bounds is None else (bounds[2][:, a], bounds[3][:, a])
+        certificates.append(_concavity(game, grid, a))
+        if certificates[a] is None:
+            anchors.append(None)
+            best[:, a], rbest[:, a], stat = _row_bests(row, whole, part, exact, tolerance is None)
+        else:
+            at = payoff_at(a)
+            # the anchors of the row and of its slice: a concave row peaks in a
+            # slice where its peak is clamped to the slice
+            peak = _peak(at, m)
+            anchors.append((peak, None if part is None else np.clip(peak, *part)))
+            window = _window(at, peak, whole, 0.0, certificates[a])
+            best[:, a], _, stat = _row_bests(row, window, None, exact, tolerance is None)
+            if part is not None:
+                window = _window(at, anchors[a][1], part, 0.0, certificates[a])
+                rbest[:, a] = _row_bests(row, window, part, exact, False)[1]
+            if tolerance is None:
+                stat = np.max([stat, *(_row_bests(row, end, None, exact, True)[2]
+                                       for end in _ends(certificates[a], m))])
+        stats.append(stat)
     tol = _tolerance(exact, stats, tolerance)
-    best = np.concatenate(best)
     if bounds is not None:
-        rbest = np.concatenate(rbest)
         lo, hi, first, last = bounds
     # the searched test: payoff >= limit - tol, and each choice in its slice after deferral
     limit = rbest if restricted else best
+    window = whole
+    if certificates[1] is not None:
+        span = (first[:, 1], last[:, 1]) if restricted else whole
+        window = _window(payoff_at(1), anchors[1][restricted], span, tol, certificates[1])
 
-    own = np.arange(len(pts))
     hits = []
-    for block in blocks:
-        values = table(1, block)
-        ok = values >= limit[block, 1:] - tol
+    for rows, cols in _window_blocks(window):
+        values = payoffs(1, rows, cols)
+        ok = values >= limit[rows, 1:] - tol
         if restricted:
-            ok &= in_slice(own, first[block, 1:], last[block, 1:])
-        r, i2 = np.nonzero(ok)
-        i1 = r + block.start
+            ok &= in_slice(cols, first[rows, 1:], last[rows, 1:])
+        r, c = np.nonzero(ok)
+        i1, i2 = r + rows.start, np.broadcast_to(cols, ok.shape)[r, c]
         # agent 0's payoffs at the hits only, as columns so that w_1 = 0 keeps one value per hit
-        v0 = _comprehensive(game.agents[0], pts[i1, None], bases[0][i1, None], socials[0][i2])[:, 0]
+        v0 = payoffs(0, i2, i1[:, None])[:, 0]
         ok = v0 >= limit[i2, 0] - tol
         if restricted:
             ok &= in_slice(i1, first[i2, 0], last[i2, 0])
-        hits.append((i1[ok], i2[ok], v0[ok], values[r[ok], i2[ok]]))
+        hits.append((i1[ok], i2[ok], v0[ok], values[r[ok], c[ok]]))
     i1, i2, v0, v1 = (np.concatenate(c) for c in zip(*hits))
     profiles = np.stack([i1, i2], axis=1)
     # agent a's entry of a per-row array sits in column a of the opponent's row

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 import deferral as d
+from deferral.consideration import interval_index_bounds
 
 
 def _reference_point(game, i, opponents):
@@ -30,6 +31,13 @@ def _reference_point(game, i, opponents):
     return acc / sum(weights)
 
 
+def interval_grid_indices(interval, grid):
+    """Indices of the grid points identified with ``interval``: the slice of
+    ``interval_index_bounds``, as an index array."""
+    i_lo, i_hi = interval_index_bounds(interval.lo, interval.hi, grid)
+    return np.arange(int(i_lo), int(i_hi) + 1)
+
+
 def _argmax(vals, idx):
     """The best of ``vals[idx]`` and the indices within 1e-12 of it, ascending."""
     vals = vals[idx]
@@ -39,7 +47,7 @@ def _argmax(vals, idx):
 
 def _slice(agent, x_social, grid):
     interval = d.consideration_interval(agent.utility, agent.c1, x_social)
-    return d.interval_grid_indices(interval, grid)
+    return interval_grid_indices(interval, grid)
 
 
 def best_response(game, i, opponents, grid):

@@ -13,6 +13,7 @@ import numpy as np
 import deferral as d
 from conftest import point_mass, quad_agent, two_agent_game
 from deferral.reproduce import load_bundled_scenario, run_case
+from slice_argmax import interval_grid_indices
 
 SEED = 20260811
 
@@ -46,7 +47,7 @@ def test_criterion_1_interval_equivalence():
     for _ in range(200):
         u, c1, x_social = _draw_stage_one(rng)
         oracle = d.maximal_set_grid(u, c1, x_social, grid)
-        closed = grid.points[d.interval_grid_indices(d.consideration_interval(u, c1, x_social), grid)]
+        closed = grid.points[interval_grid_indices(d.consideration_interval(u, c1, x_social), grid)]
         assert np.array_equal(oracle, closed)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
@@ -62,7 +63,7 @@ def test_criterion_2_argmax_oracle():
         result = d.second_stage_choice(agent, x_social, grid)
         interval = d.consideration_interval(agent.utility, agent.c1, x_social)
         chosen = set(result.chosen)
-        for x in grid.points[d.interval_grid_indices(interval, grid)]:
+        for x in grid.points[interval_grid_indices(interval, grid)]:
             value = d.comprehensive_value(agent, float(x), x_social)
             assert result.value >= value - 1e-12
             assert (float(x) in chosen) == (value >= result.value - 1e-12)

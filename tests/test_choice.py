@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import deferral as d
 from conftest import point_mass, quad_agent
 from deferral import choice
+from slice_argmax import interval_grid_indices
 
 
 @pytest.fixture
@@ -73,6 +74,17 @@ class TestComprehensiveValue:
         # 6**400 overflows float64 and 5.5**400 does not
         values = d.comprehensive_values(quad_agent(c1=d.PowerCost(1.0, 400.0)), d.Grid(8.0, 16), 0.0)
         assert np.isfinite(values[:12]).all() and np.isneginf(values[12:]).all()
+
+    def test_costs_past_the_float_range_are_minus_inf_without_a_warning(self):
+        # each cost at 8 is 1.5 · 8**341 = 1.35e308, finite, and two of them sum past the range
+        agent = quad_agent(c1=d.PowerCost(1.5, 341.0), c2=d.PowerCost(1.5, 341.0), belief=0.0)
+        values = d.comprehensive_values(agent, d.Grid(8.0, 8), 0.0)
+        assert np.isfinite(values[:8]).all() and np.isneginf(values[8])
+        # so does one such cost taken from a weighted utility near the range's end
+        low = d.AgentSpec(d.Quadratic(1.0, 0.0, -1e308), d.LinearCost(0.0), d.PowerCost(1.5, 341.0),
+                          (point_mass(0.0),))
+        values = d.comprehensive_values(low, d.Grid(8.0, 8), 0.0)
+        assert np.isfinite(values[:8]).all() and np.isneginf(values[8])
 
     def test_an_overflowing_weighted_utility_is_refused_by_name(self):
         # 2 · 1e308 overflows to inf, and inf − inf would be NaN where c1 is inf
@@ -161,7 +173,7 @@ class TestSecondStageChoice:
         result = d.second_stage_choice(example_agent, 4.0, grid)
         interval = d.consideration_interval(example_agent.utility, example_agent.c1, 4.0)
         chosen = set(result.chosen)
-        for x in grid.points[d.interval_grid_indices(interval, grid)]:
+        for x in grid.points[interval_grid_indices(interval, grid)]:
             value = d.comprehensive_value(example_agent, float(x), 4.0)
             assert result.value >= value - 1e-12
             assert (float(x) in chosen) == (value >= result.value - 1e-12)

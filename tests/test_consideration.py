@@ -9,6 +9,7 @@ import deferral as d
 from conftest import quad_agent
 from deferral.consideration import _undominated, maximal_indices_grid
 from dominance_scan import maximal_indices_scan, undominated_scan
+from slice_argmax import interval_grid_indices
 
 U = d.Quadratic(2, 4, 5)  # peak at 1
 
@@ -122,7 +123,7 @@ def test_grid_oracle_equals_snapped_interval(a, b, k, slope, x_social):
     u = d.Quadratic(a, b, k)
     c1 = d.LinearCost(slope)
     oracle = d.maximal_set_grid(u, c1, x_social, grid)
-    closed = grid.points[d.interval_grid_indices(d.consideration_interval(u, c1, x_social), grid)]
+    closed = grid.points[interval_grid_indices(d.consideration_interval(u, c1, x_social), grid)]
     assert np.array_equal(oracle, closed)
 
 
@@ -134,7 +135,7 @@ def test_downhill_utility_peaks_at_origin():
     iv = d.consideration_interval(u, d.LinearCost(1.0), 2.0)
     assert iv == d.ClosedInterval(0.0, 2.0)
     oracle = d.maximal_set_grid(u, d.LinearCost(1.0), 2.0, grid)
-    assert np.array_equal(oracle, grid.points[d.interval_grid_indices(iv, grid)])
+    assert np.array_equal(oracle, grid.points[interval_grid_indices(iv, grid)])
 
 
 def test_interval_beyond_grid_bound_clips():
@@ -142,7 +143,7 @@ def test_interval_beyond_grid_bound_clips():
     u = d.Quadratic(0.5, 20, 0)
     grid = d.Grid(8.0, 400)
     oracle = d.maximal_set_grid(u, d.LinearCost(1.0), 4.0, grid)
-    closed = grid.points[d.interval_grid_indices(d.consideration_interval(u, d.LinearCost(1.0), 4.0), grid)]
+    closed = grid.points[interval_grid_indices(d.consideration_interval(u, d.LinearCost(1.0), 4.0), grid)]
     assert np.array_equal(oracle, closed)
     assert oracle[0] == 4.0 and oracle[-1] == 8.0
 
@@ -153,7 +154,7 @@ def test_degenerate_interval_midcell_keeps_both_neighbours():
     grid = d.Grid(8.0, 8)
     u = d.Quadratic(1.0, 7.0, 0.0)  # peak 3.5, grid step 1
     oracle = d.maximal_set_grid(u, d.LinearCost(1.0), 3.5, grid)
-    closed = grid.points[d.interval_grid_indices(d.consideration_interval(u, d.LinearCost(1.0), 3.5), grid)]
+    closed = grid.points[interval_grid_indices(d.consideration_interval(u, d.LinearCost(1.0), 3.5), grid)]
     assert np.array_equal(oracle, closed)
     assert list(oracle) == [3.0, 4.0]
 
@@ -168,9 +169,9 @@ def test_index_bounds_of_many_intervals_match_one_at_a_time():
     hi = np.array([1.0, 1.0 + h, 2.0 + 0.6 * h, 3.0 + h, 0.5, 9.0, 4.1, 8.0])
     i_lo, i_hi = interval_index_bounds(lo, hi, grid)
     for k in range(len(lo)):
-        one = d.interval_grid_indices(d.ClosedInterval(float(lo[k]), float(hi[k])), grid)
+        one = interval_grid_indices(d.ClosedInterval(float(lo[k]), float(hi[k])), grid)
         assert list(range(i_lo[k], i_hi[k] + 1)) == one.tolist()
-    assert d.interval_grid_indices(d.ClosedInterval(1.0 + h, 1.0 + h), grid).tolist() == [4, 5]
+    assert interval_grid_indices(d.ClosedInterval(1.0 + h, 1.0 + h), grid).tolist() == [4, 5]
 
     # the slice of a column of social choices: half-step tie at the peak, sub-cell,
     # clipped beyond x_max and ordinary rows, each as its interval's grid indices
@@ -188,7 +189,7 @@ def test_index_bounds_of_many_intervals_match_one_at_a_time():
     for k, x_social in enumerate(socials):
         iv = d.consideration_interval(u, c1, float(x_social))
         assert (lo[k, 0], hi[k, 0]) == (iv.lo, iv.hi)
-        assert np.flatnonzero(mask[k]).tolist() == d.interval_grid_indices(iv, grid).tolist()
+        assert np.flatnonzero(mask[k]).tolist() == interval_grid_indices(iv, grid).tolist()
         assert np.array_equal(slice_mask(*consideration_slice(u, c1, float(x_social), grid)[2:]),
                               mask[k])
     assert np.flatnonzero(mask[0]).tolist() == [4, 5]

@@ -13,7 +13,9 @@ import deferral as d
 import dense_search
 import slice_argmax
 from conftest import X_MAX, point_mass, quad_agent, two_agent_game
+from deferral.choice import _comprehensive
 from deferral.game import _BLOCK_CELLS, START_LATTICE_POINTS
+from slice_argmax import interval_grid_indices
 
 
 def _three_agent_game(aggregator=None):
@@ -371,6 +373,15 @@ class TestClassifyProfile:
         with pytest.raises(d.DomainError, match=r"agents\[1\]: 3.05 is not a point of grid"):
             d.classify_profile(game, (3.0, 3.05), grid)
 
+    def test_an_agent_whose_payoffs_are_all_minus_inf_has_no_regret(self):
+        # off the points 0, 4 and 8 every distance is at least 2, and 2**2000 is inf
+        agent = quad_agent(c1=d.PowerCost(1.0, 2000.0), belief=1.0)
+        game, grid = d.GameSpec(agents=(agent,) * 3), d.Grid(8.0, 2)
+        assert d.classify_profile(game, (0.0, 0.0, 4.0), grid, 1e-9) is None
+        # agents 0 and 2 see the social choices 6 and 2; agent 1 chooses its social choice, 4
+        cert = d.classify_profile(game, (0.0, 4.0, 8.0), grid, 1e-9)
+        assert cert.kind is d.EquilibriumKind.STANDARD and cert.max_regret == 0.0
+
     def test_worked_pair_not_after_deferral(self, example42_game):
         grid = d.Grid(40.0, 800)
         cert = d.classify_profile(example42_game, (3.75, 4.0), grid)
@@ -504,7 +515,7 @@ class TestTabulatedGame:
             rows = [table[a][opp[a]] for a in range(2)]
             intervals = tuple(d.consideration_interval(agent.utility, agent.c1, pts[opp[a]])
                               for a, agent in enumerate(game.agents))
-            slices = [d.interval_grid_indices(iv, grid) for iv in intervals]
+            slices = [interval_grid_indices(iv, grid) for iv in intervals]
             regret = max(max(row) - row[k] for row, k in zip(rows, own))
             restricted_regret = max(max(row[j] for j in idx) - row[k]
                                     for row, idx, k in zip(rows, slices, own))
@@ -544,7 +555,7 @@ def _classification_oracle(game, profile, grid, tolerance):
     except d.ClosedFormUnavailable:
         pass
     if intervals is not None:
-        slices = [d.interval_grid_indices(iv, grid) for iv in intervals]
+        slices = [interval_grid_indices(iv, grid) for iv in intervals]
         deferral_regret = max(max(0.0, float(v[idx].max()) - x)
                               for v, idx, x in zip(vectors, slices, values))
         pts = grid.points
@@ -905,6 +916,69 @@ def test_fixture_certificates_equal_the_dense_oracle(fixture, steps, request):
     assert d.find_equilibria(game, grid) == dense_search.find_equilibria(game, grid)
     assert (d.find_equilibria_after_deferral(game, grid)
             == dense_search.find_equilibria_after_deferral(game, grid))
+
+
+@pytest.mark.parametrize("tolerance", [0.0, 0.5])
+@pytest.mark.parametrize("fixture", ["akerlof_game", "example42_game"])
+def test_fixture_windows_give_the_dense_certificates_at_zero_and_wide_tolerances(fixture, tolerance,
+                                                                                  request):
+    game = request.getfixturevalue(fixture)
+    grid = d.Grid(X_MAX[fixture], 400)
+    for finder, dense in ((d.find_equilibria, dense_search.find_equilibria),
+                          (d.find_equilibria_after_deferral, dense_search.find_equilibria_after_deferral)):
+        assert finder(game, grid, tolerance) == dense(game, grid, tolerance)
+
+
+@st.composite
+def _concave_games(draw):
+    """An exact-family two-agent game with curvature, drawn to stress the windows' bound:
+    curvatures down to 1e-12 and constants up to 1e9 in size, which bury the
+    curvature in rounding and leave plateaus of equal floats, w_1 = 0 and zero costs."""
+    grid = d.Grid(draw(st.sampled_from([1.0, 8.0, 40.0])), draw(st.integers(1, 200)))
+    cost = st.sampled_from([0.0, 0.5, 1.0, 4.0, 16.0]).map(d.LinearCost)
+    agents = []
+    for _ in range(2):
+        a = 10.0 ** draw(st.floats(-12.0, 1.0))
+        peak = draw(st.floats(-0.5, 1.5)) * grid.x_max
+        utility = d.Quadratic(a, 2.0 * a * peak, draw(st.sampled_from([0.0, 5.0, -1e9, 1e9])))
+        form = d.ComprehensiveUtilityForm(draw(st.sampled_from([1.0, 0.5])), draw(st.sampled_from([0.0, 1.0])))
+        agents.append(d.AgentSpec(utility, draw(cost), draw(cost),
+                                  (point_mass(draw(st.floats(0.0, 2.0 * grid.x_max))),), form))
+    aggregator = draw(st.sampled_from([d.MeanChoice(), d.WeightedChoice((0.3, 0.7))]))
+    return d.GameSpec(tuple(agents), choice_aggregator=aggregator), grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(game_grid=_concave_games(), tolerance=st.sampled_from([None, 0.0, 1e-12, 0.5]))
+def test_certified_windows_give_the_dense_certificates(game_grid, tolerance):
+    game, grid = game_grid
+    for finder, dense in ((d.find_equilibria, dense_search.find_equilibria),
+                          (d.find_equilibria_after_deferral, dense_search.find_equilibria_after_deferral)):
+        assert _outcome(finder, game, grid, tolerance) == _outcome(dense, game, grid, tolerance)
+
+
+def _kernel_cells(finder, game, grid):
+    """How many payoff cells ``finder`` reads through the kernel."""
+    cells = []
+
+    def counting(*args):
+        values = _comprehensive(*args)
+        cells.append(values.size)
+        return values
+
+    with mock.patch("deferral.game._comprehensive", counting):
+        finder(game, grid)
+    return sum(cells)
+
+
+def test_certified_windows_read_under_two_percent_of_the_cells(akerlof_game, power_cost_game):
+    # whole rows are 3m² cells: both tables in pass 1 and agent 1's in pass 2
+    for game, grid, share in ((akerlof_game, d.Grid(8.0, 4000), 0.02), (power_cost_game, d.Grid(8.0, 100), 1.0)):
+        whole = 3 * len(grid.points) ** 2
+        for finder in (d.find_equilibria, d.find_equilibria_after_deferral):
+            cells = _kernel_cells(finder, game, grid)
+            # power costs are not certified, and their rows stay whole
+            assert cells < share * whole if share < 1.0 else cells >= whole
 
 
 def test_both_searches_hold_no_table_at_4000_steps(akerlof_game):
