@@ -45,7 +45,6 @@ class ChoiceResult:
 
     chosen: tuple[float, ...]
     value: float
-    constrained: bool
 
     @property
     def canonical(self) -> float:
@@ -180,7 +179,7 @@ def grid_argmax(agent: AgentSpec, grid: Grid, x_social, future_mean: float | Non
 def second_stage_choice(agent: AgentSpec, x_social: float, grid: Grid) -> ChoiceResult:
     """Maximize the comprehensive utility over the consideration interval."""
     best, near = grid_argmax(agent, grid, x_social, restricted=True)
-    return ChoiceResult(tuple(float(x) for x in grid.points[near]), float(best), constrained=True)
+    return ChoiceResult(tuple(float(x) for x in grid.points[near]), float(best))
 
 
 def unconstrained_optimum(agent: AgentSpec, x_social: float, grid: Grid) -> float:

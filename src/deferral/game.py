@@ -41,7 +41,7 @@ from .choice import (
     comprehensive_values,
     grid_argmax,
 )
-from .consideration import ClosedInterval, consideration_slice, in_slice, require_closed_form
+from .consideration import consideration_slice, in_slice, require_closed_form
 from .errors import (
     ClosedFormUnavailable,
     DomainError,
@@ -88,14 +88,13 @@ class EquilibriumCertificate:
     ``max_regret`` is the largest payoff improvement any agent could obtain
     by a grid deviation admissible for the certified kind (full grid for
     standard, consideration set for after-deferral, both for ``BOTH``).
-    ``per_agent_consideration`` is ``None`` when the closed-form interval is
-    unavailable (non-increasing current-distance cost).
+    Agent ``i``'s consideration interval is ``consideration_interval(agent.utility,
+    agent.c1, aggregate_choices(game, i, profile))``.
     """
 
     profile: Profile
     kind: EquilibriumKind
     max_regret: float
-    per_agent_consideration: tuple[ClosedInterval, ...] | None
 
 
 @dataclass(frozen=True)
@@ -358,6 +357,12 @@ def _tolerance_stat(exact: bool, rows: np.ndarray) -> float:
         return float(np.abs(np.diff(rows, axis=-1)).max())
 
 
+def _require_tolerance(tolerance: float | None) -> None:
+    """Raise ``DomainError`` unless ``tolerance`` is ``None`` or a finite number >= 0."""
+    if tolerance is not None and not 0 <= tolerance < np.inf:
+        raise DomainError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
+
+
 def _tolerance(exact: bool, stats, tolerance: float | None) -> float:
     """``tolerance``, else the default regret tolerance from ``_tolerance_stat`` values.
 
@@ -401,35 +406,28 @@ _KINDS = {
 _VERDICTS = {kind: verdicts for verdicts, kind in _KINDS.items()}
 
 
-def _certificates(profiles, values, best, slices, member, tol):
+def _certificates(profiles, values, best, rbest, member, tol):
     """The one equilibrium verdict: certificates of the profiles that pass a test.
 
     ``profiles``, ``values`` and ``best`` have one row per profile and one
     column per agent: the choices, each agent's payoff and their best payoff
-    over the grid.  ``slices`` is ``(rbest, lo, hi)`` from ``_slice_best``
-    and ``_slices``, shaped like ``best``, or ``None`` without the closed
-    form, and ``member`` says per profile whether every choice lies in its
-    consideration set.  The
-    standard test passes when every payoff is ``>= best - tol``; the
-    after-deferral test needs ``member`` and every payoff ``>= rbest - tol``.
-    The kind follows from the tests passed, and ``max_regret`` is the
-    largest regret over them.
+    over the grid.  ``rbest``, shaped like ``best``, is each agent's best
+    payoff over their consideration slice (``_slice_best``), or ``None``
+    without the closed form, and ``member`` says per profile whether every
+    choice lies in its consideration set.  The standard test passes when
+    every payoff is ``>= best - tol``; the after-deferral test needs
+    ``member`` and every payoff ``>= rbest - tol``.  The kind follows from
+    the tests passed, and ``max_regret`` is the largest regret over them:
+    each passing profile costs one certificate and its profile tuple.
     """
     standard = (values >= best - tol).all(axis=1)
     deferral = np.zeros_like(standard)
     regret = np.where(standard, _regret(best, values), -np.inf)
-    intervals = [None] * len(profiles)
-    if slices is not None:
-        rbest, lo, hi = slices
+    if rbest is not None:
         deferral = member & (values >= rbest - tol).all(axis=1)
         regret = np.maximum(regret, np.where(deferral, _regret(rbest, values), -np.inf))
-        intervals = [tuple(map(ClosedInterval, l, h)) for l, h in zip(lo.tolist(), hi.tolist())]
-    return [
-        EquilibriumCertificate(tuple(p), _KINDS[s, d], r, iv)
-        for p, s, d, r, iv in zip(
-            profiles.tolist(), standard.tolist(), deferral.tolist(), regret.tolist(), intervals)
-        if s or d
-    ]
+    rows = zip(profiles.tolist(), standard.tolist(), deferral.tolist(), regret.tolist())
+    return [EquilibriumCertificate(tuple(p), _KINDS[s, d], r) for p, s, d, r in rows if s or d]
 
 
 def _slices(game: GameSpec, grid: Grid, socials):
@@ -470,8 +468,9 @@ def classify_profile(
     its interval or its grid slice, within ``EXACT_TOL``; on grid points that
     is the search's slice mask.  When the closed-form consideration interval
     is unavailable the after-deferral test is skipped and only standard
-    classification is possible.
+    classification is possible.  A tolerance is refused as in ``find_equilibria``.
     """
+    _require_tolerance(tolerance)
     _check_profile(game, profile, grid.x_max)
     values, vectors, socials = [], [], []
     xs = np.array(profile, dtype=float)[:, None, None]  # each a one-row column, as in the search
@@ -482,18 +481,17 @@ def classify_profile(
         values.append(comprehensive_value(agent, profile[i], socials[-1].item(), future))
     exact = is_exact_family(game)
     tolerance = _tolerance(exact, [[_tolerance_stat(exact, v) for v in vectors]], tolerance)
-    slices = member = None
+    rbest = member = None
     bounds = _slices(game, grid, socials)
     if bounds is not None:
         lo, hi, first, last = bounds
         own = np.arange(len(grid.points))
-        slices = np.stack([_slice_best(v, own, f, l) for v, f, l in zip(vectors, first.T, last.T)],
-                          axis=1), lo, hi
+        rbest = np.stack([_slice_best(v, own, f, l) for v, f, l in zip(vectors, first.T, last.T)], axis=1)
         ends = grid.points[first[0]], grid.points[last[0]]
         member = np.array([all(min(l, f) - EXACT_TOL <= x <= max(h, g) + EXACT_TOL
                                for x, l, h, f, g in zip(profile, lo[0], hi[0], *ends))])
     certificates = _certificates(np.array([profile], dtype=float), np.array([values]),
-                                 np.array([[v.max() for v in vectors]]), slices, member, tolerance)
+                                 np.array([[v.max() for v in vectors]]), rbest, member, tolerance)
     return certificates[0] if certificates else None
 
 
@@ -675,12 +673,13 @@ def _two_player_find(game, grid, tolerance, restricted):
         return lambda rows, k: payoffs(a, rows, k[:, None])[:, 0]
 
     bounds = _slices(game, grid, socials)  # O(m) per agent, so every row at once
+    first, last = (None, None) if bounds is None else bounds[2:]
     whole = np.zeros(m, dtype=np.intp), np.full(m, m - 1)
     best, rbest = np.empty((m, 2)), np.empty((m, 2))
     stats, certificates, anchors = [], [], []
     for a in range(2):
         row = functools.partial(payoffs, a)
-        part = None if bounds is None else (bounds[2][:, a], bounds[3][:, a])
+        part = None if bounds is None else (first[:, a], last[:, a])
         certificates.append(_concavity(game, grid, a))
         if certificates[a] is None:
             anchors.append(None)
@@ -701,8 +700,6 @@ def _two_player_find(game, grid, tolerance, restricted):
                                        for end in _ends(certificates[a], m))])
         stats.append(stat)
     tol = _tolerance(exact, stats, tolerance)
-    if bounds is not None:
-        lo, hi, first, last = bounds
     # the searched test: payoff >= limit - tol, and each choice in its slice after deferral
     limit = rbest if restricted else best
     window = whole
@@ -732,7 +729,7 @@ def _two_player_find(game, grid, tolerance, restricted):
         pts[profiles],
         np.stack([v0, v1], axis=1),
         best[at_opponent],
-        None if bounds is None else tuple(s[at_opponent] for s in (rbest, lo, hi)),
+        None if bounds is None else rbest[at_opponent],
         None if bounds is None else in_slice(profiles, first[at_opponent], last[at_opponent]).all(axis=1),
         tol,
     )
@@ -857,8 +854,10 @@ def find_equilibria(
     iteration cap instead of converging.  An empty list is a legal outcome
     on coarse grids.  Certificates are sorted by profile and carry the
     stronger ``BOTH`` kind when the profile also survives the after-deferral
-    test.
+    test.  A NaN, negative or infinite tolerance raises ``DomainError``
+    before any search.
     """
+    _require_tolerance(tolerance)
     if game.n == 2:
         return _two_player_find(game, grid, tolerance, False)
     return _lattice_find(game, grid, tolerance, False, starts)
@@ -873,10 +872,11 @@ def find_equilibria_after_deferral(
     """All equilibria after deferral on the grid (two-agent case exhaustive).
 
     Requires the closed-form consideration interval for every agent
-    (strictly increasing current-distance costs), checked before any search.
-    For more than two agents the iteration warns about non-converging starts
-    as ``find_equilibria`` does.
+    (strictly increasing current-distance costs) and a tolerance as for
+    ``find_equilibria``, both checked before any search.  For more than two
+    agents the iteration warns about non-converging starts as it does.
     """
+    _require_tolerance(tolerance)
     for agent in game.agents:
         require_closed_form(agent.utility, agent.c1)
     if game.n == 2:

@@ -37,16 +37,17 @@ def _tolerance(game, tables, tolerance):
 
 
 def _slices(game, grid, socials, tables):
-    """``(rbest, lo, hi)`` and the m×m slice masks, or ``(None, None)`` without the closed form."""
+    """``rbest``, each row's best over its slice, and the m×m slice masks, or
+    ``(None, None)`` without the closed form."""
     own = np.arange(len(grid.points))
     try:
-        lo, hi, first, last = zip(*(consideration_slice(a.utility, a.c1, s, grid)
-                                    for a, s in zip(game.agents, socials)))
+        first, last = zip(*(consideration_slice(a.utility, a.c1, s, grid)[2:]
+                            for a, s in zip(game.agents, socials)))
     except d.ClosedFormUnavailable:
         return None, None
     masks = [in_slice(own, f, l) for f, l in zip(first, last)]
     rbest = [t.max(axis=-1, where=mask, initial=-np.inf) for t, mask in zip(tables, masks)]
-    return (np.stack(rbest, axis=1), np.hstack(lo), np.hstack(hi)), masks
+    return np.stack(rbest, axis=1), masks
 
 
 def dense_find(game, grid, tolerance, restricted):
@@ -57,9 +58,9 @@ def dense_find(game, grid, tolerance, restricted):
               for a, (agent, s) in enumerate(zip(game.agents, socials))]
     tol = _tolerance(game, tables, tolerance)
     best = np.stack([t.max(axis=1) for t in tables], axis=1)
-    slices, masks = _slices(game, grid, socials, tables)
+    rbest, masks = _slices(game, grid, socials, tables)
     if restricted:
-        ok = [mask & (t >= r[:, None] - tol) for t, mask, r in zip(tables, masks, slices[0].T)]
+        ok = [mask & (t >= r[:, None] - tol) for t, mask, r in zip(tables, masks, rbest.T)]
     else:
         ok = [t >= b[:, None] - tol for t, b in zip(tables, best.T)]
     i1, i2 = np.nonzero(ok[0].T & ok[1])
@@ -69,8 +70,8 @@ def dense_find(game, grid, tolerance, restricted):
         pts[np.stack([i1, i2], axis=1)],
         np.stack([tables[0][i2, i1], tables[1][i1, i2]], axis=1),
         best[at_opponent],
-        None if slices is None else tuple(s[at_opponent] for s in slices),
-        None if slices is None else masks[0][i2, i1] & masks[1][i1, i2],
+        None if rbest is None else rbest[at_opponent],
+        None if rbest is None else masks[0][i2, i1] & masks[1][i1, i2],
         tol,
     )
 

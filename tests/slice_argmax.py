@@ -68,7 +68,7 @@ def deferral_best_response(game, i, opponents, grid):
 def second_stage_choice(agent, x_social, grid):
     idx = _slice(agent, x_social, grid)
     best, chosen = _argmax(d.comprehensive_values(agent, grid, x_social), idx)
-    return d.ChoiceResult(tuple(float(x) for x in grid.points[chosen]), float(best), True)
+    return d.ChoiceResult(tuple(float(x) for x in grid.points[chosen]), float(best))
 
 
 def unconstrained_optimum(agent, x_social, grid):

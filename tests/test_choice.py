@@ -155,7 +155,6 @@ class TestSecondStageChoice:
         assert result.value == pytest.approx(
             d.comprehensive_value(example_agent, 3.75, 4.0), abs=1e-12
         )
-        assert result.constrained
 
     def test_singleton_interval(self, example_agent):
         result = d.second_stage_choice(example_agent, 1.0, d.Grid(8.0, 3200))

@@ -1,7 +1,7 @@
 import itertools
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -292,7 +292,6 @@ class TestFindEquilibria:
         # decoupled payoff: unique maximizer between peak and belief
         assert len(certs) == 1
         assert certs[0].kind is d.EquilibriumKind.STANDARD
-        assert certs[0].per_agent_consideration is None
 
 
 class TestFindEquilibriaAfterDeferral:
@@ -351,6 +350,27 @@ class TestFindEquilibriaAfterDeferral:
         standard = d.find_equilibria(belief_heavy_game, grid)
         assert [c.profile for c in standard] == [(3.75, 4.0)]
         assert standard[0].kind is d.EquilibriumKind.STANDARD
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), -1.0, float("inf")], ids=["nan", "negative", "inf"])
+def test_every_entry_point_refuses_a_tolerance_before_any_search(tolerance, akerlof_game,
+                                                                 belief_heavy_game):
+    grid, trio = d.Grid(8.0, 40), _three_agent_game()
+    assert len(d.find_equilibria(akerlof_game, grid, 0.0)) == 11
+    # the pair, the lattice, and a lattice without starts, which has no fixed point to classify
+    searches = ((akerlof_game, None), (trio, None), (trio, []))
+    calls = [(finder, game, starts) for finder in (d.find_equilibria, d.find_equilibria_after_deferral)
+             for game, starts in searches]
+    # the refusal comes before any payoff is evaluated
+    with mock.patch("deferral.game._comprehensive", side_effect=AssertionError("searched")), \
+         mock.patch("deferral.game.comprehensive_values", side_effect=AssertionError("searched")):
+        for finder, game, starts in calls:
+            with pytest.raises(d.DomainError, match="tolerance must be a finite number >= 0"):
+                finder(game, grid, tolerance, starts)
+        with pytest.raises(d.DomainError, match="tolerance must be a finite number >= 0"):
+            d.classify_profile(akerlof_game, (1.0, 1.0), grid, tolerance)
+        with pytest.raises(d.DomainError, match="tolerance must be a finite number >= 0"):
+            d.deferral_loss(belief_heavy_game, (3.75, 4.0), (1.0, 1.0), d.Grid(40.0, 160), tolerance)
 
 
 class TestClassifyProfile:
@@ -528,7 +548,7 @@ class TestTabulatedGame:
                     (False, True): d.EquilibriumKind.AFTER_DEFERRAL,
                     (True, True): d.EquilibriumKind.BOTH}[standard, deferral]
             passed = [r for r, ok in ((regret, standard), (restricted_regret, deferral)) if ok]
-            cert = d.EquilibriumCertificate((pts[i1], pts[i2]), kind, max(passed), intervals)
+            cert = d.EquilibriumCertificate((pts[i1], pts[i2]), kind, max(passed))
             for restricted, ok in ((False, standard), (True, deferral)):
                 if ok:
                     expected[restricted].append(cert)
@@ -564,11 +584,11 @@ def _classification_oracle(game, profile, grid, tolerance):
         deferral = inside and all(x >= float(v[idx].max()) - tolerance
                                   for v, idx, x in zip(vectors, slices, values))
     if standard and deferral:
-        return d.EquilibriumKind.BOTH, max(standard_regret, deferral_regret), intervals
+        return d.EquilibriumKind.BOTH, max(standard_regret, deferral_regret)
     if standard:
-        return d.EquilibriumKind.STANDARD, standard_regret, intervals
+        return d.EquilibriumKind.STANDARD, standard_regret
     if deferral:
-        return d.EquilibriumKind.AFTER_DEFERRAL, deferral_regret, intervals
+        return d.EquilibriumKind.AFTER_DEFERRAL, deferral_regret
     return None
 
 
@@ -605,7 +625,7 @@ def test_classification_matches_per_agent_rebuild(n, a, b, c1, c2, beliefs, step
     choices = sorted({float(np.clip(x + r * grid.step, 0.0, 8.0)) for r in shifts})
     for profile in itertools.product(choices, repeat=n):
         cert = d.classify_profile(game, profile, grid, tolerance)
-        got = None if cert is None else (cert.kind, cert.max_regret, cert.per_agent_consideration)
+        got = None if cert is None else (cert.kind, cert.max_regret)
         assert got == _classification_oracle(game, profile, grid, tolerance)
 
 
@@ -995,6 +1015,37 @@ def test_both_searches_hold_no_table_at_4000_steps(akerlof_game):
     assert [c.profile for c in standard] == [c.profile for c in deferred]
     assert [c.profile for c in standard] == [(x, x) for x in grid.points[:1001].tolist()]
     assert peak < 16 * 2**20
+
+
+def test_a_certificate_holds_its_profile_kind_and_regret_only(akerlof_game):
+    # tolerance 1e9 passes every profile: 301² records of three fields, about 20 MiB
+    assert [f.name for f in fields(d.EquilibriumCertificate)] == ["profile", "kind", "max_regret"]
+    grid = d.Grid(8.0, 300)
+    grid.points  # cached on the grid, not the certificates' memory
+    tracemalloc.start()
+    try:
+        certs = d.find_equilibria(akerlof_game, grid, 1e9)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(certs) == 301**2
+    assert held < 30 * 2**20
+
+
+@pytest.mark.parametrize("tolerance", [None, 0.5])
+@pytest.mark.parametrize("fixture", ["akerlof_game", "example42_game"])
+def test_after_deferral_choices_lie_in_the_slice_of_the_public_interval(fixture, tolerance, request):
+    # an agent's interval is one call away: the others' choices give its social choice
+    game = request.getfixturevalue(fixture)
+    grid = d.Grid(X_MAX[fixture], 400)
+    for finder in (d.find_equilibria, d.find_equilibria_after_deferral):
+        certs = [c for c in finder(game, grid, tolerance) if c.kind is not d.EquilibriumKind.STANDARD]
+        assert certs
+        for cert in certs:
+            for i, (agent, x) in enumerate(zip(game.agents, cert.profile)):
+                social = d.aggregate_choices(game, i, cert.profile)
+                interval = d.consideration_interval(agent.utility, agent.c1, social)
+                assert x in grid.points[interval_grid_indices(interval, grid)], (cert, i)
 
 
 def test_a_zero_power_cost_solves_as_the_zero_linear_cost():
