@@ -127,8 +127,8 @@ def comprehensive_value(
 ) -> float:
     """Comprehensive utility of choosing ``x`` given the current social choice.
 
-    ``future_mean`` defaults to the mean of the agent's own beliefs (their
-    uniform mixture when there are several); game code passes the aggregated
+    ``future_mean`` defaults to ``belief_mean``, the mean of the uniform
+    mixture of the agent's own beliefs; game code passes the aggregated
     value explicitly.  It is the ``comprehensive_values`` kernel on a one-element
     array, so it equals the table entry at ``x`` bit for bit.
     """

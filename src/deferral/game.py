@@ -58,6 +58,7 @@ from .model import (
     Quadratic,
     Tabulated,
     Violation,
+    _mixture,
     cost_is_linear,
     utility_values,
 )
@@ -158,32 +159,19 @@ def aggregate_choices(game: GameSpec, i: int, profile: Sequence[float]) -> float
 
 
 def aggregate_beliefs(game: GameSpec, i: int) -> FiniteRandomVariable:
-    """Mixture of agent ``i``'s per-opponent beliefs with the configured weights."""
-    beliefs = game.agents[i].beliefs
-    weights = game.belief_aggregator.weights
-    if weights is None:
-        weights = tuple(1.0 / len(beliefs) for _ in beliefs)
-    if len(weights) != len(beliefs):
-        raise SpecValidationError([Violation(
-            "AggregatorWeightsInvalid",
-            f"{len(weights)} mixture weights for {len(beliefs)} beliefs")])
-    mixed: dict[float, float] = {}
-    for w, rv in zip(weights, beliefs):
-        if w == 0.0:
-            continue
-        for value, prob in rv.atoms:
-            mixed[value] = mixed.get(value, 0.0) + w * prob
-    atoms = tuple(sorted(mixed.items()))
-    return FiniteRandomVariable(atoms=atoms)
+    """Mixture of agent ``i``'s per-opponent beliefs with the configured weights (``_mixture``)."""
+    return _mixture(game.agents[i].beliefs, game.belief_aggregator.weights)
 
 
-def _check_choices(choices: Sequence[float], count: int, x_max: float, what: str) -> None:
-    """Raise ``DomainError`` unless there are ``count`` choices, each finite and in ``[0, x_max]``."""
-    if len(choices) != count:
-        raise DomainError(f"{what}: {len(choices)} entries, expected {count}")
-    for x in choices:
-        if not (0 <= x <= x_max and x < np.inf):
-            raise DomainError(f"choice {x} outside [0, {x_max}]")
+def _check_choices(choices, count: int, x_max: float, what: str) -> None:
+    """Raise ``DomainError`` unless ``choices`` has ``count`` entries per row, each finite and in
+    ``[0, x_max]``: one rule for a profile, the opponents and the rows of a lattice's starts."""
+    choices = np.asarray(choices, dtype=float)
+    if choices.shape[-1:] != (count,):
+        raise DomainError(f"{what} of shape {choices.shape}: expected {count} entries")
+    outside = ~((choices >= 0) & (choices <= x_max) & (choices < np.inf))
+    if outside.any():
+        raise DomainError(f"choice {choices[outside][0]} outside [0, {x_max}]")
 
 
 def _check_profile(game: GameSpec, profile: Sequence[float], x_max: float = np.inf) -> None:
@@ -577,20 +565,6 @@ def _window(payoff_at, k, span, tol, certificate):
     return np.maximum(k - reach[0], span[0]), np.minimum(k + reach[1], span[1])
 
 
-def _ends(certificate, m):
-    """The windows at the row ends that hold each concave row's smallest payoff.
-
-    A concave row lies above the line through its ends, by ``c·j(m−1−j)`` at
-    cell ``j``.  So a cell more than ``4ε / (c·(m−1))`` cells from both ends
-    pays more than one end, up to the rounding ``2ε``.
-    """
-    c, eps, rho = certificate
-    reach = 4.0 * eps / (c * (m - 1))  # inf on overflow, as c > 0
-    reach = int(reach * (1.0 + rho)) + 1 if reach < m else m
-    zero, last = np.zeros(m, dtype=np.intp), np.full(m, m - 1)
-    return (zero, np.minimum(zero + reach, last)), (np.maximum(last - reach, zero), last)
-
-
 def _window_blocks(window):
     """Blocks ``(rows, cols)`` of at most ``_BLOCK_CELLS`` cells covering each window ``[lo, hi]``.
 
@@ -612,13 +586,13 @@ def _window_blocks(window):
         yield rows, cols if w == m else np.minimum(lo[rows], m - w)[:, None] + cols
 
 
-def _row_bests(payoffs, window, part, exact, stat):
+def _row_bests(payoffs, window, part, lipschitz):
     """Over each row's ``window``: its best, its best in the slice ``part`` and the statistic.
 
     ``payoffs(rows, cols)`` evaluates a block of ``_window_blocks``.
     ``part`` is ``(first, last)`` per row, or ``None`` and a best of
-    ``-inf``; the ``_tolerance_stat`` of every cell is taken when ``stat``,
-    else it is ``-inf``.
+    ``-inf``; the one-step statistic (``_tolerance_stat``) of every cell is
+    taken when ``lipschitz``, else it is ``-inf``.
     """
     best, rbest, stats = np.empty(len(window[0])), np.full(len(window[0]), -np.inf), [-np.inf]
     for rows, cols in _window_blocks(window):
@@ -626,8 +600,8 @@ def _row_bests(payoffs, window, part, exact, stat):
         best[rows] = values.max(axis=1)
         if part is not None:
             rbest[rows] = _slice_best(values, cols, part[0][rows], part[1][rows])
-        if stat:
-            stats.append(_tolerance_stat(exact, values))
+        if lipschitz:
+            stats.append(_tolerance_stat(False, values))
     return best, rbest, np.max(stats)  # NaN-propagating
 
 
@@ -649,11 +623,12 @@ def _two_player_find(game, grid, tolerance, restricted):
 
     Pass 1 keeps O(m) results per agent: each row's best over the row and
     ``rbest`` over its slice, the slices' bounds and the default tolerance's
-    statistic.  On concave rows the row maximum is in the ``tol = 0`` window
-    and the minimum in the ``_ends`` windows.  Pass 2 goes over agent 1's
-    windows for ``tol`` and runs the searched test there (after deferral when
-    ``restricted``, else standard).  It evaluates agent 0's payoff only at
-    the surviving profiles and runs agent 0's test on them.
+    statistic.  On concave rows the row maximum is in the ``tol = 0`` window.
+    In the exact family the statistic, ``max|U|``, comes from 3m cells: the
+    agent's ``bases`` and their rows against both ends of the grid.  Pass 2
+    goes over agent 1's windows for ``tol`` and runs the searched test there
+    (after deferral when ``restricted``, else standard).  It evaluates agent
+    0's payoff only at the surviving profiles and runs agent 0's test on them.
     ``_certificates`` then runs both tests on the profiles that pass both
     agents' searched test, in the order of ``(i1, i2)``.
     """
@@ -676,14 +651,15 @@ def _two_player_find(game, grid, tolerance, restricted):
     first, last = (None, None) if bounds is None else bounds[2:]
     whole = np.zeros(m, dtype=np.intp), np.full(m, m - 1)
     best, rbest = np.empty((m, 2)), np.empty((m, 2))
-    stats, certificates, anchors = [], [], []
+    stats, certificates, anchors = [-np.inf, -np.inf], [], []
+    lipschitz = tolerance is None and not exact  # the one-step statistic over whole rows
     for a in range(2):
         row = functools.partial(payoffs, a)
         part = None if bounds is None else (first[:, a], last[:, a])
         certificates.append(_concavity(game, grid, a))
         if certificates[a] is None:
             anchors.append(None)
-            best[:, a], rbest[:, a], stat = _row_bests(row, whole, part, exact, tolerance is None)
+            best[:, a], rbest[:, a], stats[a] = _row_bests(row, whole, part, lipschitz)
         else:
             at = payoff_at(a)
             # the anchors of the row and of its slice: a concave row peaks in a
@@ -691,14 +667,16 @@ def _two_player_find(game, grid, tolerance, restricted):
             peak = _peak(at, m)
             anchors.append((peak, None if part is None else np.clip(peak, *part)))
             window = _window(at, peak, whole, 0.0, certificates[a])
-            best[:, a], _, stat = _row_bests(row, window, None, exact, tolerance is None)
+            best[:, a] = _row_bests(row, window, None, False)[0]
             if part is not None:
                 window = _window(at, anchors[a][1], part, 0.0, certificates[a])
-                rbest[:, a] = _row_bests(row, window, part, exact, False)[1]
-            if tolerance is None:
-                stat = np.max([stat, *(_row_bests(row, end, None, exact, True)[2]
-                                       for end in _ends(certificates[a], m))])
-        stats.append(stat)
+                rbest[:, a] = _row_bests(row, window, part, False)[1]
+        if exact and tolerance is None:
+            # the social choice is the opponent's grid point, and rounding is monotone, so each own
+            # choice's payoff peaks where the two are equal, at cost 0 (``bases[a]``), and bottoms
+            # out against an end of the grid: max|U| lies in these 3m cells
+            ends = row(np.array([0, m - 1]), np.arange(m))
+            stats[a] = _tolerance_stat(True, np.vstack([bases[a], ends]))
     tol = _tolerance(exact, stats, tolerance)
     # the searched test: payoff >= limit - tol, and each choice in its slice after deferral
     limit = rbest if restricted else best
@@ -817,6 +795,7 @@ def _lattice_find(game, grid, tolerance, restricted, starts):
         return []
     if starts.ndim != 2 or starts.shape[1] != game.n:
         raise DomainError(f"starts must be profiles of {game.n} choices, got shape {starts.shape}")
+    _check_choices(starts, game.n, grid.x_max, "starts")
     fixed, cycled, capped = _iterate(_lattice_sweep(game, grid, restricted), grid.nearest_indices(starts))
     if cycled or capped:
         search = "after-deferral" if restricted else "standard"

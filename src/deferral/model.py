@@ -309,9 +309,28 @@ def cost_is_strictly_increasing(c: CostFunction) -> bool:
     return c.d > 0
 
 
+def _mixture(beliefs, weights=None) -> FiniteRandomVariable:
+    """The mixture of ``beliefs`` with ``weights``, uniform when ``None``: the one
+    future reference point, whose mean ``belief_mean`` and the game's payoffs share."""
+    if not beliefs:
+        raise SpecValidationError([Violation("MissingBeliefs", "beliefs must be nonempty")])
+    if weights is None:
+        weights = (1.0 / len(beliefs),) * len(beliefs)
+    if len(weights) != len(beliefs):
+        raise SpecValidationError([Violation(
+            "AggregatorWeightsInvalid", f"{len(weights)} mixture weights for {len(beliefs)} beliefs")])
+    mixed: dict[float, float] = {}
+    for w, rv in zip(weights, beliefs):
+        if w == 0.0:
+            continue
+        for value, prob in rv.atoms:
+            mixed[value] = mixed.get(value, 0.0) + w * prob
+    return FiniteRandomVariable(atoms=tuple(sorted(mixed.items())))
+
+
 def belief_mean(agent: AgentSpec) -> float:
-    """Mean of the uniform mixture of the agent's own beliefs."""
-    return float(np.mean([b.mean() for b in agent.beliefs]))
+    """Mean of the uniform mixture of the agent's own beliefs (``_mixture``)."""
+    return _mixture(agent.beliefs).mean()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import dense_search
 import slice_argmax
 from conftest import X_MAX, point_mass, quad_agent, two_agent_game
 from deferral.choice import _comprehensive
-from deferral.game import _BLOCK_CELLS, START_LATTICE_POINTS
+from deferral.game import _BLOCK_CELLS, START_LATTICE_POINTS, _reference_points, _social_weights, _tolerance
 from slice_argmax import interval_grid_indices
 
 
@@ -821,10 +821,24 @@ class TestBatchedLatticeMatchesOracle:
             for a, b in ((1.0, 2.0), (1.0, 8.0), (2.0, 10.0))))
         grid = d.Grid(8.0, 40)
         half = grid.step / 2
-        # half-step ties, points beyond both ends and arbitrary interior points
-        starts = [(half, 3 * half, 7.0 + half), (-1.0, 9.0, 4.0), (0.123, 5.4321, 7.77),
+        # half-step ties, both ends of the bound and arbitrary interior points
+        starts = [(half, 3 * half, 7.0 + half), (0.0, 8.0, 4.0), (0.123, 5.4321, 7.77),
                   (8.0 - half, half, 2.0 + half)]
         _searches_match_oracle(game, grid, starts)
+
+
+@pytest.mark.parametrize("finder", [d.find_equilibria, d.find_equilibria_after_deferral])
+@pytest.mark.parametrize("start", [float("nan"), float("inf"), -1.0, 5.0],
+                         ids=["nan", "inf", "negative", "above-bound"])
+def test_lattice_refuses_starts_outside_the_bound(finder, start):
+    # as best_response refuses such opponents, and before any payoff is evaluated
+    game, grid = _three_agent_game(), d.Grid(4.0, 40)
+    with mock.patch("deferral.game._comprehensive", side_effect=AssertionError("searched")):
+        with pytest.raises(d.DomainError, match=rf"choice {start} outside \[0, 4.0\]"):
+            finder(game, grid, starts=[(1.0, 1.0, 1.0), (start, 1.0, 1.0)])
+    # an off-grid start inside the bound snaps to its nearest grid point
+    snapped = finder(game, grid, starts=[(1.0, 1.0, 4.0)])
+    assert snapped and finder(game, grid, starts=[(1.04, 0.96, 4.0)]) == snapped
 
 
 class TestLatticeConvergenceCounts:
@@ -975,6 +989,41 @@ def test_certified_windows_give_the_dense_certificates(game_grid, tolerance):
     for finder, dense in ((d.find_equilibria, dense_search.find_equilibria),
                           (d.find_equilibria_after_deferral, dense_search.find_equilibria_after_deferral)):
         assert _outcome(finder, game, grid, tolerance) == _outcome(dense, game, grid, tolerance)
+
+
+@st.composite
+def _exact_pairs(draw):
+    """An exact-family two-agent game: linear costs or ``PowerCost(0, p)``, weights
+    ``w_u`` and ``w_1`` of 0 or more, ``|k|`` up to 1e9 and ``x_max`` from 0.013 to 1000."""
+    grid = d.Grid(draw(st.sampled_from([0.013, 1.0, 8.0, 1000.0])), draw(st.integers(1, 120)))
+    cost = (st.sampled_from([0.0, 0.5, 1.0, 16.0]).map(d.LinearCost)
+            | st.sampled_from([1.5, 2.0, 3.0]).map(lambda p: d.PowerCost(0.0, p)))
+    agents = []
+    for _ in range(2):
+        a, peak = 10.0 ** draw(st.floats(-6.0, 2.0)), draw(st.floats(-0.5, 1.5)) * grid.x_max
+        utility = d.Quadratic(a, 2.0 * a * peak, draw(st.floats(-1e9, 1e9)))
+        form = d.ComprehensiveUtilityForm(*(draw(st.sampled_from(w))
+                                            for w in ([0.0, 0.5, 1.0], [0.0, 1.0, 3.0], [0.0, 1.0])))
+        agents.append(d.AgentSpec(utility, draw(cost), draw(cost),
+                                  (point_mass(draw(st.floats(0.0, 2.0 * grid.x_max))),), form))
+    aggregator = draw(st.sampled_from([d.MeanChoice(), d.WeightedChoice((0.3, 0.7))]))
+    return d.GameSpec(tuple(agents), choice_aggregator=aggregator), grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(game_grid=_exact_pairs())
+def test_exact_family_default_tolerance_is_the_dense_one(game_grid):
+    # max|U| over both whole tables, which the search reads from 3m cells per agent
+    game, grid = game_grid
+    socials = [_reference_points([grid.points[:, None]], *_social_weights(game, a)) for a in range(2)]
+    tables = [d.comprehensive_values(agent, grid, s, d.aggregate_beliefs(game, a).mean())
+              for a, (agent, s) in enumerate(zip(game.agents, socials))]
+    dense = _outcome(dense_search._tolerance, game, tables, None)
+    for finder in (d.find_equilibria, d.find_equilibria_after_deferral):
+        with mock.patch("deferral.game._tolerance", wraps=_tolerance) as spy:
+            if _outcome(finder, game, grid) is d.ClosedFormUnavailable:
+                continue  # no search after deferral without the closed form
+        assert _outcome(_tolerance, *spy.call_args.args) == dense
 
 
 def _kernel_cells(finder, game, grid):

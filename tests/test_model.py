@@ -190,6 +190,25 @@ def test_belief_mean_uniform_mixture():
     assert d.belief_mean(agent) == 4.0
 
 
+_two_atom_beliefs = st.builds(
+    lambda values, p: d.FiniteRandomVariable(((values[0], p), (values[1], 1.0 - p))),
+    st.lists(st.floats(0.0, 100.0), min_size=2, max_size=2, unique=True), st.floats(0.01, 0.99))
+
+
+@settings(max_examples=200, deadline=None)
+@given(beliefs=st.lists(_two_atom_beliefs, min_size=2, max_size=4))
+def test_belief_mean_is_the_games_future_reference_point(beliefs):
+    # one mixture serves comprehensive_value's default future mean and the game's payoffs
+    agent = replace(quad_agent(), beliefs=tuple(beliefs))
+    game = d.GameSpec((agent,) * (len(beliefs) + 1))
+    assert d.belief_mean(agent) == d.aggregate_beliefs(game, 0).mean()
+
+
+def test_belief_mean_needs_a_belief():
+    with pytest.raises(d.SpecValidationError, match="MissingBeliefs"):
+        d.belief_mean(replace(quad_agent(), beliefs=()))
+
+
 def test_require_valid_raises_with_all_violations():
     agent = quad_agent(a=0.0, weights=(1.0, -1.0, 1.0))
     with pytest.raises(d.SpecValidationError) as err:
