@@ -21,7 +21,6 @@ from .model import (
     CostFunction,
     Grid,
     UtilityFunction,
-    cost_is_strictly_increasing,
     eval_cost,
     eval_utility,
     require_nonnegative,
@@ -87,7 +86,7 @@ def require_closed_form(u: UtilityFunction, c1: CostFunction) -> None:
     and only ``maximal_set_grid`` defines the consideration set).
     """
     require_valid(u)
-    if not cost_is_strictly_increasing(c1):
+    if not c1.d > 0:
         raise ClosedFormUnavailable(
             "the interval form needs a strictly increasing current-distance cost"
         )
@@ -134,22 +133,15 @@ def interval_index_bounds(lo, hi, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     oracle on the grid, so the indexed set equals
     ``maximal_set_grid`` under the closed-form preconditions.  A degenerate
     interval maps to the nearest grid point (two points if exactly halfway
-    between neighbours, matching the mutual-weak-dominance tie).  A sub-cell
-    interval whose endpoints both snapped across the midpoint collapses to
-    the point nearest the interval's centre.
+    between neighbours, matching the mutual-weak-dominance tie).  A proper
+    interval's first index never exceeds its last: the distance from the grid
+    point below is exact, so two endpoints in one cell cannot snap past each
+    other.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     degenerate = hi - lo <= 0.0
-    up = grid.nearest_indices(lo, tie_up=True)
-    i_lo = np.where(degenerate, grid.nearest_indices(lo, tie_up=False), up)
-    i_hi = np.where(degenerate, up, grid.nearest_indices(hi, tie_up=False))
-    crossed = i_lo > i_hi
-    if crossed.any():
-        centre = grid.nearest_indices(0.5 * (lo + hi), tie_up=True)
-        i_lo = np.where(crossed, centre, i_lo)
-        i_hi = np.where(crossed, centre, i_hi)
-    return i_lo, i_hi
+    return grid.nearest_indices(lo, tie_up=~degenerate), grid.nearest_indices(hi, tie_up=degenerate)
 
 
 def consideration_slice(u: UtilityFunction, c1: CostFunction, x_social,

@@ -59,28 +59,25 @@ class Grid:
     def step(self) -> float:
         return self.x_max / self.steps
 
-    def nearest_index(self, x: float, *, tie_up: bool = True) -> int:
-        """Index of the grid point nearest to ``x`` (see ``nearest_indices``)."""
-        return int(self.nearest_indices(x, tie_up=tie_up))
-
-    def nearest_indices(self, x, *, tie_up: bool = True) -> np.ndarray:
+    def nearest_indices(self, x, *, tie_up: bool | np.ndarray = True) -> np.ndarray:
         """Index of the grid point nearest to each entry of ``x`` (vectorized).
 
-        Points outside ``[0, x_max]`` clamp to the boundary.  An exact
-        half-step tie resolves upward when ``tie_up`` and downward otherwise;
-        the two conventions together make interval snapping round inward.
+        Points outside ``[0, x_max]`` snap to the boundary.  An exact
+        half-step tie resolves upward where ``tie_up`` holds and downward
+        elsewhere; ``tie_up`` is one flag or a boolean array broadcast
+        against ``x``, so each entry can take its own direction.  Snapping an
+        interval's ``lo`` up and its ``hi`` down rounds it inward.
         """
         pts = self.points
         x = np.asarray(x, dtype=float)
         j = np.clip(np.searchsorted(pts, x), 1, self.steps)
         below, above = x - pts[j - 1], pts[j] - x
-        idx = np.where(below < above, j - 1, j) if tie_up else np.where(above < below, j, j - 1)
-        return np.where(x <= pts[0], 0, np.where(x >= pts[-1], self.steps, idx))
+        return np.where((above < below) | ((above == below) & tie_up), j, j - 1)
 
     def index_of(self, x: float) -> int:
-        """Index of ``x`` as an exact grid point, else ``GridLookupError``."""
-        j = self.nearest_index(x)
-        if abs(self.points[j] - x) > EXACT_TOL:
+        """Index of ``x`` as an exact grid point, else ``GridLookupError`` (NaN included)."""
+        j = int(self.nearest_indices(x))
+        if not abs(self.points[j] - x) <= EXACT_TOL:
             raise GridLookupError(f"{x} is not a point of grid(x_max={self.x_max}, steps={self.steps})")
         return j
 
@@ -303,10 +300,6 @@ def eval_cost(c: CostFunction, delta, weight: float = 1.0) -> float | np.ndarray
 def cost_is_linear(c: CostFunction) -> bool:
     """Whether ``c`` is ``d * delta``: a linear cost, or a zero slope, zero everywhere."""
     return isinstance(c, LinearCost) or c.d == 0.0
-
-
-def cost_is_strictly_increasing(c: CostFunction) -> bool:
-    return c.d > 0
 
 
 def _mixture(beliefs, weights=None) -> FiniteRandomVariable:

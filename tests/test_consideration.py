@@ -54,8 +54,9 @@ class TestConsiderationInterval:
         assert d.consideration_interval(U, d.LinearCost(1.0), 0.25) == d.ClosedInterval(0.25, 1.0)
 
     def test_zero_cost_unavailable(self):
-        with pytest.raises(d.ClosedFormUnavailable):
-            d.consideration_interval(U, d.LinearCost(0.0), 4.0)
+        for slope in (0.0, float("nan")):
+            with pytest.raises(d.ClosedFormUnavailable):
+                d.consideration_interval(U, d.LinearCost(slope), 4.0)
 
     def test_invalid_utility_rejected(self):
         with pytest.raises(d.SpecValidationError):
@@ -197,6 +198,43 @@ def test_index_bounds_of_many_intervals_match_one_at_a_time():
         consideration_slice(u, c1, np.array([[2.0], [-0.5]]), grid)
     with pytest.raises(d.ClosedFormUnavailable):
         consideration_slice(u, d.LinearCost(0.0), socials[:, None], grid)
+
+
+def _ulps(x: float, k: int) -> float:
+    """``x`` moved ``k`` floats up (``k < 0``: down)."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, np.copysign(np.inf, k)))
+    return x
+
+
+@st.composite
+def _snapped_intervals(draw):
+    """A grid with ``x_max`` across the float range and an interval of width 0 up to
+    one cell, starting a few floats off a grid point or a midpoint."""
+    grid = d.Grid(10.0 ** draw(st.floats(-300.0, 300.0)), draw(st.integers(1, 10**5)))
+    pts = grid.points
+    j = draw(st.integers(0, grid.steps - 1))
+    anchor = pts[j] + 0.5 * (pts[j + 1] - pts[j]) if draw(st.booleans()) else pts[j]
+    lo = max(_ulps(float(anchor), draw(st.integers(-4, 4))), 0.0)
+    width = draw(st.one_of(st.integers(0, 8), st.floats(0.0, 1.0)))
+    hi = _ulps(lo, width) if isinstance(width, int) else lo + width * grid.step
+    return grid, lo, hi
+
+
+@settings(max_examples=500, deadline=None)
+@given(_snapped_intervals())
+def test_snapped_endpoints_never_cross(grid_interval):
+    # the slice of [lo, hi] is two snaps; inside one cell they cannot pass each other
+    from deferral.consideration import interval_index_bounds
+
+    grid, lo, hi = grid_interval
+    first, last = (int(i) for i in interval_index_bounds(lo, hi, grid))
+    pts = grid.points
+    assert first <= last
+    assert set(np.flatnonzero((lo <= pts) & (pts <= hi))) <= set(range(first, last + 1))
+    if lo == hi:
+        gap = np.abs(pts - lo)
+        assert np.flatnonzero(gap == gap.min()).tolist() == list(range(first, last + 1))
 
 
 # --- the sort oracle against the pairwise scan ----------------------------------

@@ -14,7 +14,8 @@ import dense_search
 import slice_argmax
 from conftest import X_MAX, point_mass, quad_agent, two_agent_game
 from deferral.choice import _comprehensive
-from deferral.game import _BLOCK_CELLS, START_LATTICE_POINTS, _reference_points, _social_weights, _tolerance
+from deferral.game import (_BLOCK_CELLS, START_LATTICE_POINTS, _concavity, _reference_points, _social_weights,
+                          _tolerance)
 from slice_argmax import interval_grid_indices
 
 
@@ -72,6 +73,12 @@ class TestAggregateChoices:
             d.payoff(akerlof_game, 0, (float("inf"), 1.0))
         with pytest.raises(d.DomainError, match=r"choice inf outside \[0, 8.0\]"):
             d.classify_profile(akerlof_game, (1.0, float("inf")), d.Grid(8.0, 16))
+
+    def test_one_agent_game_is_refused(self):
+        game = d.GameSpec(agents=(quad_agent(),))
+        with pytest.raises(d.SpecValidationError) as err:
+            d.aggregate_choices(game, 0, (1.0,))
+        assert [v.code for v in err.value.violations] == ["TooFewAgents"]
 
 
 class TestAggregateBeliefs:
@@ -161,6 +168,16 @@ class TestBestResponse:
         game = two_agent_game(agent, agent)
         with pytest.raises(d.MethodUnsupported):
             d.best_response(game, 0, (1.0,), tab_grid, method="exact")
+        grid = d.Grid(8.0, 16)
+        power = quad_agent(c1=d.PowerCost(1.0, 2.0))
+        flat = quad_agent(weights=(0.0, 1.0, 1.0))  # w_u = 0: no curvature to solve with
+        for game, method, message in ((two_agent_game(power, power), "exact", "linear costs"),
+                                      (two_agent_game(flat, flat), "exact", "w_u > 0"),
+                                      (akerlof_game, "bogus", "unknown best-response method")):
+            with pytest.raises(d.MethodUnsupported, match=message):
+                d.best_response(game, 0, (1.0,), grid, method=method)
+        with pytest.raises(d.MethodUnsupported, match="two-agent game"):
+            d.best_response_curve(_three_agent_game(), 0, (1.0,), grid)
 
     def test_exact_agrees_with_grid_on_random_draws(self):
         rng = np.random.default_rng(11)
@@ -620,7 +637,7 @@ def test_classification_matches_per_agent_rebuild(n, a, b, c1, c2, beliefs, step
     grid = d.Grid(8.0, steps)
     # every profile of choices near a grid point by the common peak, so that
     # many are equilibria: on grid points, half steps and arbitrary points
-    x = float(grid.points[np.clip(grid.nearest_index(agents[0].utility.peak) + shift, 0, steps)])
+    x = float(grid.points[np.clip(int(grid.nearest_indices(agents[0].utility.peak)) + shift, 0, steps)])
     shifts = [0.0, 1.0, -0.5, 0.5] + offsets
     choices = sorted({float(np.clip(x + r * grid.step, 0.0, 8.0)) for r in shifts})
     for profile in itertools.product(choices, repeat=n):
@@ -684,7 +701,7 @@ def _oracle_certificates(game, grid, starts, restricted):
               d.EquilibriumKind.BOTH)
     outcome = {}
     for start in starts:
-        state = tuple(float(grid.points[grid.nearest_index(x)]) for x in start)
+        state = tuple(float(grid.points[int(grid.nearest_indices(x))]) for x in start)
         path = []
         while state not in outcome and state not in path:
             path.append(state)
@@ -989,6 +1006,24 @@ def test_certified_windows_give_the_dense_certificates(game_grid, tolerance):
     for finder, dense in ((d.find_equilibria, dense_search.find_equilibria),
                           (d.find_equilibria_after_deferral, dense_search.find_equilibria_after_deferral)):
         assert _outcome(finder, game, grid, tolerance) == _outcome(dense, game, grid, tolerance)
+
+
+@pytest.mark.parametrize("edge", [d.Quadratic(5e-324, 4.0, 0.0), d.Quadratic(1.0, 4.0, 1e308)],
+                         ids=["curvature underflows", "terms overflow"])
+def test_rows_at_the_float_range_ends_stay_whole(edge):
+    # an exact-family agent whose concavity certificate fails reads whole rows,
+    # beside an opponent whose rows are windowed
+    grid = d.Grid(8.0, 30)
+
+    def agent(utility):
+        return d.AgentSpec(utility, d.LinearCost(1.0), d.LinearCost(0.5), (point_mass(4.0),))
+
+    game = two_agent_game(agent(edge), agent(d.Quadratic(2.0, 6.0, 1.0)))
+    assert _concavity(game, grid, 0) is None and _concavity(game, grid, 1) is not None
+    for tolerance in (None, 0.0, 0.5):
+        for finder, dense in ((d.find_equilibria, dense_search.find_equilibria),
+                              (d.find_equilibria_after_deferral, dense_search.find_equilibria_after_deferral)):
+            assert finder(game, grid, tolerance) == dense(game, grid, tolerance)
 
 
 @st.composite

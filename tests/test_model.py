@@ -112,6 +112,13 @@ class TestValidate:
     def test_violations_returned_not_raised(self):
         assert isinstance(d.validate(quad_agent(a=-1.0)), list)
 
+    def test_shape_violations_and_foreign_types(self):
+        u = d.Tabulated(values=(0.0, 1.0, 0.0), grid=d.Grid(1.0, 4))
+        assert [v.code for v in d.validate(u)] == ["TabulationLengthMismatch"]
+        assert [v.code for v in d.validate(d.FiniteRandomVariable(()))] == ["EmptyAtoms"]
+        with pytest.raises(TypeError, match="cannot validate object of type float"):
+            d.validate(1.0)
+
     @pytest.mark.parametrize("spec", [
         d.Grid(float("inf"), 8),
         d.LinearCost(float("inf")),
@@ -136,13 +143,24 @@ class TestGrid:
         assert d.Grid(10.0, 4000).points[1300] == 3.25
         assert d.Grid(8.0, 1600).points[400] == 2.0
 
+    def test_index_of_exact_points_only(self):
+        g = d.Grid(8.0, 8)
+        assert g.index_of(3.0) == 3
+        for x in (2.5, float("nan")):
+            with pytest.raises(d.GridLookupError):
+                g.index_of(x)
+
     def test_nearest_index_ties(self):
         g = d.Grid(8.0, 8)  # step 1.0, so the midpoint 0.5 is an exact tie
-        assert g.nearest_index(0.5, tie_up=True) == 1
-        assert g.nearest_index(0.5, tie_up=False) == 0
-        assert g.nearest_index(0.49) == 0
-        assert g.nearest_index(9.0) == 8
-        assert g.nearest_index(-1.0) == 0
+        assert int(g.nearest_indices(0.5, tie_up=True)) == 1
+        assert int(g.nearest_indices(0.5, tie_up=False)) == 0
+        assert int(g.nearest_indices(0.49)) == 0
+        assert int(g.nearest_indices(9.0)) == 8
+        assert int(g.nearest_indices(-1.0)) == 0
+        # one tie direction per entry, and the infinities at the ends
+        x = [0.5, 0.5, 1.5, -np.inf, np.inf]
+        tie_up = np.array([True, False, False, True, False])
+        assert g.nearest_indices(x, tie_up=tie_up).tolist() == [1, 0, 1, 0, 8]
 
 
 cost_variants = st.one_of(

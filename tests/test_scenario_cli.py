@@ -360,19 +360,38 @@ class TestNonFiniteAndOutOfRangeNumbers:
         assert "--agent must be in 1..2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("document,path,value", [
-        ("scenario", ("agents", 0, "beliefs", 0, 0, 0), "x"),
-        ("scenario", ("agents", 0, "beliefs", 0, 0, 0), None),
-        ("scenario", ("agents", 0, "utility"), {"variant": "tabulated", "values": [0.0, "q"]}),
-        ("scenario", ("choice_aggregator",), {"variant": "weighted", "weights": ["a", 0.5]}),
-        ("scenario", ("x_max",), 10 ** 400),
-        ("scenario", ("x_max",), -1),
-        ("scenario", ("agents", 0, "utility"), "quadratic"),
-        ("scenario", ("agents", 0, "form"), "oops"),
-        ("profile", ("profile",), ["a", 1]),
+    @pytest.mark.parametrize("document,path,value,message", [
+        ("scenario", ("agents", 0, "beliefs", 0, 0, 0), "x", "expected a number, got 'x'"),
+        ("scenario", ("agents", 0, "beliefs", 0, 0, 0), None, "expected a number, got None"),
+        ("scenario", ("agents", 0, "utility"), {"variant": "tabulated", "values": [0.0, "q"]},
+         "values[1]: expected a number"),
+        ("scenario", ("choice_aggregator",), {"variant": "weighted", "weights": ["a", 0.5]},
+         "weights[0]: expected a number"),
+        ("scenario", ("x_max",), 10 ** 400, "number too large for a float"),
+        ("scenario", ("x_max",), -1, "x_max must be > 0"),
+        ("scenario", ("agents", 0, "utility"), "quadratic", "utility: expected an object"),
+        ("scenario", ("agents", 0, "form"), "oops", "form: expected an object"),
+        ("profile", ("profile",), ["a", 1], "profile[0]: expected a number"),
+        ("scenario", ("choice_aggregator",), {"variant": "weighted", "weights": 0.5},
+         "weights: expected a list of numbers"),
+        ("scenario", ("agents", 0, "utility"), {"variant": "cubic"}, "unknown utility variant 'cubic'"),
+        ("scenario", ("agents", 0, "c1"), {"variant": "log"}, "unknown cost variant 'log'"),
+        ("scenario", ("choice_aggregator",), {"variant": "median"}, "unknown variant 'median'"),
+        ("scenario", ("belief_aggregator",), {"variant": "max"}, "unknown variant 'max'"),
+        ("scenario", ("agents", 0, "beliefs"), [], "'beliefs' must be a nonempty list"),
+        ("scenario", ("agents", 0, "beliefs", 0), 1.0, "expected [[value, prob], ...]"),
+        ("scenario", ("agents", 0, "beliefs", 0, 0), [1.0], "each atom must be [value, prob]"),
+        ("scenario", ("agents", 0), {}, "missing required key 'utility'"),
+        ("scenario", ("mode",), "tournament", "mode must be 'single_agent' or 'game'"),
+        ("scenario", ("output_dir",), 3, "output_dir must be a string"),
+        ("scenario", ("mode",), "single_agent", "needs an 'agent' object"),
+        ("scenario", ("agents",), json.loads(_AKERLOF.read_text())["agents"][:1],
+         "'agents' list with at least two entries"),
     ], ids=["atom-string", "atom-null", "tabulated-value", "choice-weight", "huge-integer",
-            "negative-bound", "utility-string", "form-string", "profile-entry"])
-    def test_malformed_document_is_2(self, document, path, value, tmp_path, capsys):
+            "negative-bound", "utility-string", "form-string", "profile-entry", "weights-not-list",
+            "utility-variant", "cost-variant", "choice-variant", "belief-variant", "no-beliefs",
+            "belief-shape", "atom-shape", "empty-agent", "mode", "output-dir", "no-agent", "one-agent"])
+    def test_malformed_document_is_2(self, document, path, value, message, tmp_path, capsys):
         docs = {"scenario": json.loads(_AKERLOF.read_text()), "profile": {"profile": [1.0, 1.0]}}
         *parents, last = path
         target = docs[document]
@@ -382,7 +401,8 @@ class TestNonFiniteAndOutOfRangeNumbers:
         scenario, profile = (_write(tmp_path, f"{k}.json", v) for k, v in docs.items())
         assert main(["loss", scenario, "--steps", "40", "--standard", profile,
                      "--deferred", profile, "--output-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
         assert not (tmp_path / "out").exists()
 
     def _tabulated_game(self, tmp_path):
