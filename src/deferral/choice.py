@@ -156,23 +156,23 @@ def comprehensive_values(
     return _comprehensive(agent, grid.points, base, x_social)
 
 
-def grid_argmax(agent: AgentSpec, grid: Grid, x_social, future_mean: float | None = None,
-                restricted: bool = False,
+def grid_argmax(agent: AgentSpec, grid: Grid, x_social, restricted: bool = False,
                 values: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``near_best`` of the comprehensive values: the one grid argmax of every choice.
 
     ``x_social`` is a scalar or a column, as for ``comprehensive_values``.  When
     ``restricted``, points outside the ``consideration_slice`` count as
     ``-inf``, and the slice's checks run before the kernel's.  A caller that
-    already has the comprehensive values passes them as ``values``; the
-    kernel does not run again, and ``future_mean`` goes unused.
+    already has the comprehensive values passes them as ``values``, and the
+    kernel does not run again; without them it runs with the agent's own
+    ``belief_mean`` as the future reference point.
     """
     mask = None
     if restricted:
         first, last = consideration_slice(agent.utility, agent.c1, x_social, grid)[2:]
         mask = in_slice(np.arange(len(grid.points)), first, last)
     if values is None:
-        values = comprehensive_values(agent, grid, x_social, future_mean)
+        values = comprehensive_values(agent, grid, x_social)
     return near_best(values if mask is None else np.where(mask, values, -np.inf))
 
 

@@ -3,7 +3,11 @@
 Each agent's payoff is the comprehensive utility evaluated at their own
 choice, with the current social reference point aggregated from the other
 agents' choices and the future reference point taken from the mean of the
-aggregated beliefs.  Two equilibrium notions are supported:
+aggregated beliefs.  One grid best response, ``_grid_responses``, answers
+every grid best-response question: against a column of social choices it
+yields the ``grid_argmax`` masks in blocks of rows, and ``best_response``,
+``deferral_best_response``, the grid ``best_response_curve`` and the
+n-agent sweeps all read it.  Two equilibrium notions are supported:
 
 * standard: every agent's choice maximizes their payoff over the whole
   strategy interval ``[0, x_max]``, the grid's bound;
@@ -19,8 +23,8 @@ out the cells away from the row's bisected peak, and at the default
 tolerance the search reads O(m log m) cells with the verdicts of whole rows.
 For more agents a simultaneous best-response iteration from a start lattice
 finds fixed points without any completeness claim.  Every start is iterated
-at once, one row per start, in blocks of rows.  One cap on the cells of a
-block, ``_BLOCK_CELLS``, bounds the memory of both engines.
+at once, one row per start, in the grid best response's blocks.  One cap on
+the cells of a block, ``_BLOCK_CELLS``, bounds the memory of both engines.
 """
 
 from __future__ import annotations
@@ -71,8 +75,9 @@ START_LATTICE_POINTS = 11
 MAX_LATTICE_AGENTS = 4
 _MAX_ITERATIONS = 500
 #: Cap on the cells (rows x own choices) of one payoff block in both engines:
-#: the two-agent search's blocks of row windows and the lattice's blocks of
-#: starts.  It bounds their memory whatever the grid or the number of starts.
+#: the two-agent search's blocks of row windows and the grid best response's
+#: blocks of social choices, which the lattice's starts and a curve's sweep
+#: fill.  It bounds their memory whatever the grid or the number of rows.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -265,11 +270,51 @@ def _exact_best_response(game: GameSpec, i: int, x_social: float, grid: Grid) ->
     )
 
 
-def _opponent_social(game: GameSpec, i: int, opponents: Sequence[float], grid: Grid) -> float:
-    """Agent ``i``'s social choice against one choice in ``[0, grid.x_max]`` per other agent."""
+def _opponent_socials(game: GameSpec, i: int, opponents, grid: Grid) -> np.ndarray:
+    """Agent ``i``'s social choices, a column, against rows of one choice in
+    ``[0, grid.x_max]`` per other agent."""
     weights, total = _social_weights(game, i)
     _check_choices(opponents, game.n - 1, grid.x_max, "opponents")
-    return float(_reference_points(opponents, weights, total))
+    return _reference_points(np.asarray(opponents, dtype=float).T[:, :, None], weights, total)
+
+
+def _own_base(game: GameSpec, i: int, grid: Grid) -> np.ndarray:
+    """Agent ``i``'s ``_own_values`` on the grid, against the aggregated beliefs' mean."""
+    agent = game.agents[i]
+    return _own_values(agent, grid.points, utility_values(agent.utility, grid),
+                       aggregate_beliefs(game, i).mean())
+
+
+def _grid_responses(game: GameSpec, i: int, socials: np.ndarray, grid: Grid, restricted: bool,
+                    base: np.ndarray | None = None):
+    """The one grid best response: agent ``i``'s ``grid_argmax`` against a column of social choices.
+
+    Yields ``(rows, near)`` for consecutive blocks of at most ``_BLOCK_CELLS``
+    cells: the slice ``rows`` of ``socials`` (shape ``(rows, 1)``, each finite
+    and in the grid's bound) and the argmax mask of each of its rows,
+    restricted to the consideration slice when ``restricted``.  ``base`` is
+    the agent's ``_own_base``; without it, it is computed once here, after
+    the slice's checks when ``restricted``, so that those raise first.
+    """
+    agent = game.agents[i]
+    if base is None:
+        if restricted:
+            require_closed_form(agent.utility, agent.c1)
+        base = _own_base(game, i, grid)
+    pts = grid.points
+    count = max(1, _BLOCK_CELLS // len(pts))
+    for first in range(0, len(socials), count):
+        rows = slice(first, first + count)
+        block = socials[rows]
+        yield rows, grid_argmax(agent, grid, block, restricted, _comprehensive(agent, pts, base, block))[1]
+
+
+def _argmax_sets(game: GameSpec, i: int, socials: np.ndarray, grid: Grid,
+                 restricted: bool) -> tuple[tuple[float, ...], ...]:
+    """The grid points of each argmax set of ``_grid_responses``, one per social choice."""
+    pts = grid.points
+    return tuple(tuple(float(x) for x in pts[row])
+                 for _, near in _grid_responses(game, i, socials, grid, restricted) for row in near)
 
 
 def best_response(
@@ -285,13 +330,12 @@ def best_response(
     ``method="exact"`` solves the kinked concave program in closed form and
     is only available for quadratic utilities with linear costs.
     """
-    x_social = _opponent_social(game, i, opponents, grid)
+    socials = _opponent_socials(game, i, [opponents], grid)
     if method == "exact":
-        return _exact_best_response(game, i, x_social, grid)
+        return _exact_best_response(game, i, socials.item(), grid)
     if method != "grid":
         raise MethodUnsupported(f"unknown best-response method {method!r}")
-    near = grid_argmax(game.agents[i], grid, x_social, aggregate_beliefs(game, i).mean())[1]
-    return tuple(float(x) for x in grid.points[near])
+    return _argmax_sets(game, i, socials, grid, False)[0]
 
 
 def deferral_best_response(
@@ -301,9 +345,7 @@ def deferral_best_response(
     grid: Grid,
 ) -> tuple[float, ...]:
     """Argmax set of agent ``i``'s payoff restricted to their consideration set."""
-    x_social = _opponent_social(game, i, opponents, grid)
-    near = grid_argmax(game.agents[i], grid, x_social, aggregate_beliefs(game, i).mean(), True)[1]
-    return tuple(float(x) for x in grid.points[near])
+    return _argmax_sets(game, i, _opponent_socials(game, i, [opponents], grid), grid, True)[0]
 
 
 def best_response_curve(
@@ -315,11 +357,18 @@ def best_response_curve(
 ) -> BestResponseCurve:
     """Sample the best response of agent ``i`` over a sweep of opponent values.
 
-    Only defined for two-agent games (the sweep is one-dimensional).
+    Only defined for two-agent games (the sweep is one-dimensional).  Each
+    value is checked as ``best_response`` checks an opponent.  The grid
+    method answers the whole sweep at once, in blocks of rows; any other
+    method asks ``best_response`` once per value.
     """
     if game.n != 2:
         raise MethodUnsupported("best-response sweeps need a two-agent game")
-    sets = tuple(best_response(game, i, (x,), grid, method=method) for x in opponent_values)
+    if method == "grid":
+        column = np.asarray(opponent_values, dtype=float)[:, None]
+        sets = _argmax_sets(game, i, _opponent_socials(game, i, column, grid), grid, False)
+    else:
+        sets = tuple(best_response(game, i, (x,), grid, method=method) for x in opponent_values)
     return BestResponseCurve(agent=i, opponent_values=tuple(opponent_values), argmax_sets=sets)
 
 
@@ -636,8 +685,7 @@ def _two_player_find(game, grid, tolerance, restricted):
     m = len(pts)
     exact = is_exact_family(game)
     socials = [_reference_points([pts[:, None]], *_social_weights(game, a)) for a in range(2)]
-    bases = [_own_values(agent, pts, utility_values(agent.utility, grid), aggregate_beliefs(game, a).mean())
-             for a, agent in enumerate(game.agents)]
+    bases = [_own_base(game, a, grid) for a in range(2)]
 
     def payoffs(a, rows, cols):
         # one row of cols is a whole row (_window_blocks), which broadcasts ungathered
@@ -731,34 +779,24 @@ def _lattice_sweep(game: GameSpec, grid: Grid, restricted: bool):
     """Simultaneous best-response map on rows of grid-index profiles.
 
     The returned function maps a (rows x n) int array to each agent's
-    smallest ``grid_argmax`` point (restricted to their consideration slice
-    when ``restricted``) against the row's other choices.  It works through
-    the rows in blocks of at most ``_BLOCK_CELLS`` payoff cells, so its
-    memory is bounded whatever the number of rows.  Aggregator weights and
-    each agent's ``_own_values`` on the grid are computed once here, so
-    their errors propagate before any iteration.  The restricted map reads
+    smallest ``_grid_responses`` point (restricted to their consideration
+    slice when ``restricted``) against the row's other choices.  Aggregator
+    weights and each agent's ``_own_base`` are computed once here, so their
+    errors propagate before any iteration.  The restricted map reads
     ``consideration_slice``, whose closed-form checks
     ``find_equilibria_after_deferral`` also runs before any search.
     """
     pts = grid.points
-    rows = max(1, _BLOCK_CELLS // len(pts))
-    agents = []
-    for i, agent in enumerate(game.agents):
-        others = [j for j in range(game.n) if j != i]
-        weights = _social_weights(game, i)
-        base = _own_values(agent, pts, utility_values(agent.utility, grid), aggregate_beliefs(game, i).mean())
-        agents.append((agent, others, weights, base))
+    agents = [([j for j in range(game.n) if j != i], _social_weights(game, i), _own_base(game, i, grid))
+              for i in range(game.n)]
 
     def sweep(state: np.ndarray) -> np.ndarray:
         updated = np.empty_like(state)
-        for first in range(0, len(state), rows):
-            block = slice(first, first + rows)
-            xs = pts[state[block]]
-            for i, (agent, others, social_weights, base) in enumerate(agents):
-                socials = _reference_points(xs[:, others].T, *social_weights)[:, None]
-                values = _comprehensive(agent, pts, base, socials)
-                near = grid_argmax(agent, grid, socials, restricted=restricted, values=values)[1]
-                updated[block, i] = np.argmax(near, axis=1)
+        xs = pts[state]
+        for i, (others, social_weights, base) in enumerate(agents):
+            socials = _reference_points(xs[:, others].T[:, :, None], *social_weights)
+            for rows, near in _grid_responses(game, i, socials, grid, restricted, base):
+                updated[rows, i] = np.argmax(near, axis=1)
         return updated
 
     return sweep

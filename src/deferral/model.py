@@ -12,6 +12,7 @@ they are safe to evaluate concurrently without synchronization.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import KW_ONLY, astuple, dataclass, field
 from functools import cached_property
 from typing import Union
@@ -400,6 +401,12 @@ def _validate_grid(g: Grid, out: list[Violation], where: str) -> None:
     _check(out, g.steps >= 1, "NonPositiveSteps", f"{where}: steps must be >= 1, got {g.steps}")
     limit = np.iinfo(np.intp).max // 8 - 1  # the most steps whose float64 points numpy can address
     _check(out, g.steps <= limit, "GridTooLarge", f"{where}: steps must be <= {limit}")
+    if g.x_max > 0 and _finite(g.x_max) and 1 <= g.steps <= limit:
+        # O(1) for the points j·x_max/steps: none overflows, and no two neighbours share a value
+        tiny = sys.float_info.min
+        _check(out, math.isfinite(g.x_max * g.steps) and g.x_max / g.steps >= tiny, "GridOutOfFloatRange",
+               f"{where}: x_max·steps must be finite and the step x_max/steps >= {tiny}, "
+               f"got x_max={g.x_max}, steps={g.steps}")
 
 
 def _validate_agent(a: AgentSpec, out: list[Violation], where: str) -> None:

@@ -14,8 +14,8 @@ import dense_search
 import slice_argmax
 from conftest import X_MAX, point_mass, quad_agent, two_agent_game
 from deferral.choice import _comprehensive
-from deferral.game import (_BLOCK_CELLS, START_LATTICE_POINTS, _concavity, _reference_points, _social_weights,
-                          _tolerance)
+from deferral.game import (_BLOCK_CELLS, START_LATTICE_POINTS, _argmax_sets, _concavity, _opponent_socials,
+                          _reference_points, _social_weights, _tolerance)
 from slice_argmax import interval_grid_indices
 
 
@@ -255,6 +255,64 @@ def test_opponents_need_one_choice_in_bound_per_other_agent(call, n, opponents, 
     assert call(game, 0, (grid.x_max,) * (n - 1), grid)  # the bound itself is a choice
     with pytest.raises(d.DomainError):
         call(game, 0, opponents, grid)
+
+
+@pytest.mark.parametrize("method", ["grid", "exact"])
+@pytest.mark.parametrize("value", [float("nan"), -1.0, 20.0], ids=["nan", "negative", "above-bound"])
+def test_curve_values_need_to_be_choices_in_bound(value, method, akerlof_game):
+    # the sibling of the test above: a sweep value is an opponent's choice
+    grid = d.Grid(8.0, 16)
+    assert d.best_response_curve(akerlof_game, 0, (), grid, method) == d.BestResponseCurve(0, (), ())
+    assert len(d.best_response_curve(akerlof_game, 0, (0.0, grid.x_max), grid, method).argmax_sets) == 2
+    # the grid curve checks every value before any payoff
+    with mock.patch("deferral.game._comprehensive", side_effect=AssertionError("searched")), \
+         pytest.raises(d.DomainError):
+        d.best_response_curve(akerlof_game, 0, (1.0, value), grid, method)
+
+
+def test_curve_takes_a_kernel_call_per_block_and_equals_the_reference(akerlof_game):
+    # 81 points at 1,600 steps: ten rows of 1,601 cells fit in a block, so nine blocks
+    grid = d.Grid(8.0, 1600)
+    sweep = [j * grid.x_max / 80 for j in range(81)]
+    assert _BLOCK_CELLS // len(grid.points) == 10
+    for i in range(2):
+        with mock.patch("deferral.game._comprehensive", wraps=_comprehensive) as kernel:
+            curve = d.best_response_curve(akerlof_game, i, sweep, grid)
+        assert kernel.call_count == 9
+        assert curve.opponent_values == tuple(sweep)
+        assert curve.argmax_sets == tuple(slice_argmax.best_response(akerlof_game, i, (x,), grid)
+                                          for x in sweep)
+
+
+def _mixture_trio():
+    """Three agents whose beliefs about their two opponents differ, mixed with unequal weights."""
+    agents = tuple(d.AgentSpec(d.Quadratic(1.0, b), d.LinearCost(d1), d.LinearCost(1.0),
+                               (point_mass(1.0), point_mass(b)))
+                   for b, d1 in ((6.0, 2.0), (10.0, 1.0), (4.0, 3.0)))
+    return d.GameSpec(agents, choice_aggregator=d.WeightedChoice((0.5, 0.3, 0.2)),
+                      belief_aggregator=d.BeliefMixture((0.25, 0.75)))
+
+
+@pytest.mark.parametrize("game,grid", [
+    (_mixture_trio(), d.Grid(8.0, 400)),
+    (two_agent_game(quad_agent(weights=(1.0, 0.0, 1.0), belief=3.0),
+                    quad_agent(b=8.0, c1=d.LinearCost(2.0), weights=(2.0, 0.0, 1.0))), d.Grid(8.0, 400)),
+    ("example42", d.Grid(40.0, 400)),
+], ids=["belief-mixture", "w1-zero", "example42"])
+def test_blocked_responses_equal_the_reference_row_by_row(game, grid, request):
+    # 100 rows of 401 cells take three blocks; each row must equal its own answer
+    game = request.getfixturevalue(f"{game}_game") if isinstance(game, str) else game
+    rng = np.random.default_rng(21)
+    opponents = rng.uniform(0.0, grid.x_max, (100, game.n - 1))
+    opponents[::7] = grid.points[rng.integers(0, len(grid.points), (15, game.n - 1))]  # ties on grid points
+    pairs = ((d.best_response, slice_argmax.best_response, False),
+             (d.deferral_best_response, slice_argmax.deferral_best_response, True))
+    for i in range(game.n):
+        socials = _opponent_socials(game, i, opponents, grid)
+        for public, reference, restricted in pairs:
+            want = tuple(reference(game, i, tuple(row), grid) for row in opponents.tolist())
+            assert _argmax_sets(game, i, socials, grid, restricted) == want
+            assert tuple(public(game, i, tuple(row), grid) for row in opponents.tolist()) == want
 
 
 def test_the_grid_is_the_only_strategy_bound():

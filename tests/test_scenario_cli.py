@@ -422,8 +422,9 @@ class TestNonFiniteAndOutOfRangeNumbers:
 
 
 class TestGridTooLarge:
-    """A grid whose points numpy cannot address is refused at load; one that
-    does not fit in memory exits 3.  Neither test allocates the grid."""
+    """A grid whose points numpy cannot address, or whose points leave the
+    float range, is refused at load; one that does not fit in memory exits 3.
+    No test allocates the grid."""
 
     @pytest.mark.parametrize("steps", [10 ** 19, 10 ** 400])
     @pytest.mark.parametrize("command", ["equilibria", "choose"])
@@ -446,6 +447,22 @@ class TestGridTooLarge:
         limit = np.iinfo(np.intp).max // 8 - 1
         assert d.validate(d.Grid(8.0, limit)) == []
         assert [v.code for v in d.validate(d.Grid(8.0, limit + 1))] == ["GridTooLarge"]
+
+    @pytest.mark.parametrize("x_max,steps", [(1e308, 10), (5e-324, 3)], ids=["overflow", "repeat"])
+    def test_points_outside_the_float_range_are_refused(self, x_max, steps, tmp_path, capsys):
+        # 1e308 · 10 overflows, and a 5e-324 / 3 step rounds neighbours together
+        assert [v.code for v in d.validate(d.Grid(x_max, steps))] == ["GridOutOfFloatRange"]
+        data = json.loads(_AKERLOF.read_text())
+        data["x_max"], data["steps"] = x_max, steps
+        assert main(["equilibria", _write(tmp_path, "s.json", data), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "GridOutOfFloatRange: grid: x_max·steps must be finite" in capsys.readouterr().err
+        # from --steps on a scenario whose own grid is valid
+        data["x_max"], data["steps"] = (1e308, 1) if x_max > 1 else (1e-307, 1)
+        assert d.validate(d.Grid(data["x_max"], 1)) == []
+        scenario = _write(tmp_path, "t.json", data)
+        assert main(["equilibria", scenario, "--steps", "10", "--output-dir", str(tmp_path / "out")]) == 2
+        assert "GridOutOfFloatRange" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_out_of_memory_is_3(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
