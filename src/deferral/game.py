@@ -23,8 +23,11 @@ out the cells away from the row's bisected peak, and at the default
 tolerance the search reads O(m log m) cells with the verdicts of whole rows.
 For more agents a simultaneous best-response iteration from a start lattice
 finds fixed points without any completeness claim.  Every start is iterated
-at once, one row per start, in the grid best response's blocks.  One cap on
-the cells of a block, ``_BLOCK_CELLS``, bounds the memory of both engines.
+at once, one row per start, in the grid best response's blocks.  One row
+pass, ``_row_bests``, gives every verdict its bests: the two-agent search's
+pass 1, and ``_judge_rows``, which judges all the lattice's fixed points at
+once and is ``classify_profile`` on one row.  One cap on the cells of a
+block, ``_BLOCK_CELLS``, bounds the memory of both engines.
 """
 
 from __future__ import annotations
@@ -38,13 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .choice import (
-    _comprehensive,
-    _own_values,
-    comprehensive_value,
-    comprehensive_values,
-    grid_argmax,
-)
+from .choice import _comprehensive, _own_values, comprehensive_value, grid_argmax
 from .consideration import consideration_slice, in_slice, require_closed_form
 from .errors import (
     ClosedFormUnavailable,
@@ -301,10 +298,8 @@ def _grid_responses(game: GameSpec, i: int, socials: np.ndarray, grid: Grid, res
         if restricted:
             require_closed_form(agent.utility, agent.c1)
         base = _own_base(game, i, grid)
-    pts = grid.points
-    count = max(1, _BLOCK_CELLS // len(pts))
-    for first in range(0, len(socials), count):
-        rows = slice(first, first + count)
+    pts, count = grid.points, len(socials)
+    for rows, _ in _window_blocks((np.zeros(count, dtype=np.intp), np.full(count, len(pts) - 1)), len(pts)):
         block = socials[rows]
         yield rows, grid_argmax(agent, grid, block, restricted, _comprehensive(agent, pts, base, block))[1]
 
@@ -382,16 +377,16 @@ def is_exact_family(game: GameSpec) -> bool:
                for a in game.agents)
 
 
-def _tolerance_stat(exact: bool, rows: np.ndarray) -> float:
-    """The default tolerance's statistic over payoff rows, own choice last.
+def _tolerance_stat(exact: bool, rows: np.ndarray) -> np.ndarray:
+    """The default tolerance's statistic of each payoff row, own choice last.
 
     The largest ``|U|`` in the exact family (``exact``), else the largest
     payoff change between neighbouring own choices.
     """
     if exact:
-        return float(np.abs(rows).max())
+        return np.abs(rows).max(axis=-1)
     with np.errstate(invalid="ignore"):  # NaN between two -inf payoffs
-        return float(np.abs(np.diff(rows, axis=-1)).max())
+        return np.abs(np.diff(rows, axis=-1)).max(axis=-1)
 
 
 def _require_tolerance(tolerance: float | None) -> None:
@@ -400,10 +395,10 @@ def _require_tolerance(tolerance: float | None) -> None:
         raise DomainError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
 
 
-def _tolerance(exact: bool, stats, tolerance: float | None) -> float:
+def _tolerance(exact: bool, stats, tolerance: float | None):
     """``tolerance``, else the default regret tolerance from ``_tolerance_stat`` values.
 
-    ``stats`` holds the statistic of each agent's payoff rows.
+    ``stats`` holds the statistics of the rows that one default reads on its last axis.
     For the exact (quadratic + linear) family the equilibria are exact and
     only float noise must be absorbed: ``1e-9 * (1 + max|U|)`` over the
     tables.  Otherwise a one-grid-step payoff Lipschitz bound: the largest
@@ -412,12 +407,51 @@ def _tolerance(exact: bool, stats, tolerance: float | None) -> float:
     """
     if tolerance is not None:
         return tolerance
-    stat = float(np.max(stats))
+    stat = np.max(stats, axis=-1)
     tolerance = 1e-9 * (1.0 + stat) if exact else stat
-    if not np.isfinite(tolerance):
+    if not np.isfinite(tolerance).all():
         raise DomainError("the default tolerance is not finite, as a payoff is infinite; "
                           "pass a tolerance (--tolerance)")
     return tolerance
+
+
+def _window_blocks(window, m: int):
+    """Blocks ``(rows, cols)`` of at most ``_BLOCK_CELLS`` cells covering each window ``[lo, hi]``.
+
+    Each row holds m grid points.  ``rows`` is a slice of consecutive rows
+    and ``cols`` their own grid choices: each window padded to the block's
+    widest and kept on the grid, one row of ``cols`` per row.  A block of
+    whole rows shares the one row ``arange(m)``, which broadcasts.  Padding
+    adds real cells, so a verdict there is exact too; a row never costs more
+    than a whole row, and no rows make no block.
+    """
+    lo, hi = window
+    width = hi - lo + 1
+    count = max(1, _BLOCK_CELLS // int(width.max(initial=1)))
+    firsts, cols = np.arange(0, len(lo), count), np.arange(m)
+    for first, w in zip(firsts.tolist(), np.maximum.reduceat(width, firsts).tolist()):  # each block's widest
+        rows = slice(first, first + count)
+        yield rows, cols if w == m else np.minimum(lo[rows], m - w)[:, None] + cols[:w]
+
+
+def _row_bests(payoffs, window, m: int, part, stat):
+    """Over each row's ``window``: its best, its best in the slice ``part`` and its statistic.
+
+    ``payoffs(rows, cols)`` evaluates a block of ``_window_blocks`` on m grid
+    points.  ``part`` is ``(first, last)`` per row, or ``None`` and a best of
+    ``-inf``.  The statistic is ``_tolerance_stat(stat, row)`` of each whole
+    row, or ``-inf`` when ``stat`` is ``None``.
+    """
+    best, rbest, stats = np.full((3, len(window[0])), -np.inf)
+    for rows, cols in _window_blocks(window, m):
+        values = payoffs(rows, cols)
+        best[rows] = values.max(axis=1)
+        if part is not None:
+            inside = in_slice(cols, part[0][rows, None], part[1][rows, None])
+            rbest[rows] = values.max(axis=1, where=inside, initial=-np.inf)
+        if stat is not None:
+            stats[rows] = _tolerance_stat(stat, values)
+    return best, rbest, stats
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +483,10 @@ def _certificates(profiles, values, best, rbest, member, tol):
     ``profiles``, ``values`` and ``best`` have one row per profile and one
     column per agent: the choices, each agent's payoff and their best payoff
     over the grid.  ``rbest``, shaped like ``best``, is each agent's best
-    payoff over their consideration slice (``_slice_best``), or ``None``
+    payoff over their consideration slice (``_row_bests``), or ``None``
     without the closed form, and ``member`` says per profile whether every
-    choice lies in its consideration set.  The standard test passes when
+    choice lies in its consideration set.  With ``tol``, one or a column of
+    one per profile, the standard test passes when
     every payoff is ``>= best - tol``; the after-deferral test needs
     ``member`` and every payoff ``>= rbest - tol``.  The kind follows from
     the tests passed, and ``max_regret`` is the largest regret over them:
@@ -480,13 +515,39 @@ def _slices(game: GameSpec, grid: Grid, socials):
     return tuple(np.hstack(c) for c in zip(*parts))
 
 
-def _slice_best(values, own, first, last) -> np.ndarray:
-    """``rbest``: each row's best payoff over its slice ``[first, last]``.
+def _judge_rows(game: GameSpec, grid: Grid, profiles, tolerance: float | None):
+    """The batch verdict: ``_certificates`` of rows of profiles, one choice per agent.
 
-    ``values`` holds a payoff per row and own grid choice ``own``, which has
-    a row per row or one row for all.
+    Each agent's social choices are ``_reference_points``, its slices
+    ``_slices``, and ``_row_bests`` reads its whole rows for its bests and a
+    default tolerance per profile.  The payoff at a profile is
+    ``comprehensive_value``, so a choice may lie off the grid; it is in its
+    consideration set when it lies in its interval or grid slice, within
+    ``EXACT_TOL``.  No rows, no kernel call.
     """
-    return values.max(axis=-1, where=in_slice(own, first[:, None], last[:, None]), initial=-np.inf)
+    if not len(profiles):
+        return []
+    xs, pts, m = np.array(profiles, dtype=float), grid.points, len(grid.points)
+    socials, bases, values = [], [], []
+    for i, agent in enumerate(game.agents):
+        socials.append(_reference_points(np.delete(xs, i, axis=1).T[:, :, None], *_social_weights(game, i)))
+        future = aggregate_beliefs(game, i).mean()
+        bases.append(_own_base(game, i, grid))
+        values.append([comprehensive_value(agent, p[i], s, future)
+                       for p, s in zip(profiles, socials[i][:, 0].tolist())])
+    bounds = _slices(game, grid, socials)
+    exact, whole = is_exact_family(game), (np.zeros(len(xs), dtype=np.intp), np.full(len(xs), m - 1))
+    bests = [_row_bests(lambda rows, _: _comprehensive(agent, pts, base, s[rows]), whole, m,
+                        None if bounds is None else (bounds[2][:, i], bounds[3][:, i]),
+                        exact if tolerance is None else None)
+             for i, (agent, base, s) in enumerate(zip(game.agents, bases, socials))]
+    best, rbest, stats = (np.stack(c, axis=1) for c in zip(*bests))
+    tol = np.expand_dims(_tolerance(exact, stats, tolerance), -1)  # one per row
+    if bounds is None:
+        return _certificates(xs, np.array(values).T, best, None, None, tol)
+    lo, hi, first, last = bounds
+    inside = (np.minimum(lo, pts[first]) - EXACT_TOL <= xs) & (xs <= np.maximum(hi, pts[last]) + EXACT_TOL)
+    return _certificates(xs, np.array(values).T, best, rbest, inside.all(axis=1), tol)
 
 
 def classify_profile(
@@ -509,27 +570,7 @@ def classify_profile(
     """
     _require_tolerance(tolerance)
     _check_profile(game, profile, grid.x_max)
-    values, vectors, socials = [], [], []
-    xs = np.array(profile, dtype=float)[:, None, None]  # each a one-row column, as in the search
-    for i, agent in enumerate(game.agents):
-        socials.append(_reference_points(np.delete(xs, i, axis=0), *_social_weights(game, i)))
-        future = aggregate_beliefs(game, i).mean()
-        vectors.append(comprehensive_values(agent, grid, socials[-1], future))
-        values.append(comprehensive_value(agent, profile[i], socials[-1].item(), future))
-    exact = is_exact_family(game)
-    tolerance = _tolerance(exact, [[_tolerance_stat(exact, v) for v in vectors]], tolerance)
-    rbest = member = None
-    bounds = _slices(game, grid, socials)
-    if bounds is not None:
-        lo, hi, first, last = bounds
-        own = np.arange(len(grid.points))
-        rbest = np.stack([_slice_best(v, own, f, l) for v, f, l in zip(vectors, first.T, last.T)], axis=1)
-        ends = grid.points[first[0]], grid.points[last[0]]
-        member = np.array([all(min(l, f) - EXACT_TOL <= x <= max(h, g) + EXACT_TOL
-                               for x, l, h, f, g in zip(profile, lo[0], hi[0], *ends))])
-    certificates = _certificates(np.array([profile], dtype=float), np.array([values]),
-                                 np.array([[v.max() for v in vectors]]), rbest, member, tolerance)
-    return certificates[0] if certificates else None
+    return next(iter(_judge_rows(game, grid, [profile], tolerance)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -614,46 +655,6 @@ def _window(payoff_at, k, span, tol, certificate):
     return np.maximum(k - reach[0], span[0]), np.minimum(k + reach[1], span[1])
 
 
-def _window_blocks(window):
-    """Blocks ``(rows, cols)`` of at most ``_BLOCK_CELLS`` cells covering each window ``[lo, hi]``.
-
-    There are m rows of m grid points.  ``rows`` is a slice of consecutive
-    rows and ``cols`` their own grid choices: each window padded to the
-    block's widest and kept on the grid, one row of ``cols`` per row.  A
-    block of whole rows shares the one row ``arange(m)``, which broadcasts.
-    Padding adds real cells, so a verdict there is exact too; a row never
-    costs more than a whole row.
-    """
-    lo, hi = window
-    m = len(lo)
-    width = hi - lo + 1
-    count = max(1, _BLOCK_CELLS // int(width.max()))
-    for first in range(0, m, count):
-        rows = slice(first, first + count)
-        w = int(width[rows].max())
-        cols = np.arange(w)
-        yield rows, cols if w == m else np.minimum(lo[rows], m - w)[:, None] + cols
-
-
-def _row_bests(payoffs, window, part, lipschitz):
-    """Over each row's ``window``: its best, its best in the slice ``part`` and the statistic.
-
-    ``payoffs(rows, cols)`` evaluates a block of ``_window_blocks``.
-    ``part`` is ``(first, last)`` per row, or ``None`` and a best of
-    ``-inf``; the one-step statistic (``_tolerance_stat``) of every cell is
-    taken when ``lipschitz``, else it is ``-inf``.
-    """
-    best, rbest, stats = np.empty(len(window[0])), np.full(len(window[0]), -np.inf), [-np.inf]
-    for rows, cols in _window_blocks(window):
-        values = payoffs(rows, cols)
-        best[rows] = values.max(axis=1)
-        if part is not None:
-            rbest[rows] = _slice_best(values, cols, part[0][rows], part[1][rows])
-        if lipschitz:
-            stats.append(_tolerance_stat(False, values))
-    return best, rbest, np.max(stats)  # NaN-propagating
-
-
 def _two_player_find(game, grid, tolerance, restricted):
     """Test every grid profile ``(i1, i2)`` of a two-agent game, on row windows.
 
@@ -699,15 +700,15 @@ def _two_player_find(game, grid, tolerance, restricted):
     first, last = (None, None) if bounds is None else bounds[2:]
     whole = np.zeros(m, dtype=np.intp), np.full(m, m - 1)
     best, rbest = np.empty((m, 2)), np.empty((m, 2))
-    stats, certificates, anchors = [-np.inf, -np.inf], [], []
-    lipschitz = tolerance is None and not exact  # the one-step statistic over whole rows
+    stats, certificates, anchors = [[-np.inf], [-np.inf]], [], []
+    stat = False if tolerance is None and not exact else None  # the one-step statistic of whole rows
     for a in range(2):
         row = functools.partial(payoffs, a)
         part = None if bounds is None else (first[:, a], last[:, a])
         certificates.append(_concavity(game, grid, a))
         if certificates[a] is None:
             anchors.append(None)
-            best[:, a], rbest[:, a], stats[a] = _row_bests(row, whole, part, lipschitz)
+            best[:, a], rbest[:, a], stats[a] = _row_bests(row, whole, m, part, stat)
         else:
             at = payoff_at(a)
             # the anchors of the row and of its slice: a concave row peaks in a
@@ -715,17 +716,17 @@ def _two_player_find(game, grid, tolerance, restricted):
             peak = _peak(at, m)
             anchors.append((peak, None if part is None else np.clip(peak, *part)))
             window = _window(at, peak, whole, 0.0, certificates[a])
-            best[:, a] = _row_bests(row, window, None, False)[0]
+            best[:, a] = _row_bests(row, window, m, None, None)[0]
             if part is not None:
                 window = _window(at, anchors[a][1], part, 0.0, certificates[a])
-                rbest[:, a] = _row_bests(row, window, part, False)[1]
+                rbest[:, a] = _row_bests(row, window, m, part, None)[1]
         if exact and tolerance is None:
             # the social choice is the opponent's grid point, and rounding is monotone, so each own
             # choice's payoff peaks where the two are equal, at cost 0 (``bases[a]``), and bottoms
             # out against an end of the grid: max|U| lies in these 3m cells
             ends = row(np.array([0, m - 1]), np.arange(m))
             stats[a] = _tolerance_stat(True, np.vstack([bases[a], ends]))
-    tol = _tolerance(exact, stats, tolerance)
+    tol = _tolerance(exact, np.concatenate(stats), tolerance)
     # the searched test: payoff >= limit - tol, and each choice in its slice after deferral
     limit = rbest if restricted else best
     window = whole
@@ -734,7 +735,7 @@ def _two_player_find(game, grid, tolerance, restricted):
         window = _window(payoff_at(1), anchors[1][restricted], span, tol, certificates[1])
 
     hits = []
-    for rows, cols in _window_blocks(window):
+    for rows, cols in _window_blocks(window, m):
         values = payoffs(1, rows, cols)
         ok = values >= limit[rows, 1:] - tol
         if restricted:
@@ -843,14 +844,10 @@ def _lattice_find(game, grid, tolerance, restricted, starts):
             RuntimeWarning,
             stacklevel=3,
         )
-    certificates = []
-    # unique rows come sorted, and grid points ascend, so profiles come sorted
-    for row in np.unique(fixed, axis=0):
-        cert = classify_profile(game, tuple(float(x) for x in grid.points[row]), grid, tolerance)
-        # keep the profiles that pass the test this search iterates
-        if cert is not None and _VERDICTS[cert.kind][restricted]:
-            certificates.append(cert)
-    return certificates
+    # unique rows come sorted, and grid points ascend, so profiles come sorted; the search
+    # keeps the profiles that pass the test it iterates
+    judged = _judge_rows(game, grid, grid.points[np.unique(fixed, axis=0)], tolerance)
+    return [cert for cert in judged if _VERDICTS[cert.kind][restricted]]
 
 
 # ---------------------------------------------------------------------------

@@ -118,8 +118,8 @@ class Tabulated:
 
     @cached_property
     def is_finite(self) -> bool:
-        """Whether every value and the grid bound are finite."""
-        return _finite(self.grid.x_max, *self.values)
+        """Whether every value is finite (``validate`` checks the grid)."""
+        return _finite(*self.values)
 
     @cached_property
     def is_quasiconcave(self) -> bool:
@@ -354,17 +354,17 @@ def _validate_utility(u: UtilityFunction, out: list[Violation], where: str) -> N
         _check(out, _finite(u.a, u.b, u.k), "NonFiniteParameter",
                f"{where}: quadratic coefficients must be finite")
         return
-    vals = u.values
-    if len(vals) != u.grid.steps + 1:
+    found, vals = len(out), u.values
+    _validate_grid(u.grid, out, f"{where}.grid")
+    if len(out) > found:
+        return
+    if len(vals) != u.grid.steps + 1:  # steps >= 1, so a tabulation that fits is not empty
         out.append(Violation("TabulationLengthMismatch",
                              f"{where}: {len(vals)} values on a grid of {u.grid.steps + 1} points"))
         return
-    if len(vals) == 0:
-        out.append(Violation("EmptyTabulation", f"{where}: no values"))
-        return
     _check(out, u.is_quasiconcave, "NotQuasiconcave",
            f"{where}: values must rise strictly to a unique peak then fall strictly")
-    _check(out, u.is_finite, "NonFiniteParameter", f"{where}: values and grid bound must be finite")
+    _check(out, u.is_finite, "NonFiniteParameter", f"{where}: values must be finite")
 
 
 def _validate_cost(c: CostFunction, out: list[Violation], where: str) -> None:

@@ -58,6 +58,10 @@ class TestConsiderationInterval:
             with pytest.raises(d.ClosedFormUnavailable):
                 d.consideration_interval(U, d.LinearCost(slope), 4.0)
 
+    def test_bounds_out_of_order_rejected(self):
+        with pytest.raises(d.DomainError, match=r"interval bounds out of order: \[2.0, 1.0\]"):
+            d.ClosedInterval(2.0, 1.0)
+
     def test_invalid_utility_rejected(self):
         with pytest.raises(d.SpecValidationError):
             d.consideration_interval(d.Quadratic(0.0, 4, 5), d.LinearCost(1.0), 4.0)

@@ -14,8 +14,8 @@ import dense_search
 import slice_argmax
 from conftest import X_MAX, point_mass, quad_agent, two_agent_game
 from deferral.choice import _comprehensive
-from deferral.game import (_BLOCK_CELLS, START_LATTICE_POINTS, _argmax_sets, _concavity, _opponent_socials,
-                          _reference_points, _social_weights, _tolerance)
+from deferral.game import (_BLOCK_CELLS, START_LATTICE_POINTS, _argmax_sets, _concavity, _judge_rows,
+                          _opponent_socials, _reference_points, _social_weights, _tolerance)
 from slice_argmax import interval_grid_indices
 
 
@@ -438,7 +438,7 @@ def test_every_entry_point_refuses_a_tolerance_before_any_search(tolerance, aker
              for game, starts in searches]
     # the refusal comes before any payoff is evaluated
     with mock.patch("deferral.game._comprehensive", side_effect=AssertionError("searched")), \
-         mock.patch("deferral.game.comprehensive_values", side_effect=AssertionError("searched")):
+         mock.patch("deferral.game.comprehensive_value", side_effect=AssertionError("searched")):
         for finder, game, starts in calls:
             with pytest.raises(d.DomainError, match="tolerance must be a finite number >= 0"):
                 finder(game, grid, tolerance, starts)
@@ -1233,3 +1233,159 @@ def test_the_default_tolerance_does_not_depend_on_the_agents_order():
     assert profiles[0] == [[(1.5, 2.0), (1.5, 2.5)]] * 2
     assert profiles[1] == [[(2.0, 1.5), (2.5, 1.5)]] * 2
     assert kinds == [d.EquilibriumKind.BOTH] * 2
+
+
+# --- the batch verdict: one row pass for classify_profile and the lattice -------------
+
+
+def _trio(order=(0, 1, 2)):
+    """Three agents whose one fixed point at steps=40, (1.4, 2.4, 2.4), has regret 8.9e-16."""
+    agents = [d.AgentSpec(d.Quadratic(a, b, k), d.LinearCost(d1), d.LinearCost(0.5), (point_mass(4.0),) * 2)
+              for a, b, k, d1 in ((2.0, 4.0, 3.0, 1.0), (1.0, 6.0, 0.0, 1.5), (2.0, 10.0, 7.0, 1.0))]
+    return d.GameSpec(tuple(agents[i] for i in order))
+
+
+def _conformist_trio():
+    agent = d.AgentSpec(d.Quadratic(2, 4, 5), d.LinearCost(4.0), d.LinearCost(0.0), (point_mass(1.0),) * 2)
+    return d.GameSpec((agent,) * 3)
+
+
+def test_the_verdict_reads_blocks_of_at_most_the_cap():
+    # ten fixed points, judged three rows a block, and every sweep's blocks as small
+    game, grid = _conformist_trio(), d.Grid(8.0, 40)
+    m = len(grid.points)
+    expected = [d.find_equilibria(game, grid), d.find_equilibria_after_deferral(game, grid)]
+    assert all(len(certs) == 10 for certs in expected)
+    cells, judging = [], []
+
+    def counting(*args):
+        values = _comprehensive(*args)
+        cells.append((bool(judging), values.size))
+        return values
+
+    def judge(*args):
+        judging.append(True)
+        try:
+            return _judge_rows(*args)
+        finally:
+            judging.pop()
+
+    with mock.patch("deferral.game._BLOCK_CELLS", 3 * m), mock.patch("deferral.game._comprehensive", counting), \
+         mock.patch("deferral.game._judge_rows", judge):
+        found = [d.find_equilibria(game, grid), d.find_equilibria_after_deferral(game, grid)]
+    assert found == expected
+    assert max(size for _, size in cells) <= 3 * m
+    # each search's verdict reads every agent's ten rows in blocks of 3, 3, 3 and 1 rows
+    assert [size for judged, size in cells if judged] == [3 * m, 3 * m, 3 * m, m] * 6
+
+
+def test_no_rows_make_no_kernel_call():
+    game, grid = _trio(), d.Grid(8.0, 40)
+    with mock.patch("deferral.game._comprehensive", side_effect=AssertionError("kernel")), \
+         mock.patch("deferral.game.comprehensive_value", side_effect=AssertionError("kernel")):
+        assert _judge_rows(game, grid, np.empty((0, 3)), None) == []
+        curve = d.best_response_curve(two_agent_game(quad_agent(), quad_agent()), 0, [], grid)
+        assert curve.opponent_values == () and curve.argmax_sets == ()
+    # a lattice whose every start cycles judges no row
+    cycling = d.GameSpec(tuple(
+        d.AgentSpec(d.Quadratic(a, b, k), d.LinearCost(c1), d.LinearCost(c2), tuple(map(point_mass, beliefs)))
+        for a, b, k, c1, c2, beliefs in ((2, 8, 5, 3, 1, [4, 5]), (1, 5, 0, 2, 1, [3, 4]),
+                                         (1.5, 9, 2, 4, 2, [5, 3]))))
+    with mock.patch("deferral.game._row_bests", side_effect=AssertionError("judged")), \
+         mock.patch("deferral.game.comprehensive_value", side_effect=AssertionError("judged")):
+        with pytest.warns(RuntimeWarning, match="0 of 1 starts converged, 1 cycled"):
+            assert d.find_equilibria(cycling, grid, starts=[(0.0, 0.0, 5.6)]) == []
+
+
+@pytest.mark.parametrize("steps", [40, 400])
+def test_the_trio_certificates_follow_the_agents_order(steps):
+    grid = d.Grid(8.0, steps)
+    base = [d.find_equilibria(_trio(), grid), d.find_equilibria_after_deferral(_trio(), grid)]
+    assert all(len(certs) == 1 for certs in base)
+    for order in itertools.permutations(range(3)):
+        game = _trio(order)
+        for certs, finder in zip(base, (d.find_equilibria, d.find_equilibria_after_deferral)):
+            moved = sorted((replace(c, profile=tuple(c.profile[i] for i in order)) for c in certs),
+                           key=lambda c: c.profile)
+            assert finder(game, grid) == moved
+
+
+@st.composite
+def _invariance_games(draw):
+    """A valid two-agent game: quadratic or tabulated utilities, linear or power costs, zero weights."""
+    grid = d.Grid(8.0, draw(st.sampled_from([6, 16, 24])))
+    agents = []
+    for _ in range(2):
+        # a peak on a grid point, or a midpoint for a quadratic, where ties occur
+        peak = draw(st.integers(0, 2 * grid.steps)) * grid.step / 2
+        if draw(st.booleans()):
+            peak = float(grid.points[int(grid.nearest_indices(peak))])  # a table with a tie is invalid
+            utility = d.Tabulated(tuple(3.0 - abs(x - peak) ** 1.5 for x in grid.points), grid)
+        else:
+            curvature = draw(st.sampled_from([0.5, 1.0, 2.0]))
+            utility = d.Quadratic(curvature, 2.0 * curvature * peak, draw(st.sampled_from([0.0, 5.0])))
+        cost = (st.sampled_from([0.0, 0.5, 3.0]).map(d.LinearCost)
+                | st.builds(d.PowerCost, st.sampled_from([0.5, 2.0]), st.sampled_from([1.5, 2.0])))
+        form = d.ComprehensiveUtilityForm(*(draw(st.sampled_from(w)) for w in ([0.0, 1.0, 0.5], [0.0, 1.0, 2.5],
+                                                                               [0.0, 1.0])))
+        agents.append(d.AgentSpec(utility, draw(cost), draw(cost), (point_mass(draw(st.integers(0, 8))),), form))
+    aggregator = draw(st.sampled_from([d.MeanChoice(), d.WeightedChoice((0.3, 0.7))]))
+    return d.GameSpec(tuple(agents), choice_aggregator=aggregator), grid
+
+
+def _verdicts(game, grid, tolerance, profiles):
+    """Both finders' certificates by profile, and ``classify_profile``'s on ``profiles``."""
+    found = [_outcome(finder, game, grid, tolerance)
+             for finder in (d.find_equilibria, d.find_equilibria_after_deferral)]
+    return ([f if isinstance(f, type) else {c.profile: c for c in f} for f in found],
+            [_outcome(d.classify_profile, game, p, grid, tolerance) for p in profiles])
+
+
+def _profiles(game, grid, offsets):
+    """Grid profiles, and off-grid ones unless a utility is tabulated."""
+    pts = grid.points
+    profiles = [(float(pts[i]), float(pts[j])) for i, j in offsets]
+    if not any(isinstance(a.utility, d.Tabulated) for a in game.agents):
+        profiles += [(float(pts[i]) + grid.step / 3, float(pts[j])) for i, j in offsets if i < grid.steps]
+    return profiles
+
+
+_offsets = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(game_grid=_invariance_games(), tolerance=st.sampled_from([None, 0.0, 0.25]), offsets=_offsets)
+def test_swapping_the_agents_swaps_every_certificate(game_grid, tolerance, offsets):
+    game, grid = game_grid
+    agg = game.choice_aggregator
+    swapped = replace(game, agents=game.agents[::-1], choice_aggregator=(
+        agg if isinstance(agg, d.MeanChoice) else d.WeightedChoice(agg.weights[::-1])))
+    profiles = _profiles(game, grid, offsets)
+    found, judged = _verdicts(game, grid, tolerance, profiles)
+    found_swapped, judged_swapped = _verdicts(swapped, grid, tolerance, [p[::-1] for p in profiles])
+
+    def swap(cert):
+        return cert if cert is None or isinstance(cert, type) else replace(cert, profile=cert.profile[::-1])
+
+    assert found_swapped == [f if isinstance(f, type) else {p[::-1]: swap(c) for p, c in f.items()} for f in found]
+    assert judged_swapped == [swap(c) for c in judged]
+
+
+@settings(max_examples=60, deadline=None)
+@given(game_grid=_invariance_games(), tolerance=st.sampled_from([0.0, 1e-9, 0.25]), offsets=_offsets,
+       power=st.integers(-4, 4))
+def test_a_power_of_two_on_the_weights_scales_every_regret(game_grid, tolerance, offsets, power):
+    game, grid = game_grid
+    c = 2.0**power
+    scaled = replace(game, agents=tuple(
+        replace(a, form=d.ComprehensiveUtilityForm(c * a.form.w_u, c * a.form.w_1, c * a.form.w_2))
+        for a in game.agents))
+    profiles = _profiles(game, grid, offsets)
+    found, judged = _verdicts(game, grid, tolerance, profiles)
+
+    def scale(cert):
+        return cert if cert is None or isinstance(cert, type) else replace(cert, max_regret=c * cert.max_regret)
+
+    assert _verdicts(scaled, grid, c * tolerance, profiles) == (
+        [f if isinstance(f, type) else {p: scale(cert) for p, cert in f.items()} for f in found],
+        [scale(cert) for cert in judged])

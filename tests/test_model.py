@@ -109,6 +109,18 @@ class TestValidate:
         with pytest.raises(d.SpecValidationError):
             d.find_equilibria(game, d.Grid(8.0, 8))
 
+    def test_a_tabulated_utility_validates_its_grid(self):
+        # the grid is reported once, as the utility's, and nothing is checked against a bad one
+        u = d.Tabulated((1.0, 2.0, 1.0), d.Grid(-8.0, 2))
+        assert [(v.code, v.message.split(":")[0]) for v in d.validate(u)] == [("NonPositiveBound", "utility.grid")]
+        agent = d.AgentSpec(u, d.LinearCost(1.0), d.LinearCost(0.0), (point_mass(1.0),))
+        assert [(v.code, v.message.split(":")[0]) for v in d.validate(d.GameSpec((agent, agent)))] == [
+            ("NonPositiveBound", "agents[0].utility.grid"), ("NonPositiveBound", "agents[1].utility.grid")]
+        assert [v.code for v in d.validate(d.Tabulated((), d.Grid(8.0, -1)))] == ["NonPositiveSteps"]
+        infinite = d.validate(d.Tabulated((1.0, 2.0, 1.0), d.Grid(float("inf"), 2)))
+        assert [(v.code, v.message) for v in infinite] == [
+            ("NonFiniteParameter", "utility.grid: x_max must be finite")]
+
     def test_violations_returned_not_raised(self):
         assert isinstance(d.validate(quad_agent(a=-1.0)), list)
 
@@ -220,6 +232,13 @@ def test_belief_mean_is_the_games_future_reference_point(beliefs):
     agent = replace(quad_agent(), beliefs=tuple(beliefs))
     game = d.GameSpec((agent,) * (len(beliefs) + 1))
     assert d.belief_mean(agent) == d.aggregate_beliefs(game, 0).mean()
+
+
+def test_a_zero_mixture_weight_drops_its_belief():
+    # no atom of probability 0, which a belief may not hold
+    agent = replace(quad_agent(), beliefs=(point_mass(2.0), point_mass(6.0)))
+    game = d.GameSpec((agent,) * 3, belief_aggregator=d.BeliefMixture((1.0, 0.0)))
+    assert d.aggregate_beliefs(game, 0) == point_mass(2.0)
 
 
 def test_belief_mean_needs_a_belief():

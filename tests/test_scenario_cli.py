@@ -319,6 +319,18 @@ class TestNonFiniteAndOutOfRangeNumbers:
         assert f"grid: x_max {message}" in err
         assert err.count("x_max") == 1
 
+    def test_tabulated_game_bound_is_reported_once(self, tmp_path, capsys):
+        # a tabulated utility is built on the scenario's grid, whose bound the grid reports
+        agent = {"utility": {"variant": "tabulated", "values": [1.0, 2.0, 1.0]},
+                 "c1": {"variant": "linear", "d": 1.0}, "c2": {"variant": "zero"}, "beliefs": [[[1.0, 1.0]]]}
+        for data in ({"mode": "game", "x_max": -1.0, "steps": 2, "agents": [agent, agent]},
+                     {"mode": "single_agent", "x_max": -1.0, "steps": 2, "x_s": 1.0, "agent": agent}):
+            scenario = _write(tmp_path, "g.json", data)
+            assert main(["consider" if "agent" in data else "equilibria", scenario,
+                         "--output-dir", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert "grid: x_max must be > 0, got -1.0" in err and err.count("x_max") == 1
+
     @pytest.mark.parametrize("tolerance", [-0.5, _NAN, _INF])
     def test_scenario_tolerance_out_of_range_is_2(self, tolerance, tmp_path, capsys):
         data = json.loads(_AKERLOF.read_text())
@@ -535,6 +547,19 @@ class TestCliOutputs:
         assert min(xs) == 0.0 and max(xs) == 2.0
         assert all(r[0] == r[1] for r in rows)
 
+    @pytest.mark.parametrize("flags", [[], ["--deferral"]])
+    def test_equilibria_none_found(self, flags, tmp_path, capsys):
+        # the trio's one fixed point has regret 8.9e-16, which tolerance 0 rejects
+        agents = [{"utility": {"variant": "quadratic", "a": a, "b": b, "k": k}, "c1": {"variant": "linear", "d": d1},
+                   "c2": {"variant": "linear", "d": 0.5}, "beliefs": [[[4.0, 1.0]], [[4.0, 1.0]]]}
+                  for a, b, k, d1 in ((2, 4, 3, 1), (1, 6, 0, 1.5), (2, 10, 7, 1))]
+        data = {"mode": "game", "x_max": 8.0, "steps": 40, "tolerance": 0.0, "agents": agents}
+        out = tmp_path / "out"
+        assert main(["equilibria", _write(tmp_path, "trio.json", data), *flags, "--output-dir", str(out)]) == 0
+        assert "no equilibria found on this grid" in capsys.readouterr().out
+        name = "deferral_equilibria.csv" if flags else "equilibria.csv"
+        assert (out / name).read_text().splitlines() == ["x_1,x_2,x_3,kind,max_regret"]
+
     def test_equilibria_deferral_flag(self, tmp_path):
         bundled = Path(__file__).resolve().parents[1] / "src/deferral/scenarios/akerlof.json"
         out = tmp_path / "out"
@@ -674,6 +699,11 @@ class TestReproduce:
         assert quantities["reference_pair_is_after_deferral"].oracle == 0.0
         csv_text = (tmp_path / "e42" / "discrepancy.csv").read_text()
         assert csv_text.startswith("quantity,oracle_value,reference_value,note")
+
+    def test_unknown_case_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown case 'nope'; choose from akerlof, example42, trap"):
+            run_case("nope", tmp_path)
+        assert not any(tmp_path.iterdir())
 
     def test_reproduce_cli(self, tmp_path, capsys):
         assert main(["reproduce", "--case", "trap", "--output-dir", str(tmp_path / "out")]) == 0
