@@ -5,7 +5,7 @@ choice, with the current social reference point aggregated from the other
 agents' choices and the future reference point taken from the mean of the
 aggregated beliefs.  One grid best response, ``_grid_responses``, answers
 every grid best-response question: against a column of social choices it
-yields the ``grid_argmax`` masks in blocks of rows, and ``best_response``,
+yields argmax masks over windows of rows, in blocks, and ``best_response``,
 ``deferral_best_response``, the grid ``best_response_curve`` and the
 n-agent sweeps all read it.  Two equilibrium notions are supported:
 
@@ -14,26 +14,28 @@ n-agent sweeps all read it.  Two equilibrium notions are supported:
 * after deferral: every agent's choice lies in, and maximizes their payoff
   over, the consideration set induced by the others' choices.
 
-For two agents the search is exhaustive on the grid (every profile tested),
-in blocks of windows of payoff rows that keep O(m) results between them for
-m grid points.  A window is the whole row, unless the row is certified
+A window of a payoff row is the whole row, unless the row is certified
 concave (the exact family with ``w_u·a > 0``): then a curvature bound,
 ``F(k+d) ≤ F(k) + d·D_k − w_u·a·h²·d(d−1)`` with a rounding margin, rules
-out the cells away from the row's bisected peak, and at the default
-tolerance the search reads O(m log m) cells with the verdicts of whole rows.
-For more agents a simultaneous best-response iteration from a start lattice
-finds fixed points without any completeness claim.  Every start is iterated
-at once, one row per start, in the grid best response's blocks.  One row
-pass, ``_row_bests``, gives every verdict its bests: the two-agent search's
-pass 1, and ``_judge_rows``, which judges all the lattice's fixed points at
-once and is ``classify_profile`` on one row.  One cap on the cells of a
-block, ``_BLOCK_CELLS``, bounds the memory of both engines.
+out the cells away from the row's bisected peak.  One windowed-row
+machinery (``_peak``, ``_window``, ``_window_blocks``) serves both engines.
+For two agents the search is exhaustive on the grid (every profile tested),
+in blocks of windows that keep O(m) results between them for m grid points,
+and at the default tolerance it reads O(m log m) cells with the verdicts of
+whole rows.  For more agents a simultaneous best-response iteration from a
+start lattice finds fixed points without any completeness claim.  Every
+start is iterated at once, one row per start, in the grid best response's
+blocks, which read O(log m) cells of a certified row with the argmax sets
+of whole rows.  One row pass, ``_row_bests``, gives every verdict its
+bests: the two-agent search's pass 1, and ``_judge_rows``, which judges all
+the lattice's fixed points at once and is ``classify_profile`` on one row.
+One cap on the cells of a kernel call, ``_BLOCK_CELLS``, bounds the memory
+of both engines.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -41,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .choice import _comprehensive, _own_values, comprehensive_value, grid_argmax
+from .choice import _comprehensive, _own_values, comprehensive_value
 from .consideration import consideration_slice, in_slice, require_closed_form
 from .errors import (
     ClosedFormUnavailable,
@@ -61,6 +63,7 @@ from .model import (
     Violation,
     _mixture,
     cost_is_linear,
+    near_best,
     utility_values,
 )
 
@@ -71,10 +74,11 @@ START_LATTICE_POINTS = 11
 #: The default lattice has START_LATTICE_POINTS**n starts; cap n to keep it sane.
 MAX_LATTICE_AGENTS = 4
 _MAX_ITERATIONS = 500
-#: Cap on the cells (rows x own choices) of one payoff block in both engines:
-#: the two-agent search's blocks of row windows and the grid best response's
-#: blocks of social choices, which the lattice's starts and a curve's sweep
-#: fill.  It bounds their memory whatever the grid or the number of rows.
+#: Cap on the cells (rows x own choices) of one kernel call in both engines:
+#: the blocks of row windows of the two-agent search and of the grid best
+#: response, whose rows a lattice's starts or a curve's sweep fill, and the
+#: probes of ``_peak`` and ``_window``.  It bounds their memory whatever the
+#: grid or the number of rows.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -282,34 +286,70 @@ def _own_base(game: GameSpec, i: int, grid: Grid) -> np.ndarray:
                        aggregate_beliefs(game, i).mean())
 
 
-def _grid_responses(game: GameSpec, i: int, socials: np.ndarray, grid: Grid, restricted: bool,
-                    base: np.ndarray | None = None):
-    """The one grid best response: agent ``i``'s ``grid_argmax`` against a column of social choices.
+def _own_rows(game: GameSpec, i: int, grid: Grid):
+    """What every payoff row of agent ``i`` shares: their ``_own_base`` and ``_concavity``."""
+    return _own_base(game, i, grid), _concavity(game, grid, i)
 
-    Yields ``(rows, near)`` for consecutive blocks of at most ``_BLOCK_CELLS``
-    cells: the slice ``rows`` of ``socials`` (shape ``(rows, 1)``, each finite
-    and in the grid's bound) and the argmax mask of each of its rows,
-    restricted to the consideration slice when ``restricted``.  ``base`` is
-    the agent's ``_own_base``; without it, it is computed once here, after
-    the slice's checks when ``restricted``, so that those raise first.
+
+def _payoffs(agent, pts: np.ndarray, base: np.ndarray, socials: np.ndarray):
+    """``payoffs(rows, cols)``: the kernel on the rows ``rows`` of the column ``socials``.
+
+    ``cols`` holds each row's own grid choices, one row of them per row, or
+    is the one row ``arange(m)`` of whole rows, which broadcasts ungathered
+    (``_window_blocks``).  ``base`` is the agent's ``_own_base``.
+    """
+    def payoffs(rows, cols):
+        own = (pts, base) if cols.ndim == 1 else (pts[cols], base[cols])
+        return _comprehensive(agent, *own, socials[rows])
+
+    return payoffs
+
+
+def _grid_responses(game: GameSpec, i: int, socials: np.ndarray, grid: Grid, restricted: bool, own=None):
+    """The one grid best response: agent ``i``'s grid argmax against a column of social choices.
+
+    Yields ``(rows, cols, near)`` for consecutive blocks of at most
+    ``_BLOCK_CELLS`` cells: the slice ``rows`` of ``socials`` (shape
+    ``(rows, 1)``, each finite and in the grid's bound), the own grid choices
+    that each row reads, ascending, one row of ``cols`` per row, and their
+    argmax mask: ``near_best`` of the payoffs, with every choice outside the
+    consideration slice at ``-inf`` when ``restricted``, as in ``grid_argmax``.
+    A row reads its whole row, unless ``_concavity`` certifies the agent.
+    Then it reads the window that ``_window`` builds for ``EXACT_TOL``
+    around its bisected peak (``_peak``), clamped into the slice when
+    ``restricted``: the row's best over its span is at least the anchor's
+    payoff, so every choice within ``EXACT_TOL`` of it lies in the window,
+    and each mask, each smallest argmax with it, is the whole row's bit for
+    bit.  ``own`` is the agent's ``_own_rows``; without it, it is computed
+    once here, after the slice's checks when ``restricted``, so those raise first.
     """
     agent = game.agents[i]
-    if base is None:
+    if own is None:
         if restricted:
             require_closed_form(agent.utility, agent.c1)
-        base = _own_base(game, i, grid)
-    pts, count = grid.points, len(socials)
-    for rows, _ in _window_blocks((np.zeros(count, dtype=np.intp), np.full(count, len(pts) - 1)), len(pts)):
-        block = socials[rows]
-        yield rows, grid_argmax(agent, grid, block, restricted, _comprehensive(agent, pts, base, block))[1]
+        own = _own_rows(game, i, grid)
+    base, certificate = own
+    pts, count, m = grid.points, len(socials), len(grid.points)
+    payoffs = _payoffs(agent, pts, base, socials)
+    span = window = np.zeros(count, dtype=np.intp), np.full(count, m - 1)
+    if restricted:
+        span = tuple(b[:, 0] for b in consideration_slice(agent.utility, agent.c1, socials, grid)[2:])
+    if certificate is not None:
+        window = _window(payoffs, np.clip(_peak(payoffs, count, m), *span), span, EXACT_TOL, certificate, m)
+    for rows, cols in _window_blocks(window, m):
+        values = payoffs(rows, cols)
+        if restricted:
+            values = np.where(in_slice(cols, span[0][rows, None], span[1][rows, None]), values, -np.inf)
+        yield rows, np.broadcast_to(cols, values.shape), near_best(values)[1]
 
 
 def _argmax_sets(game: GameSpec, i: int, socials: np.ndarray, grid: Grid,
                  restricted: bool) -> tuple[tuple[float, ...], ...]:
     """The grid points of each argmax set of ``_grid_responses``, one per social choice."""
     pts = grid.points
-    return tuple(tuple(float(x) for x in pts[row])
-                 for _, near in _grid_responses(game, i, socials, grid, restricted) for row in near)
+    return tuple(tuple(float(x) for x in pts[row_cols[row]])
+                 for _, cols, near in _grid_responses(game, i, socials, grid, restricted)
+                 for row_cols, row in zip(cols, near))
 
 
 def best_response(
@@ -506,13 +546,16 @@ def _slices(game: GameSpec, grid: Grid, socials):
     """``(lo, hi, first, last)`` of each agent's ``consideration_slice``, one column per agent.
 
     ``socials[a]`` is a column of agent ``a``'s social choices.  ``None``
-    without the closed form.
+    when some agent lacks the closed form; every agent's slice is still
+    checked, so an invalid utility raises whatever the agents' order.
     """
-    try:
-        parts = [consideration_slice(a.utility, a.c1, s, grid) for a, s in zip(game.agents, socials)]
-    except ClosedFormUnavailable:
-        return None
-    return tuple(np.hstack(c) for c in zip(*parts))
+    parts = []
+    for agent, s in zip(game.agents, socials):
+        try:
+            parts.append(consideration_slice(agent.utility, agent.c1, s, grid))
+        except ClosedFormUnavailable:
+            parts.append(None)
+    return None if None in parts else tuple(np.hstack(c) for c in zip(*parts))
 
 
 def _judge_rows(game: GameSpec, grid: Grid, profiles, tolerance: float | None):
@@ -537,7 +580,7 @@ def _judge_rows(game: GameSpec, grid: Grid, profiles, tolerance: float | None):
                        for p, s in zip(profiles, socials[i][:, 0].tolist())])
     bounds = _slices(game, grid, socials)
     exact, whole = is_exact_family(game), (np.zeros(len(xs), dtype=np.intp), np.full(len(xs), m - 1))
-    bests = [_row_bests(lambda rows, _: _comprehensive(agent, pts, base, s[rows]), whole, m,
+    bests = [_row_bests(_payoffs(agent, pts, base, s), whole, m,
                         None if bounds is None else (bounds[2][:, i], bounds[3][:, i]),
                         exact if tolerance is None else None)
              for i, (agent, base, s) in enumerate(zip(game.agents, bases, socials))]
@@ -609,44 +652,56 @@ def _concavity(game, grid, a):
     return c, _ROUNDING * terms, rho
 
 
-def _peak(payoff_at, m):
-    """A grid argmax of each of m rows of m cells, all rows at once.
+def _read(payoffs, rows, cols):
+    """``payoffs(rows, cols)`` of index arrays, one row of ``cols`` per row, in kernel calls
+    of at most ``_BLOCK_CELLS`` cells; no rows, no call."""
+    values = np.empty(cols.shape)
+    size = max(1, _BLOCK_CELLS // cols.shape[1])
+    for first in range(0, len(rows), size):
+        values[first:first + size] = payoffs(rows[first:first + size], cols[first:first + size])
+    return values
 
-    ``payoff_at(rows, k)`` gives row ``rows[i]``'s payoff at own choice
-    ``k[i]``.  Bisection on the sign of ``D``: on a concave row the index
+
+def _peak(payoffs, count, m):
+    """A grid argmax of each of ``count`` rows of m cells, all rows at once.
+
+    ``payoffs`` is a ``_payoffs``.  Bisection on the sign of ``D``, reading
+    two cells per live row and step (``_read``): on a concave row the index
     found is the argmax up to float rounding, which only widens the windows
     that ``_window`` builds around it.
     """
-    lo, hi = np.zeros(m, dtype=np.intp), np.full(m, m - 1)
-    live = np.arange(m)  # a grid has two points or more
+    lo, hi = np.zeros(count, dtype=np.intp), np.full(count, m - 1)
+    live = np.arange(count)  # a grid has two points or more
     while len(live):
         mid = (lo[live] + hi[live]) // 2
-        rise = payoff_at(live, mid + 1) > payoff_at(live, mid)
+        pair = _read(payoffs, live, mid[:, None] + np.arange(2))
+        rise = pair[:, 1] > pair[:, 0]
         lo[live] = np.where(rise, mid + 1, lo[live])
         hi[live] = np.where(rise, hi[live], mid)
         live = live[lo[live] < hi[live]]
     return lo
 
 
-def _window(payoff_at, k, span, tol, certificate):
+def _window(payoffs, k, span, tol, certificate, m):
     """Each row's cells in its ``span`` that the curvature bound cannot put below ``F(k) − tol``.
 
-    With ``(c, ε, ρ)`` from ``_concavity``, the cell ``d`` steps from the
-    anchor ``k`` lies below ``F(k) − tol``, in the float comparison too, once
-    ``c·d(d−1) − d·s > tol·(1+ρ) + 3ε``, where ``s = D + 3ε + 3ρ|D|`` bounds
-    the exact slope of the step from ``k`` towards it.  That holds beyond the
-    larger root of the quadratic, taken in its stable form and rounded out by
-    a cell; a root that is not finite keeps the whole span.  Any anchor is
-    sound, and the limits that a window serves are never below ``F(k)``.
+    Rows hold m cells; ``payoffs`` is a ``_payoffs``, read at ``k`` and its
+    two neighbours (``_read``).  With ``(c, ε, ρ)`` from ``_concavity``, the
+    cell ``d`` steps from the anchor ``k`` lies below ``F(k) − tol``, in the
+    float comparison too, once ``c·d(d−1) − d·s > tol·(1+ρ) + 3ε``, where
+    ``s = D + 3ε + 3ρ|D|`` bounds the exact slope of the step from ``k``
+    towards it.  That holds beyond the larger root of the quadratic, taken
+    in its stable form and rounded out by a cell; a root that is not finite
+    keeps the whole span.  Any anchor is sound, and the limits that a window
+    serves are never below ``F(k)``.
     """
     c, eps, rho = certificate
-    m = len(k)
-    rows = np.arange(m)
-    here = payoff_at(rows, k)
+    near = _read(payoffs, np.arange(len(k)), np.clip(k[:, None] + np.arange(-1, 2), 0, m - 1))
+    here = near[:, 1]
     slack = tol * (1.0 + rho) + 3.0 * eps
     reach = []
-    for step in (-1, 1):
-        slope = payoff_at(rows, np.clip(k + step, 0, m - 1)) - here
+    for side in (near[:, 0], near[:, 2]):
+        slope = side - here
         b = c + slope + 3.0 * eps + 3.0 * rho * np.abs(slope)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             root = np.sqrt(b * b + 4.0 * c * slack)
@@ -686,39 +741,28 @@ def _two_player_find(game, grid, tolerance, restricted):
     m = len(pts)
     exact = is_exact_family(game)
     socials = [_reference_points([pts[:, None]], *_social_weights(game, a)) for a in range(2)]
-    bases = [_own_base(game, a, grid) for a in range(2)]
-
-    def payoffs(a, rows, cols):
-        # one row of cols is a whole row (_window_blocks), which broadcasts ungathered
-        own = (pts, bases[a]) if cols.ndim == 1 else (pts[cols], bases[a][cols])
-        return _comprehensive(game.agents[a], *own, socials[a][rows])
-
-    def payoff_at(a):
-        return lambda rows, k: payoffs(a, rows, k[:, None])[:, 0]
-
+    bases, certificates = zip(*(_own_rows(game, a, grid) for a in range(2)))
+    payoffs = [_payoffs(agent, pts, base, s) for agent, base, s in zip(game.agents, bases, socials)]
     bounds = _slices(game, grid, socials)  # O(m) per agent, so every row at once
     first, last = (None, None) if bounds is None else bounds[2:]
     whole = np.zeros(m, dtype=np.intp), np.full(m, m - 1)
     best, rbest = np.empty((m, 2)), np.empty((m, 2))
-    stats, certificates, anchors = [[-np.inf], [-np.inf]], [], []
+    stats, anchors = [[-np.inf], [-np.inf]], []
     stat = False if tolerance is None and not exact else None  # the one-step statistic of whole rows
-    for a in range(2):
-        row = functools.partial(payoffs, a)
+    for a, row in enumerate(payoffs):
         part = None if bounds is None else (first[:, a], last[:, a])
-        certificates.append(_concavity(game, grid, a))
         if certificates[a] is None:
             anchors.append(None)
             best[:, a], rbest[:, a], stats[a] = _row_bests(row, whole, m, part, stat)
         else:
-            at = payoff_at(a)
             # the anchors of the row and of its slice: a concave row peaks in a
             # slice where its peak is clamped to the slice
-            peak = _peak(at, m)
+            peak = _peak(row, m, m)
             anchors.append((peak, None if part is None else np.clip(peak, *part)))
-            window = _window(at, peak, whole, 0.0, certificates[a])
+            window = _window(row, peak, whole, 0.0, certificates[a], m)
             best[:, a] = _row_bests(row, window, m, None, None)[0]
             if part is not None:
-                window = _window(at, anchors[a][1], part, 0.0, certificates[a])
+                window = _window(row, anchors[a][1], part, 0.0, certificates[a], m)
                 rbest[:, a] = _row_bests(row, window, m, part, None)[1]
         if exact and tolerance is None:
             # the social choice is the opponent's grid point, and rounding is monotone, so each own
@@ -732,18 +776,18 @@ def _two_player_find(game, grid, tolerance, restricted):
     window = whole
     if certificates[1] is not None:
         span = (first[:, 1], last[:, 1]) if restricted else whole
-        window = _window(payoff_at(1), anchors[1][restricted], span, tol, certificates[1])
+        window = _window(payoffs[1], anchors[1][restricted], span, tol, certificates[1], m)
 
     hits = []
     for rows, cols in _window_blocks(window, m):
-        values = payoffs(1, rows, cols)
+        values = payoffs[1](rows, cols)
         ok = values >= limit[rows, 1:] - tol
         if restricted:
             ok &= in_slice(cols, first[rows, 1:], last[rows, 1:])
         r, c = np.nonzero(ok)
         i1, i2 = r + rows.start, np.broadcast_to(cols, ok.shape)[r, c]
         # agent 0's payoffs at the hits only, as columns so that w_1 = 0 keeps one value per hit
-        v0 = payoffs(0, i2, i1[:, None])[:, 0]
+        v0 = payoffs[0](i2, i1[:, None])[:, 0]
         ok = v0 >= limit[i2, 0] - tol
         if restricted:
             ok &= in_slice(i1, first[i2, 0], last[i2, 0])
@@ -782,22 +826,23 @@ def _lattice_sweep(game: GameSpec, grid: Grid, restricted: bool):
     The returned function maps a (rows x n) int array to each agent's
     smallest ``_grid_responses`` point (restricted to their consideration
     slice when ``restricted``) against the row's other choices.  Aggregator
-    weights and each agent's ``_own_base`` are computed once here, so their
+    weights and each agent's ``_own_rows``, their own-choice terms and
+    concavity certificate, are computed once per search here, so their
     errors propagate before any iteration.  The restricted map reads
     ``consideration_slice``, whose closed-form checks
     ``find_equilibria_after_deferral`` also runs before any search.
     """
     pts = grid.points
-    agents = [([j for j in range(game.n) if j != i], _social_weights(game, i), _own_base(game, i, grid))
+    agents = [([j for j in range(game.n) if j != i], _social_weights(game, i), _own_rows(game, i, grid))
               for i in range(game.n)]
 
     def sweep(state: np.ndarray) -> np.ndarray:
         updated = np.empty_like(state)
         xs = pts[state]
-        for i, (others, social_weights, base) in enumerate(agents):
+        for i, (others, social_weights, own) in enumerate(agents):
             socials = _reference_points(xs[:, others].T[:, :, None], *social_weights)
-            for rows, near in _grid_responses(game, i, socials, grid, restricted, base):
-                updated[rows, i] = np.argmax(near, axis=1)
+            for rows, cols, near in _grid_responses(game, i, socials, grid, restricted, own):
+                updated[rows, i] = cols[np.arange(len(near)), np.argmax(near, axis=1)]
         return updated
 
     return sweep

@@ -43,8 +43,9 @@ class Grid:
     """Uniform grid over ``[0, x_max]`` with points ``j * x_max / steps``.
 
     ``x_max`` is the one strategy bound: every solve on the grid takes it as
-    the upper bound on every agent's choice.  The step size is the spatial
-    tolerance attached to any grid-based answer.
+    the upper bound on every agent's choice, so the last point is ``x_max``
+    itself, which ``steps * x_max / steps`` can overshoot by a rounding.  The
+    step size is the spatial tolerance attached to any grid-based answer.
     """
 
     x_max: float
@@ -53,6 +54,7 @@ class Grid:
     @cached_property
     def points(self) -> np.ndarray:
         pts = np.arange(self.steps + 1, dtype=float) * self.x_max / self.steps
+        pts[-1:] = self.x_max  # a slice: an invalid grid of steps < 0 has no point
         pts.setflags(write=False)
         return pts
 

@@ -270,18 +270,27 @@ def test_curve_values_need_to_be_choices_in_bound(value, method, akerlof_game):
         d.best_response_curve(akerlof_game, 0, (1.0, value), grid, method)
 
 
-def test_curve_takes_a_kernel_call_per_block_and_equals_the_reference(akerlof_game):
-    # 81 points at 1,600 steps: ten rows of 1,601 cells fit in a block, so nine blocks
+def test_curve_reads_certified_windows_and_equals_the_reference(akerlof_game, power_cost_game):
+    # 81 rows of 1,601 cells.  Certified rows: 11 bisection steps of 2 cells a row (13 rows
+    # live in the last), the window's 3-cell probe and windows of 3 cells, where whole rows
+    # read 129,681.  Power costs keep whole rows, ten a block: nine kernel calls.
     grid = d.Grid(8.0, 1600)
     sweep = [j * grid.x_max / 80 for j in range(81)]
     assert _BLOCK_CELLS // len(grid.points) == 10
-    for i in range(2):
-        with mock.patch("deferral.game._comprehensive", wraps=_comprehensive) as kernel:
-            curve = d.best_response_curve(akerlof_game, i, sweep, grid)
-        assert kernel.call_count == 9
-        assert curve.opponent_values == tuple(sweep)
-        assert curve.argmax_sets == tuple(slice_argmax.best_response(akerlof_game, i, (x,), grid)
-                                          for x in sweep)
+    for game, read in ((akerlof_game, [162] * 10 + [26, 243, 243]), (power_cost_game, [16010] * 8 + [1601])):
+        for i in range(2):
+            cells = []
+
+            def counting(*args):
+                values = _comprehensive(*args)
+                cells.append(values.size)
+                return values
+
+            with mock.patch("deferral.game._comprehensive", counting):
+                curve = d.best_response_curve(game, i, sweep, grid)
+            assert cells == read
+            assert curve.opponent_values == tuple(sweep)
+            assert curve.argmax_sets == tuple(slice_argmax.best_response(game, i, (x,), grid) for x in sweep)
 
 
 def _mixture_trio():
@@ -746,7 +755,7 @@ class TestLatticeSearch:
             d.find_equilibria(game, d.Grid(4.0, 50))
 
 
-def _oracle_certificates(game, grid, starts, restricted):
+def _oracle_certificates(game, grid, starts, restricted, tolerance=None):
     """Certificates of the fixed points reached from each start, one start at a time.
 
     Iterates the slice-based best responses of ``slice_argmax`` (smallest of
@@ -767,7 +776,7 @@ def _oracle_certificates(game, grid, starts, restricted):
                           for i in range(game.n))
         result = outcome[state] if state in outcome else (state if state == path[-1] else None)
         outcome.update(dict.fromkeys(path, result))
-    certs = [d.classify_profile(game, p, grid) for p in sorted({p for p in outcome.values() if p})]
+    certs = [d.classify_profile(game, p, grid, tolerance) for p in sorted({p for p in outcome.values() if p})]
     return [c for c in certs if c is not None and c.kind in wanted]
 
 
@@ -1082,6 +1091,146 @@ def test_rows_at_the_float_range_ends_stay_whole(edge):
         for finder, dense in ((d.find_equilibria, dense_search.find_equilibria),
                               (d.find_equilibria_after_deferral, dense_search.find_equilibria_after_deferral)):
             assert finder(game, grid, tolerance) == dense(game, grid, tolerance)
+
+
+# --- certified windows in the one grid best response ------------------------------
+
+
+@st.composite
+def _exact_games(draw):
+    """An exact-family game of 2 or 3 agents under either aggregator: ``x_max`` from
+    0.01 to 1000, ``w_u·a`` down to 1e-6, ``|k|`` up to 1e9, zero costs, ``w_1`` or
+    ``w_2`` of 0, and peaks on grid points or midpoints, where argmax ties occur; or
+    example42, whose best responses plateau."""
+    n, steps = draw(st.sampled_from([2, 3])), draw(st.integers(1, 120))
+    if draw(st.integers(0, 5)) == 0:
+        agents = [quad_agent(c1=d.LinearCost(d1), c2=d.LinearCost(4.0), belief=10.0) for d1 in (7.0, 16.0, 4.0)]
+        return d.GameSpec(tuple(replace(a, beliefs=a.beliefs * (n - 1)) for a in agents[:n])), d.Grid(40.0, steps)
+    grid = d.Grid(10.0 ** draw(st.sampled_from([-2.0, 0.0, 3.0]) | st.floats(-2.0, 3.0)), steps)
+    cost = st.sampled_from([0.0, 0.5, 1.0, 16.0]).map(d.LinearCost)
+    agents = []
+    for _ in range(n):
+        w_u, a = draw(st.sampled_from([0.5, 1.0, 2.0])), 10.0 ** draw(st.sampled_from([-6.0, 2.0]) | st.floats(-6.0, 2.0))
+        peak = draw(st.floats(-0.5, 1.5) | st.integers(0, 2 * steps).map(lambda h: h / (2 * steps))) * grid.x_max
+        utility = d.Quadratic(a / w_u, 2.0 * a / w_u * peak, draw(st.sampled_from([0.0, -1e9, 1e9]) | st.floats(-1e9, 1e9)))
+        form = d.ComprehensiveUtilityForm(w_u, draw(st.sampled_from([0.0, 1.0, 3.0])), draw(st.sampled_from([0.0, 1.0])))
+        beliefs = tuple(point_mass(draw(st.floats(0.0, 2.0 * grid.x_max))) for _ in range(n - 1))
+        agents.append(d.AgentSpec(utility, draw(cost), draw(cost), beliefs, form))
+    weights = (0.3, 0.7) if n == 2 else (0.5, 0.3, 0.2)
+    aggregator = draw(st.sampled_from([d.MeanChoice(), d.WeightedChoice(weights)]))
+    return d.GameSpec(tuple(agents), choice_aggregator=aggregator), grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(game_grid=_exact_games(), data=st.data())
+def test_windowed_argmax_sets_equal_the_slice_reference(game_grid, data):
+    game, grid = game_grid
+    # a fraction of the bound stands for an off-grid opponent, a grid index for an on-grid one
+    choice = st.floats(0.0, 1.0).map(lambda f: f * grid.x_max) | st.integers(0, grid.steps).map(
+        lambda j: float(grid.points[j]))
+    opponents = data.draw(st.lists(st.lists(choice, min_size=game.n - 1, max_size=game.n - 1),
+                                   min_size=1, max_size=12))
+    for i in range(game.n):
+        socials = _opponent_socials(game, i, opponents, grid)
+        for restricted, reference in ((False, slice_argmax.best_response),
+                                      (True, slice_argmax.deferral_best_response)):
+            got = _outcome(_argmax_sets, game, i, socials, grid, restricted)
+            want = tuple(_outcome(reference, game, i, tuple(row), grid) for row in opponents)
+            assert got == (want[0] if isinstance(want[0], type) else want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(game_grid=_exact_games().filter(lambda g: g[0].n == 3), tolerance=st.sampled_from([None, 0.0, 1e-9, 0.5]),
+       data=st.data())
+def test_windowed_lattice_certificates_equal_the_oracle_and_whole_rows(game_grid, tolerance, data):
+    game, grid = game_grid
+    starts = data.draw(st.lists(st.tuples(*[st.integers(0, grid.steps).map(lambda j: float(grid.points[j]))] * 3),
+                                min_size=1, max_size=8))
+    for restricted, finder in enumerate((d.find_equilibria, d.find_equilibria_after_deferral)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # cycling starts are legal here
+            found = _outcome(finder, game, grid, tolerance, starts)
+            lattice = _outcome(finder, game, grid, tolerance)
+            with mock.patch("deferral.game._concavity", return_value=None):  # whole rows
+                assert lattice == _outcome(finder, game, grid, tolerance)
+        if not isinstance(found, type):
+            assert found == _oracle_certificates(game, grid, starts, restricted, tolerance)
+
+
+@pytest.mark.parametrize("a,k", [(1e-6, 0.0), (1e-2, 1e9)], ids=["flat", "buried in rounding"])
+def test_windowed_argmax_sets_hold_every_near_tie(a, k):
+    # on 0.01 / 100 steps, a curvature of 1e-6 keeps 21 points within 1e-12 of the peak,
+    # and a constant of 1e9 rounds up to 53 points to one float: windows must hold them all
+    grid = d.Grid(0.01, 100)
+    agent = quad_agent(a=a, b=2.0 * a * 0.005, k=k, weights=(1.0, 0.0, 1.0))
+    game = two_agent_game(agent, agent)
+    opponents = [[float(x)] for x in grid.points[::7]]
+    for i in range(2):
+        socials = _opponent_socials(game, i, opponents, grid)
+        for restricted, reference in ((False, slice_argmax.best_response),
+                                      (True, slice_argmax.deferral_best_response)):
+            got = _argmax_sets(game, i, socials, grid, restricted)
+            assert got == tuple(reference(game, i, tuple(row), grid) for row in opponents)
+            assert max(map(len, got)) > 5
+
+
+def test_a_trapped_window_is_anchored_in_the_slice(trap_agent):
+    # the future pull puts the peak of 8 of the 21 rows outside their consideration slice
+    game, grid = two_agent_game(trap_agent, trap_agent), d.Grid(8.0, 80)
+    opponents = [[float(x)] for x in grid.points[::4]]
+    socials = _opponent_socials(game, 0, opponents, grid)
+    free, restricted = (_argmax_sets(game, 0, socials, grid, r) for r in (False, True))
+    assert restricted == tuple(slice_argmax.deferral_best_response(game, 0, tuple(row), grid) for row in opponents)
+    assert sum(f[0] not in r for f, r in zip(free, restricted)) == 8
+
+
+def test_the_last_grid_point_is_the_bound():
+    # 21 · x_max / 21 rounds above this x_max, which bounds every choice
+    game = d.GameSpec((quad_agent(a=1.0, b=1.0, k=0.0, c1=d.LinearCost(0.0), belief=0.0),) * 3)
+    grid = d.Grid(0.4869675251658631, 21)
+    assert 21 * grid.x_max / 21 > grid.x_max == grid.points[-1]
+    assert d.best_response(game, 0, (0.0, grid.points[-1]), grid) == (grid.x_max,)
+    certs = d.find_equilibria(game, grid, starts=[(grid.x_max,) * 3])
+    assert [c.profile for c in certs] == [(grid.x_max,) * 3]
+    assert d.classify_profile(game, certs[0].profile, grid) == certs[0]
+
+
+def test_the_lattice_reads_kernel_cells_that_grow_well_below_m():
+    # whole rows read 11.45 M, 45.7 M and 114 M cells over both searches; the bisection's
+    # O(log m) cells a row and windows of a few cells grow 39% over a 10x larger grid
+    cells = []
+
+    def counting(*args):
+        values = _comprehensive(*args)
+        cells[-1] += values.size
+        return values
+
+    for steps in (400, 1600, 4000):
+        cells.append(0)
+        with mock.patch("deferral.game._comprehensive", counting):
+            for finder in (d.find_equilibria, d.find_equilibria_after_deferral):
+                assert len(finder(_trio(), d.Grid(8.0, steps))) == 1
+    assert cells == [634_794, 756_454, 881_594]
+    assert cells[-1] < 1.5 * cells[0]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_an_invalid_utility_refuses_every_search_in_either_order(n):
+    # the zero c1 has no closed form: the slices of later agents are still checked
+    grid = d.Grid(8.0, 6)
+    free = d.AgentSpec(d.Quadratic(1.0, 2.0, 0.0), d.LinearCost(0.0), d.LinearCost(1.0), (point_mass(1.0),) * (n - 1))
+    tied = d.AgentSpec(d.Tabulated((2.0, 2.0, 0.0, -3.0, -7.0, -11.0, -16.0), grid), d.LinearCost(1.0),
+                       d.LinearCost(1.0), (point_mass(1.0),) * (n - 1))
+    profile = tuple(grid.points[:n].tolist())
+    for agents in ((free,) * (n - 1) + (tied,), (tied,) + (free,) * (n - 1)):
+        game = d.GameSpec(agents)
+        with pytest.raises(d.SpecValidationError):
+            d.find_equilibria(game, grid, starts=[profile])
+        with pytest.raises(d.SpecValidationError):
+            d.classify_profile(game, profile, grid)
+        # its closed-form check raises for the first agent that fails it
+        with pytest.raises((d.SpecValidationError, d.ClosedFormUnavailable)):
+            d.find_equilibria_after_deferral(game, grid, starts=[profile])
 
 
 @st.composite

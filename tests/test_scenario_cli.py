@@ -669,12 +669,41 @@ REPRODUCE_DIGESTS = {
 }
 
 
+def _lattice_agents(name):
+    """A 3-agent quadratic game for the start lattice: the lattice_trio benchmark's
+    agents with constants (3, 0, 7), whose one fixed point solves both searches,
+    or three conformists with many fixed points on the diagonal."""
+    if name == "conformists":
+        return [{"utility": {"variant": "quadratic", "a": 2, "b": 4, "k": 5}, "c1": {"variant": "linear", "d": 4.0},
+                 "c2": {"variant": "zero"}, "beliefs": [[[1.0, 1.0]], [[1.0, 1.0]]]}] * 3
+    return [{"utility": {"variant": "quadratic", "a": a, "b": b, "k": k}, "c1": {"variant": "linear", "d": d1},
+             "c2": {"variant": "linear", "d": 0.5}, "beliefs": [[[4.0, 1.0]], [[4.0, 1.0]]]}
+            for a, b, k, d1 in ((2, 4, 3, 1), (1, 6, 0, 1.5), (2, 10, 7, 1))]
+
+
+#: SHA-256 of the ``equilibria`` CSVs, with and without ``--deferral``, that
+#: the start lattice finds at steps=400; both searches find the same profiles.
+LATTICE_DIGESTS = {
+    "trio": "1d8aa20b4ea9f5ffad3ed7b364635a756abce3f0652924d7cfb895e992f34c1e",
+    "conformists": "010097abd076368046142686bd04372f4d86b8ee2171b9921eeec4e6b4dfc9ac",
+}
+
+
 class TestReproduce:
     @pytest.mark.parametrize("case", sorted(REPRODUCE_DIGESTS))
     def test_reproduce_bytes_are_pinned(self, case, tmp_path):
         result = run_case(case, tmp_path)
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in result.files}
         assert digests == REPRODUCE_DIGESTS[case]
+
+    @pytest.mark.parametrize("game", sorted(LATTICE_DIGESTS))
+    def test_lattice_bytes_are_pinned(self, game, tmp_path):
+        data = {"mode": "game", "x_max": 8.0, "steps": 400, "agents": _lattice_agents(game)}
+        scenario, out = _write(tmp_path, "trio.json", data), tmp_path / "out"
+        for flags in ([], ["--deferral"]):
+            assert main(["equilibria", scenario, *flags, "--output-dir", str(out)]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == dict.fromkeys(["equilibria.csv", "deferral_equilibria.csv"], LATTICE_DIGESTS[game])
 
     def test_trap_case(self, tmp_path):
         result = run_case("trap", tmp_path / "trap")
