@@ -17,16 +17,16 @@ n-agent sweeps all read it.  Two equilibrium notions are supported:
 A window of a payoff row is the whole row, unless the row is certified
 concave (the exact family with ``w_u·a > 0``): then a curvature bound,
 ``F(k+d) ≤ F(k) + d·D_k − w_u·a·h²·d(d−1)`` with a rounding margin, rules
-out the cells away from the row's bisected peak.  One windowed-row
+out the cells away from the row's closed-form peak.  One windowed-row
 machinery (``_peak``, ``_window``, ``_window_blocks``) serves both engines.
 For two agents the search is exhaustive on the grid (every profile tested),
 in blocks of windows that keep O(m) results between them for m grid points,
-and at the default tolerance it reads O(m log m) cells with the verdicts of
-whole rows.  For more agents a simultaneous best-response iteration from a
-start lattice finds fixed points without any completeness claim.  Every
+and at the default tolerance it reads a few cells per row with the verdicts
+of whole rows.  For more agents a simultaneous best-response iteration from
+a start lattice finds fixed points without any completeness claim.  Every
 start is iterated at once, one row per start, in the grid best response's
-blocks, which read O(log m) cells of a certified row with the argmax sets
-of whole rows.  One row pass, ``_row_bests``, gives every verdict its
+blocks, which read a few cells of a certified row with the argmax sets of
+whole rows.  One row pass, ``_row_bests``, gives every verdict its
 bests: the two-agent search's pass 1, and ``_judge_rows``, which judges all
 the lattice's fixed points at once and is ``classify_profile`` on one row.
 One cap on the cells of a kernel call, ``_BLOCK_CELLS``, bounds the memory
@@ -64,6 +64,7 @@ from .model import (
     _mixture,
     cost_is_linear,
     near_best,
+    require_valid,
     utility_values,
 )
 
@@ -216,44 +217,54 @@ def kinked_concave_argmax(
 
     The objective is strictly concave for ``a > 0``, so the maximizer is the
     stationary point of one linear-slope segment, a kink, or a boundary;
-    enumerating those finitely many candidates is exact.
+    enumerating those finitely many candidates is exact (``_kinked_argmax``
+    on one row).  A number that is not finite, or ``hi < lo``, raises
+    ``DomainError`` before any candidate.
     """
-    if a <= 0:
-        raise MethodUnsupported(f"quadratic part must be strictly concave, got a={a}")
-    if any(w < 0 for _, w in kinks):
+    x, top = _kinked_argmax(a, b, k, kinks, lo, hi)
+    return tuple(sorted(dict.fromkeys(x[:, 0][top[:, 0]].tolist())))
+
+
+def _kinked_argmax(a, b, k, kinks, lo, hi):
+    """``kinked_concave_argmax`` on rows, each number one or one per row: each row's candidates, a
+    column with NaN where it has fewer, and their argmax mask, each float operation the row's own.
+    At most one value is stationary inside its segment, so one candidate holds it."""
+    numbers = np.array(np.broadcast_arrays(*(np.ravel(v) for v in (a, b, k, lo, np.inf if hi is None else hi,
+                                                                   *itertools.chain(*kinks)))), dtype=float)
+    given = np.delete(numbers, 4, 0) if hi is None else numbers  # no hi is no bound
+    if not np.isfinite(given).all() or (numbers[4] < numbers[3]).any():
+        raise DomainError("a kinked concave program needs finite numbers and lo <= hi")
+    (a, b, k, lo, top), t, w = numbers[:5], list(numbers[5::2]), list(numbers[6::2])
+    if not (a > 0).all():
+        raise MethodUnsupported(f"quadratic part must be strictly concave, got a={a.min()}")
+    if any((v < 0).any() for v in w):
         raise MethodUnsupported("kink weights must be nonnegative")
-    merged: dict[float, float] = {}
-    for t, w in kinks:
-        if w > 0:
-            merged[t] = merged.get(t, 0.0) + w
-    locs = sorted(merged)
-    weights = [merged[t] for t in locs]
-
-    def f(x: float) -> float:
-        return -a * x * x + b * x + k - sum(w * abs(x - t) for t, w in merged.items())
-
-    top = np.inf if hi is None else hi
-    candidates = {lo}
-    if hi is not None:
-        candidates.add(hi)
-    candidates.update(t for t in locs if lo <= t <= top)
-    above = sum(weights)
-    below = 0.0
-    for seg in range(len(locs) + 1):
-        seg_lo = locs[seg - 1] if seg > 0 else -np.inf
-        seg_hi = locs[seg] if seg < len(locs) else np.inf
-        stationary = (b + above - below) / (2.0 * a)
-        if max(seg_lo, lo) <= stationary <= min(seg_hi, top):
-            candidates.add(stationary)
-        if seg < len(locs):
-            above -= weights[seg]
-            below += weights[seg]
-    scored = [(f(x), x) for x in candidates]
-    best = max(v for v, _ in scored)
-    return tuple(sorted(x for v, x in scored if v == best))
+    for j in range(len(t)):  # a kink merges into the first of weight > 0 before it at its point
+        for i in range(j):
+            same = (w[i] > 0) & (t[i] == t[j])
+            w[i], w[j] = np.where(same, w[i] + w[j], w[i]), np.where(same, 0.0, w[j])
+    locs, weights = [np.where(v > 0, s, np.inf) for s, v in zip(t, w)], list(w)  # weight 0 sorts last
+    for end in range(len(locs) - 1, 0, -1):  # a stable sort of each row's kinks
+        for j in range(end):
+            swap = locs[j + 1] < locs[j]
+            for v in (locs, weights):
+                v[j], v[j + 1] = np.where(swap, v[j + 1], v[j]), np.where(swap, v[j], v[j + 1])
+    above, below, stationary = sum(weights, 0.0 * a), 0.0 * a, np.full_like(a, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seg_lo, seg_hi, v in zip([-np.inf] + locs, locs + [np.inf], weights + [0.0]):
+            point = (b + above - below) / (2.0 * a)
+            inside = (np.maximum(seg_lo, lo) <= point) & (point <= np.minimum(seg_hi, top))
+            stationary = np.where(inside, point, stationary)
+            above, below = above - v, below + v
+        x = np.vstack([lo, np.full_like(a, np.nan) if hi is None else top,
+                       *(np.where((v > 0) & (lo <= s) & (s <= top), s, np.nan) for s, v in zip(t, w)), stationary])
+        f = -a * x * x + b * x + k - sum(np.where(v > 0, v * np.abs(x - s), 0.0) for s, v in zip(t, w))
+    return x, f == np.fmax.reduce(f, axis=0)
 
 
-def _exact_best_response(game: GameSpec, i: int, x_social: float, grid: Grid) -> tuple[float, ...]:
+def _exact_program(game: GameSpec, i: int, x_social, grid: Grid):
+    """Agent ``i``'s payoff as the arguments of ``kinked_concave_argmax``: kinks at the social
+    choice ``x_social``, one or one per row, and at the aggregated beliefs' mean, on the grid's bound."""
     agent = game.agents[i]
     u = agent.utility
     if not isinstance(u, Quadratic):
@@ -264,11 +275,8 @@ def _exact_best_response(game: GameSpec, i: int, x_social: float, grid: Grid) ->
     w = agent.form
     if w.w_u * u.a <= 0:
         raise MethodUnsupported("exact best response needs w_u > 0")
-    future = aggregate_beliefs(game, i).mean()
-    kinks = [(x_social, w.w_1 * agent.c1.d), (future, w.w_2 * agent.c2.d)]
-    return kinked_concave_argmax(
-        w.w_u * u.a, w.w_u * u.b, w.w_u * u.k, kinks, lo=0.0, hi=grid.x_max
-    )
+    kinks = [(x_social, w.w_1 * agent.c1.d), (aggregate_beliefs(game, i).mean(), w.w_2 * agent.c2.d)]
+    return w.w_u * u.a, w.w_u * u.b, w.w_u * u.k, kinks, 0.0, grid.x_max
 
 
 def _opponent_socials(game: GameSpec, i: int, opponents, grid: Grid) -> np.ndarray:
@@ -316,7 +324,7 @@ def _grid_responses(game: GameSpec, i: int, socials: np.ndarray, grid: Grid, res
     consideration slice at ``-inf`` when ``restricted``, as in ``grid_argmax``.
     A row reads its whole row, unless ``_concavity`` certifies the agent.
     Then it reads the window that ``_window`` builds for ``EXACT_TOL``
-    around its bisected peak (``_peak``), clamped into the slice when
+    around its peak (``_peak``), clamped into the slice when
     ``restricted``: the row's best over its span is at least the anchor's
     payoff, so every choice within ``EXACT_TOL`` of it lies in the window,
     and each mask, each smallest argmax with it, is the whole row's bit for
@@ -335,7 +343,7 @@ def _grid_responses(game: GameSpec, i: int, socials: np.ndarray, grid: Grid, res
     if restricted:
         span = tuple(b[:, 0] for b in consideration_slice(agent.utility, agent.c1, socials, grid)[2:])
     if certificate is not None:
-        window = _window(payoffs, np.clip(_peak(payoffs, count, m), *span), span, EXACT_TOL, certificate, m)
+        window = _window(payoffs, _peak(payoffs, game, i, socials, grid), span, EXACT_TOL, certificate, m)
     for rows, cols in _window_blocks(window, m):
         values = payoffs(rows, cols)
         if restricted:
@@ -367,7 +375,7 @@ def best_response(
     """
     socials = _opponent_socials(game, i, [opponents], grid)
     if method == "exact":
-        return _exact_best_response(game, i, socials.item(), grid)
+        return kinked_concave_argmax(*_exact_program(game, i, socials.item(), grid))
     if method != "grid":
         raise MethodUnsupported(f"unknown best-response method {method!r}")
     return _argmax_sets(game, i, socials, grid, False)[0]
@@ -662,32 +670,26 @@ def _read(payoffs, rows, cols):
     return values
 
 
-def _peak(payoffs, count, m):
-    """A grid argmax of each of ``count`` rows of m cells, all rows at once.
+def _peak(payoffs, game, i, socials, grid):
+    """A grid argmax of each of agent ``i``'s certified rows (``payoffs``) against the column ``socials``.
 
-    ``payoffs`` is a ``_payoffs``.  Bisection on the sign of ``D``, reading
-    two cells per live row and step (``_read``): on a concave row the index
-    found is the argmax up to float rounding, which only widens the windows
-    that ``_window`` builds around it.
+    Of the two grid points around the row's smallest closed-form argmax, the
+    better, read in one ``_read``: on a concave row the argmax up to float
+    rounding, which only widens the windows that ``_window`` builds around it.
     """
-    lo, hi = np.zeros(count, dtype=np.intp), np.full(count, m - 1)
-    live = np.arange(count)  # a grid has two points or more
-    while len(live):
-        mid = (lo[live] + hi[live]) // 2
-        pair = _read(payoffs, live, mid[:, None] + np.arange(2))
-        rise = pair[:, 1] > pair[:, 0]
-        lo[live] = np.where(rise, mid + 1, lo[live])
-        hi[live] = np.where(rise, hi[live], mid)
-        live = live[lo[live] < hi[live]]
-    return lo
+    pts = grid.points
+    x, top = _kinked_argmax(*_exact_program(game, i, socials[:, 0], grid))
+    j = np.clip(np.searchsorted(pts, np.where(top, x, np.inf).min(axis=0)), 1, len(pts) - 1)
+    pair = _read(payoffs, np.arange(len(j)), j[:, None] + np.arange(-1, 1))
+    return j - (pair[:, 0] >= pair[:, 1])
 
 
 def _window(payoffs, k, span, tol, certificate, m):
     """Each row's cells in its ``span`` that the curvature bound cannot put below ``F(k) − tol``.
 
-    Rows hold m cells; ``payoffs`` is a ``_payoffs``, read at ``k`` and its
-    two neighbours (``_read``).  With ``(c, ε, ρ)`` from ``_concavity``, the
-    cell ``d`` steps from the anchor ``k`` lies below ``F(k) − tol``, in the
+    Rows hold m cells; ``payoffs`` is a ``_payoffs``, read at the anchor ``k``
+    clamped into the span and its two neighbours (``_read``).  With ``(c, ε, ρ)``
+    from ``_concavity``, the cell ``d`` steps from ``k`` lies below ``F(k) − tol``, in the
     float comparison too, once ``c·d(d−1) − d·s > tol·(1+ρ) + 3ε``, where
     ``s = D + 3ε + 3ρ|D|`` bounds the exact slope of the step from ``k``
     towards it.  That holds beyond the larger root of the quadratic, taken
@@ -696,6 +698,7 @@ def _window(payoffs, k, span, tol, certificate, m):
     serves are never below ``F(k)``.
     """
     c, eps, rho = certificate
+    k = np.clip(k, *span)
     near = _read(payoffs, np.arange(len(k)), np.clip(k[:, None] + np.arange(-1, 2), 0, m - 1))
     here = near[:, 1]
     slack = tol * (1.0 + rho) + 3.0 * eps
@@ -719,12 +722,11 @@ def _two_player_find(game, grid, tolerance, restricted):
     is ever whole: every pass reads each row's window, in blocks of at most
     ``_BLOCK_CELLS`` cells (``_window_blocks``).  A window is the whole row,
     unless ``_concavity`` certifies the agent's rows as concave.  Then it is
-    the cells around the row's bisected argmax (``_peak``) that the
-    curvature bound of ``_window`` cannot rule out: about
-    ``2·sqrt(tol / (w_u·a·h²))`` of them, so at tolerances of float noise,
-    the default's, a search reads O(m log m) cells for m grid points
-    instead of 3m².  Every cell read is the one kernel's, so the results
-    are the whole rows' bit for bit.
+    the cells around the row's peak (``_peak``) that the curvature bound of
+    ``_window`` cannot rule out: about ``2·sqrt(tol / (w_u·a·h²))`` of them,
+    so at tolerances of float noise, the default's, a search reads a few
+    dozen cells per row instead of 3m.  Every cell read is the one kernel's,
+    so the results are the whole rows' bit for bit.
 
     Pass 1 keeps O(m) results per agent: each row's best over the row and
     ``rbest`` over its slice, the slices' bounds and the default tolerance's
@@ -747,22 +749,19 @@ def _two_player_find(game, grid, tolerance, restricted):
     first, last = (None, None) if bounds is None else bounds[2:]
     whole = np.zeros(m, dtype=np.intp), np.full(m, m - 1)
     best, rbest = np.empty((m, 2)), np.empty((m, 2))
-    stats, anchors = [[-np.inf], [-np.inf]], []
+    stats, peaks = [[-np.inf], [-np.inf]], [None, None]
     stat = False if tolerance is None and not exact else None  # the one-step statistic of whole rows
     for a, row in enumerate(payoffs):
         part = None if bounds is None else (first[:, a], last[:, a])
         if certificates[a] is None:
-            anchors.append(None)
             best[:, a], rbest[:, a], stats[a] = _row_bests(row, whole, m, part, stat)
         else:
-            # the anchors of the row and of its slice: a concave row peaks in a
-            # slice where its peak is clamped to the slice
-            peak = _peak(row, m, m)
-            anchors.append((peak, None if part is None else np.clip(peak, *part)))
-            window = _window(row, peak, whole, 0.0, certificates[a], m)
+            # a concave row peaks in a slice where its peak is clamped to the slice
+            peaks[a] = _peak(row, game, a, socials[a], grid)
+            window = _window(row, peaks[a], whole, 0.0, certificates[a], m)
             best[:, a] = _row_bests(row, window, m, None, None)[0]
             if part is not None:
-                window = _window(row, anchors[a][1], part, 0.0, certificates[a], m)
+                window = _window(row, peaks[a], part, 0.0, certificates[a], m)
                 rbest[:, a] = _row_bests(row, window, m, part, None)[1]
         if exact and tolerance is None:
             # the social choice is the opponent's grid point, and rounding is monotone, so each own
@@ -776,7 +775,7 @@ def _two_player_find(game, grid, tolerance, restricted):
     window = whole
     if certificates[1] is not None:
         span = (first[:, 1], last[:, 1]) if restricted else whole
-        window = _window(payoffs[1], anchors[1][restricted], span, tol, certificates[1], m)
+        window = _window(payoffs[1], peaks[1], span, tol, certificates[1], m)
 
     hits = []
     for rows, cols in _window_blocks(window, m):
@@ -932,10 +931,12 @@ def find_equilibria_after_deferral(
 
     Requires the closed-form consideration interval for every agent
     (strictly increasing current-distance costs) and a tolerance as for
-    ``find_equilibria``, both checked before any search.  For more than two
-    agents the iteration warns about non-converging starts as it does.
+    ``find_equilibria``, checked before any search, every utility first.  For
+    more than two agents the iteration warns about non-converging starts as it does.
     """
     _require_tolerance(tolerance)
+    for agent in game.agents:
+        require_valid(agent.utility)
     for agent in game.agents:
         require_closed_form(agent.utility, agent.c1)
     if game.n == 2:

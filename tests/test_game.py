@@ -15,8 +15,11 @@ import slice_argmax
 from conftest import X_MAX, point_mass, quad_agent, two_agent_game
 from deferral.choice import _comprehensive
 from deferral.game import (_BLOCK_CELLS, START_LATTICE_POINTS, _argmax_sets, _concavity, _judge_rows,
-                          _opponent_socials, _reference_points, _social_weights, _tolerance)
+                          _kinked_argmax, _opponent_socials, _own_base, _payoffs, _peak, _reference_points,
+                          _social_weights, _tolerance)
 from slice_argmax import interval_grid_indices
+
+_INF, _NAN = float("inf"), float("nan")
 
 
 def _three_agent_game(aggregator=None):
@@ -140,6 +143,37 @@ class TestKinkedConcaveArgmax:
 
     def test_upper_bound_clamps(self):
         assert d.kinked_concave_argmax(2, 40, 0, [], hi=3.0) == (3.0,)
+
+    @pytest.mark.parametrize("a,b,k,kinks,lo,hi", [
+        (_NAN, 4, 5, [], 0.0, None), (_INF, 4, 5, [], 0.0, None), (2, -_INF, 5, [], 0.0, None),
+        (2, 4, _NAN, [], 0.0, None), (2, 4, 5, [(_NAN, 1.0)], 0.0, None), (2, 4, 5, [(_INF, 1.0)], 0.0, None),
+        (2, 4, 5, [(1.0, _NAN)], 0.0, None), (2, 4, 5, [(1.0, _INF)], 0.0, None), (2, 4, 5, [], _NAN, None),
+        (2, 4, 5, [], -_INF, 3.0), (2, 4, 5, [], 0.0, _INF), (2, 4, 5, [], 0.0, _NAN), (2, 4, 5, [], 3.0, 1.0),
+    ], ids=["a-nan", "a-inf", "b-inf", "k-nan", "kink-nan", "kink-inf", "weight-nan", "weight-inf",
+            "lo-nan", "lo-inf", "hi-inf", "hi-nan", "hi-below-lo"])
+    def test_refuses_bad_numbers_before_any_candidate(self, a, b, k, kinks, lo, hi):
+        # hi < lo gave (1.0,), outside [lo, hi], and a NaN weight was dropped; every candidate,
+        # merge and sort goes through numpy.where
+        with mock.patch("numpy.where", side_effect=AssertionError("a candidate was built")), \
+             pytest.raises(d.DomainError, match="needs finite numbers and lo <= hi"):
+            d.kinked_concave_argmax(a, b, k, kinks, lo=lo, hi=hi)
+
+    def test_equal_kinks_merge_and_zero_weights_drop(self):
+        # one kink of weight 8 at 4 beside a weightless one at 1: the peak 3 of -2x² + 12x
+        assert d.kinked_concave_argmax(2, 4, 5, [(4.0, 3.0), (1.0, 0.0), (4.0, 5.0)]) == (3.0,)
+        assert d.kinked_concave_argmax(2, 4, 5, [(4.0, 3.0), (1.0, 0.0)]) == (1.75,)
+
+
+def test_an_overflowing_exact_program_refuses_either_method():
+    # each number passes validate, but w_u·a = 1e400 is not: the exact method returned ()
+    agent = d.AgentSpec(d.Quadratic(1e200, 1.0, 0.0), d.LinearCost(4.0), d.LinearCost(0.0), (point_mass(1.0),),
+                        d.ComprehensiveUtilityForm(w_u=1e200))
+    game, grid = two_agent_game(agent, agent), d.Grid(8.0, 16)
+    assert d.validate(game) == []
+    with pytest.raises(d.DomainError, match="needs finite numbers and lo <= hi"):
+        d.best_response(game, 0, (1.0,), grid, method="exact")
+    with pytest.raises(d.DomainError, match="weighted utility w_u·u is not finite"):
+        d.best_response(game, 0, (1.0,), grid)
 
 
 class TestBestResponse:
@@ -271,13 +305,14 @@ def test_curve_values_need_to_be_choices_in_bound(value, method, akerlof_game):
 
 
 def test_curve_reads_certified_windows_and_equals_the_reference(akerlof_game, power_cost_game):
-    # 81 rows of 1,601 cells.  Certified rows: 11 bisection steps of 2 cells a row (13 rows
-    # live in the last), the window's 3-cell probe and windows of 3 cells, where whole rows
-    # read 129,681.  Power costs keep whole rows, ten a block: nine kernel calls.
+    # 81 rows of 1,601 cells.  Certified rows: the 2 cells around each row's closed-form
+    # argmax, the window's 3-cell probe and windows of 3 cells, 648 cells where the row
+    # bisection read 2,132 and whole rows 129,681.  Power costs keep whole rows, ten a
+    # block: nine kernel calls.
     grid = d.Grid(8.0, 1600)
     sweep = [j * grid.x_max / 80 for j in range(81)]
     assert _BLOCK_CELLS // len(grid.points) == 10
-    for game, read in ((akerlof_game, [162] * 10 + [26, 243, 243]), (power_cost_game, [16010] * 8 + [1601])):
+    for game, read in ((akerlof_game, [162, 243, 243]), (power_cost_game, [16010] * 8 + [1601])):
         for i in range(2):
             cells = []
 
@@ -1139,6 +1174,50 @@ def test_windowed_argmax_sets_equal_the_slice_reference(game_grid, data):
             assert got == (want[0] if isinstance(want[0], type) else want)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_batched_closed_form_call_is_a_scalar_call_on_each_row(data):
+    # rows share their number of kinks and whether hi is given; signed zeros, equal kink
+    # points, zero weights and small integers, where candidates tie, all occur
+    number = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 4.0, 8.0]) | st.floats(-10.0, 10.0)
+    weight = st.sampled_from([0.0, 1.0, 4.0]) | st.floats(0.0, 10.0)
+    count, bounded = data.draw(st.integers(0, 3)), data.draw(st.booleans())
+    rows = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        a = data.draw(st.sampled_from([0.5, 2.0]) | st.floats(1e-6, 10.0))
+        kinks = [(data.draw(number), data.draw(weight)) for _ in range(count)]
+        if count > 1 and data.draw(st.booleans()):
+            kinks[-1] = (kinks[0][0], kinks[-1][1])
+        lo = data.draw(number)
+        rows.append((a, data.draw(number), data.draw(number), kinks, lo, lo + abs(data.draw(number))))
+    a, b, k, _, lo, hi = (np.array(c, dtype=float) for c in zip(*rows))
+    kinks = [(np.array([r[3][j][0] for r in rows]), np.array([r[3][j][1] for r in rows])) for j in range(count)]
+    x, top = _kinked_argmax(a, b, k, kinks, lo, hi if bounded else None)
+    for r, (a, b, k, kinks, lo, hi) in enumerate(rows):
+        got = tuple(sorted(dict.fromkeys(x[:, r][top[:, r]].tolist())))
+        assert got == d.kinked_concave_argmax(a, b, k, kinks, lo, hi if bounded else None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(game_grid=_exact_games(), data=st.data())
+def test_the_closed_form_peak_is_a_certified_rows_best(game_grid, data):
+    # within 2ε, the certificate's allowance for two float payoffs
+    game, grid = game_grid
+    choice = st.floats(0.0, 1.0).map(lambda f: f * grid.x_max) | st.integers(0, grid.steps).map(
+        lambda j: float(grid.points[j]))
+    opponents = data.draw(st.lists(st.lists(choice, min_size=game.n - 1, max_size=game.n - 1),
+                                   min_size=1, max_size=12))
+    for i in range(game.n):
+        certificate = _concavity(game, grid, i)
+        if certificate is None:
+            continue
+        socials = _opponent_socials(game, i, opponents, grid)
+        payoffs = _payoffs(game.agents[i], grid.points, _own_base(game, i, grid), socials)
+        rows = payoffs(np.arange(len(socials)), np.arange(len(grid.points)))
+        peak = _peak(payoffs, game, i, socials, grid)
+        assert (rows[np.arange(len(peak)), peak] >= rows.max(axis=1) - 2.0 * certificate[1]).all()
+
+
 @settings(max_examples=60, deadline=None)
 @given(game_grid=_exact_games().filter(lambda g: g[0].n == 3), tolerance=st.sampled_from([None, 0.0, 1e-9, 0.5]),
        data=st.data())
@@ -1196,8 +1275,9 @@ def test_the_last_grid_point_is_the_bound():
 
 
 def test_the_lattice_reads_kernel_cells_that_grow_well_below_m():
-    # whole rows read 11.45 M, 45.7 M and 114 M cells over both searches; the bisection's
-    # O(log m) cells a row and windows of a few cells grow 39% over a 10x larger grid
+    # whole rows read 11.45 M, 45.7 M and 114 M cells over both searches, and the row
+    # bisection 634,794, 756,454 and 881,594; two cells a row around the closed-form
+    # argmax and windows of a few cells grow 18% over a 10x larger grid
     cells = []
 
     def counting(*args):
@@ -1210,7 +1290,7 @@ def test_the_lattice_reads_kernel_cells_that_grow_well_below_m():
         with mock.patch("deferral.game._comprehensive", counting):
             for finder in (d.find_equilibria, d.find_equilibria_after_deferral):
                 assert len(finder(_trio(), d.Grid(8.0, steps))) == 1
-    assert cells == [634_794, 756_454, 881_594]
+    assert cells == [230_790, 237_990, 271_422]
     assert cells[-1] < 1.5 * cells[0]
 
 
@@ -1228,8 +1308,8 @@ def test_an_invalid_utility_refuses_every_search_in_either_order(n):
             d.find_equilibria(game, grid, starts=[profile])
         with pytest.raises(d.SpecValidationError):
             d.classify_profile(game, profile, grid)
-        # its closed-form check raises for the first agent that fails it
-        with pytest.raises((d.SpecValidationError, d.ClosedFormUnavailable)):
+        # every utility is validated before any closed-form check
+        with pytest.raises(d.SpecValidationError):
             d.find_equilibria_after_deferral(game, grid, starts=[profile])
 
 

@@ -294,6 +294,20 @@ class TestNonFiniteAndOutOfRangeNumbers:
         assert not (tmp_path / "out").exists()
         assert main(["equilibria", scenario, "--tolerance", "1e-9", "--output-dir", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("method,message", [("grid", "weighted utility w_u·u is not finite"),
+                                                ("exact", "needs finite numbers and lo <= hi")])
+    def test_overflowing_weighted_utility_is_3_by_either_method(self, method, message, tmp_path, capsys):
+        # w_u = 1e200 and a = 1e200 each pass validate; the exact method exited 1 with an IndexError
+        data = json.loads(_AKERLOF.read_text())
+        data["steps"] = 16
+        data["agents"][0].update(utility={"variant": "quadratic", "a": 1e200, "b": 1.0, "k": 0.0},
+                                 form={"w_u": 1e200})
+        scenario = _write(tmp_path, "g.json", data)
+        assert main(["best-response", scenario, "--agent", "1", "--sweep", "0:8:3", "--method", method,
+                     "--output-dir", str(tmp_path / "out")]) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("x_s", [_INF, _NAN, -1.0])
     def test_social_choice_out_of_range_is_2(self, x_s, tmp_path, capsys):
         scenario = _write(tmp_path, "s.json", _single_agent_scenario(x_s=x_s))
@@ -695,6 +709,17 @@ class TestReproduce:
         result = run_case(case, tmp_path)
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in result.files}
         assert digests == REPRODUCE_DIGESTS[case]
+
+    @pytest.mark.parametrize("method", ["grid", "exact"])
+    @pytest.mark.parametrize("case,sweep", [("akerlof", "0:8:81"), ("example42", "0:40:81")])
+    def test_best_response_bytes_are_pinned(self, case, sweep, method, tmp_path):
+        # the bundled scenarios' curves for agent 1, which ``reproduce`` writes too; from an
+        # installed package, its own scenarios
+        scenario = Path(d.__file__).parent / "scenarios" / f"{case}.json"
+        assert main(["best-response", str(scenario), "--agent", "1", "--sweep", sweep, "--method", method,
+                     "--output-dir", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "best_response_agent1.csv").read_bytes()).hexdigest()
+        assert digest == REPRODUCE_DIGESTS[case]["best_response_agent1.csv"]
 
     @pytest.mark.parametrize("game", sorted(LATTICE_DIGESTS))
     def test_lattice_bytes_are_pinned(self, game, tmp_path):
