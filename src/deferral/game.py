@@ -29,8 +29,8 @@ blocks, which read a few cells of a certified row with the argmax sets of
 whole rows.  One row pass, ``_row_bests``, gives every verdict its
 bests: the two-agent search's pass 1, and ``_judge_rows``, which judges all
 the lattice's fixed points at once and is ``classify_profile`` on one row.
-One cap on the cells of a kernel call, ``_BLOCK_CELLS``, bounds the memory
-of both engines.
+One cap on the cells of a block, ``_BLOCK_CELLS``, bounds the memory of both
+engines; the probes of certified rows read 2 and 3 cells a row in one call.
 """
 
 from __future__ import annotations
@@ -75,11 +75,9 @@ START_LATTICE_POINTS = 11
 #: The default lattice has START_LATTICE_POINTS**n starts; cap n to keep it sane.
 MAX_LATTICE_AGENTS = 4
 _MAX_ITERATIONS = 500
-#: Cap on the cells (rows x own choices) of one kernel call in both engines:
-#: the blocks of row windows of the two-agent search and of the grid best
-#: response, whose rows a lattice's starts or a curve's sweep fill, and the
-#: probes of ``_peak`` and ``_window``.  It bounds their memory whatever the
-#: grid or the number of rows.
+#: Cap on the cells (rows x own choices) of a block of ``_window_blocks``, the
+#: m-wide reads of both engines, whose rows a lattice's starts or a curve's
+#: sweep fill.  It bounds their memory whatever the grid or the number of rows.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -219,16 +217,22 @@ def kinked_concave_argmax(
     stationary point of one linear-slope segment, a kink, or a boundary;
     enumerating those finitely many candidates is exact (``_kinked_argmax``
     on one row).  A number that is not finite, or ``hi < lo``, raises
-    ``DomainError`` before any candidate.
+    ``DomainError`` before any candidate, and so does an objective that is
+    not finite at a candidate.
     """
-    x, top = _kinked_argmax(a, b, k, kinks, lo, hi)
-    return tuple(sorted(dict.fromkeys(x[:, 0][top[:, 0]].tolist())))
+    return _argmax_tuples(*_kinked_argmax(a, b, k, kinks, lo, hi))[0]
+
+
+def _argmax_tuples(x, top):
+    """Each row's argmax set from ``_kinked_argmax``: its distinct top candidates, ascending."""
+    return tuple(tuple(sorted(dict.fromkeys(col[t].tolist()))) for col, t in zip(x.T, top.T))
 
 
 def _kinked_argmax(a, b, k, kinks, lo, hi):
     """``kinked_concave_argmax`` on rows, each number one or one per row: each row's candidates, a
     column with NaN where it has fewer, and their argmax mask, each float operation the row's own.
-    At most one value is stationary inside its segment, so one candidate holds it."""
+    At most one value is stationary inside its segment, so one candidate holds it.  A candidate
+    whose objective overflows raises ``DomainError``, as no argmax can be told from it."""
     numbers = np.array(np.broadcast_arrays(*(np.ravel(v) for v in (a, b, k, lo, np.inf if hi is None else hi,
                                                                    *itertools.chain(*kinks)))), dtype=float)
     given = np.delete(numbers, 4, 0) if hi is None else numbers  # no hi is no bound
@@ -259,6 +263,8 @@ def _kinked_argmax(a, b, k, kinks, lo, hi):
         x = np.vstack([lo, np.full_like(a, np.nan) if hi is None else top,
                        *(np.where((v > 0) & (lo <= s) & (s <= top), s, np.nan) for s, v in zip(t, w)), stationary])
         f = -a * x * x + b * x + k - sum(np.where(v > 0, v * np.abs(x - s), 0.0) for s, v in zip(t, w))
+    if not (np.isfinite(f) | np.isnan(x)).all():
+        raise DomainError("a kinked concave program's objective is not finite at a candidate")
     return x, f == np.fmax.reduce(f, axis=0)
 
 
@@ -342,7 +348,7 @@ def _grid_responses(game: GameSpec, i: int, socials: np.ndarray, grid: Grid, res
     span = window = np.zeros(count, dtype=np.intp), np.full(count, m - 1)
     if restricted:
         span = tuple(b[:, 0] for b in consideration_slice(agent.utility, agent.c1, socials, grid)[2:])
-    if certificate is not None:
+    if certificate is not None and count:  # no rows, no kernel call
         window = _window(payoffs, _peak(payoffs, game, i, socials, grid), span, EXACT_TOL, certificate, m)
     for rows, cols in _window_blocks(window, m):
         values = payoffs(rows, cols)
@@ -400,18 +406,20 @@ def best_response_curve(
 ) -> BestResponseCurve:
     """Sample the best response of agent ``i`` over a sweep of opponent values.
 
-    Only defined for two-agent games (the sweep is one-dimensional).  Each
-    value is checked as ``best_response`` checks an opponent.  The grid
-    method answers the whole sweep at once, in blocks of rows; any other
-    method asks ``best_response`` once per value.
+    Only defined for two-agent games (the sweep is one-dimensional).  Every
+    value is checked as ``best_response`` checks an opponent, before any
+    payoff, and either method answers the whole sweep at once: the grid one
+    in blocks of rows, the exact one in one closed-form call.
     """
     if game.n != 2:
         raise MethodUnsupported("best-response sweeps need a two-agent game")
-    if method == "grid":
-        column = np.asarray(opponent_values, dtype=float)[:, None]
-        sets = _argmax_sets(game, i, _opponent_socials(game, i, column, grid), grid, False)
+    if method not in ("grid", "exact"):
+        raise MethodUnsupported(f"unknown best-response method {method!r}")
+    socials = _opponent_socials(game, i, np.asarray(opponent_values, dtype=float)[:, None], grid)
+    if method == "exact":
+        sets = _argmax_tuples(*_kinked_argmax(*_exact_program(game, i, socials[:, 0], grid)))
     else:
-        sets = tuple(best_response(game, i, (x,), grid, method=method) for x in opponent_values)
+        sets = _argmax_sets(game, i, socials, grid, False)
     return BestResponseCurve(agent=i, opponent_values=tuple(opponent_values), argmax_sets=sets)
 
 
@@ -643,8 +651,10 @@ def _concavity(game, grid, a):
     and ``D_k = F(k+1) − F(k)``, ``F(k+d) ≤ F(k) + d·D_k − A·h²·d(d−1)``
     for ``d ≥ 1``, and mirrored on the left.  ``c`` is ``A·h²`` shrunk by
     ``ρ``, and ``ε`` bounds the distance of each float payoff from the exact
-    one.  ``None`` outside the exact family, for ``A = 0``, and for terms
-    or a curvature at the float range's ends: those rows stay whole.
+    one.  A row lies ``A·h²·k(m−1−k)`` above the chord between its ends, so
+    ``c·(m−2) > 2ε`` puts its float minimum at an end.  ``None`` outside the
+    exact family, for ``A = 0``, for terms at the float range's end and
+    without that condition: those rows stay whole.
     """
     agent = game.agents[a]
     u, w, x_max = agent.utility, agent.form, grid.x_max
@@ -655,32 +665,22 @@ def _concavity(game, grid, a):
              + w.w_1 * agent.c1.d * x_max)
     rho = _ROUNDING * len(grid.points)
     c = w.w_u * u.a * grid.step * grid.step * (1.0 - rho)
-    if not (np.isfinite(2.0 * terms) and c > 0):
+    if not (np.isfinite(2.0 * terms) and c * (len(grid.points) - 2) > 2.0 * _ROUNDING * terms):
         return None
     return c, _ROUNDING * terms, rho
-
-
-def _read(payoffs, rows, cols):
-    """``payoffs(rows, cols)`` of index arrays, one row of ``cols`` per row, in kernel calls
-    of at most ``_BLOCK_CELLS`` cells; no rows, no call."""
-    values = np.empty(cols.shape)
-    size = max(1, _BLOCK_CELLS // cols.shape[1])
-    for first in range(0, len(rows), size):
-        values[first:first + size] = payoffs(rows[first:first + size], cols[first:first + size])
-    return values
 
 
 def _peak(payoffs, game, i, socials, grid):
     """A grid argmax of each of agent ``i``'s certified rows (``payoffs``) against the column ``socials``.
 
     Of the two grid points around the row's smallest closed-form argmax, the
-    better, read in one ``_read``: on a concave row the argmax up to float
+    better, read in one kernel call: on a concave row the argmax up to float
     rounding, which only widens the windows that ``_window`` builds around it.
     """
     pts = grid.points
     x, top = _kinked_argmax(*_exact_program(game, i, socials[:, 0], grid))
     j = np.clip(np.searchsorted(pts, np.where(top, x, np.inf).min(axis=0)), 1, len(pts) - 1)
-    pair = _read(payoffs, np.arange(len(j)), j[:, None] + np.arange(-1, 1))
+    pair = payoffs(np.arange(len(j)), j[:, None] + np.arange(-1, 1))
     return j - (pair[:, 0] >= pair[:, 1])
 
 
@@ -688,7 +688,7 @@ def _window(payoffs, k, span, tol, certificate, m):
     """Each row's cells in its ``span`` that the curvature bound cannot put below ``F(k) − tol``.
 
     Rows hold m cells; ``payoffs`` is a ``_payoffs``, read at the anchor ``k``
-    clamped into the span and its two neighbours (``_read``).  With ``(c, ε, ρ)``
+    clamped into the span and its two neighbours, in one kernel call.  With ``(c, ε, ρ)``
     from ``_concavity``, the cell ``d`` steps from ``k`` lies below ``F(k) − tol``, in the
     float comparison too, once ``c·d(d−1) − d·s > tol·(1+ρ) + 3ε``, where
     ``s = D + 3ε + 3ρ|D|`` bounds the exact slope of the step from ``k``
@@ -699,7 +699,7 @@ def _window(payoffs, k, span, tol, certificate, m):
     """
     c, eps, rho = certificate
     k = np.clip(k, *span)
-    near = _read(payoffs, np.arange(len(k)), np.clip(k[:, None] + np.arange(-1, 2), 0, m - 1))
+    near = payoffs(np.arange(len(k)), np.clip(k[:, None] + np.arange(-1, 2), 0, m - 1))
     here = near[:, 1]
     slack = tol * (1.0 + rho) + 3.0 * eps
     reach = []
@@ -729,10 +729,10 @@ def _two_player_find(game, grid, tolerance, restricted):
     so the results are the whole rows' bit for bit.
 
     Pass 1 keeps O(m) results per agent: each row's best over the row and
-    ``rbest`` over its slice, the slices' bounds and the default tolerance's
-    statistic.  On concave rows the row maximum is in the ``tol = 0`` window.
-    In the exact family the statistic, ``max|U|``, comes from 3m cells: the
-    agent's ``bases`` and their rows against both ends of the grid.  Pass 2
+    ``rbest`` over its slice, the slices' bounds and each row's default
+    tolerance statistic, as ``_judge_rows`` takes it.  On concave rows the row
+    maximum is in the ``tol = 0`` window and the minimum at an end of the row
+    (``_concavity``), so their ``max|U|`` reads two more cells a row.  Pass 2
     goes over agent 1's windows for ``tol`` and runs the searched test there
     (after deferral when ``restricted``, else standard).  It evaluates agent
     0's payoff only at the surviving profiles and runs agent 0's test on them.
@@ -750,7 +750,7 @@ def _two_player_find(game, grid, tolerance, restricted):
     whole = np.zeros(m, dtype=np.intp), np.full(m, m - 1)
     best, rbest = np.empty((m, 2)), np.empty((m, 2))
     stats, peaks = [[-np.inf], [-np.inf]], [None, None]
-    stat = False if tolerance is None and not exact else None  # the one-step statistic of whole rows
+    stat = exact if tolerance is None else None
     for a, row in enumerate(payoffs):
         part = None if bounds is None else (first[:, a], last[:, a])
         if certificates[a] is None:
@@ -763,12 +763,9 @@ def _two_player_find(game, grid, tolerance, restricted):
             if part is not None:
                 window = _window(row, peaks[a], part, 0.0, certificates[a], m)
                 rbest[:, a] = _row_bests(row, window, m, part, None)[1]
-        if exact and tolerance is None:
-            # the social choice is the opponent's grid point, and rounding is monotone, so each own
-            # choice's payoff peaks where the two are equal, at cost 0 (``bases[a]``), and bottoms
-            # out against an end of the grid: max|U| lies in these 3m cells
-            ends = row(np.array([0, m - 1]), np.arange(m))
-            stats[a] = _tolerance_stat(True, np.vstack([bases[a], ends]))
+            if stat is not None:
+                ends = row(np.arange(m), np.array([[0, m - 1]]))
+                stats[a] = np.abs([best[:, a], *ends.T]).max(axis=0)
     tol = _tolerance(exact, np.concatenate(stats), tolerance)
     # the searched test: payoff >= limit - tol, and each choice in its slice after deferral
     limit = rbest if restricted else best

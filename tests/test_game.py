@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import deferral as d
@@ -158,6 +158,12 @@ class TestKinkedConcaveArgmax:
              pytest.raises(d.DomainError, match="needs finite numbers and lo <= hi"):
             d.kinked_concave_argmax(a, b, k, kinks, lo=lo, hi=hi)
 
+    @pytest.mark.parametrize("kinks,lo", [([], 1e200), ([(1e200, 1.0)], 0.0)], ids=["no-kink", "kink"])
+    def test_an_objective_that_overflows_at_a_candidate_refuses(self, kinks, lo):
+        # finite numbers, but -x² + 1e308·x is -inf + inf at 1e200 and 1e201: () and (0.0,) came back
+        with pytest.raises(d.DomainError, match="not finite at a candidate"):
+            d.kinked_concave_argmax(1.0, 1e308, 0.0, kinks, lo=lo, hi=1e201)
+
     def test_equal_kinks_merge_and_zero_weights_drop(self):
         # one kink of weight 8 at 4 beside a weightless one at 1: the peak 3 of -2x² + 12x
         assert d.kinked_concave_argmax(2, 4, 5, [(4.0, 3.0), (1.0, 0.0), (4.0, 5.0)]) == (3.0,)
@@ -210,6 +216,9 @@ class TestBestResponse:
                                       (akerlof_game, "bogus", "unknown best-response method")):
             with pytest.raises(d.MethodUnsupported, match=message):
                 d.best_response(game, 0, (1.0,), grid, method=method)
+            # the curve asks for the method's program before any row, so an empty sweep refuses too
+            with pytest.raises(d.MethodUnsupported, match=message):
+                d.best_response_curve(game, 0, (), grid, method=method)
         with pytest.raises(d.MethodUnsupported, match="two-agent game"):
             d.best_response_curve(_three_agent_game(), 0, (1.0,), grid)
 
@@ -302,6 +311,16 @@ def test_curve_values_need_to_be_choices_in_bound(value, method, akerlof_game):
     with mock.patch("deferral.game._comprehensive", side_effect=AssertionError("searched")), \
          pytest.raises(d.DomainError):
         d.best_response_curve(akerlof_game, 0, (1.0, value), grid, method)
+
+
+def test_the_exact_curve_is_one_closed_form_call_and_each_values_best_response(example42_game):
+    grid = d.Grid(40.0, 400)
+    sweep = [j * grid.x_max / 80 for j in range(81)]
+    for i in range(2):
+        with mock.patch("deferral.game._kinked_argmax", wraps=_kinked_argmax) as spy:
+            curve = d.best_response_curve(example42_game, i, sweep, grid, "exact")
+        assert spy.call_count == 1
+        assert curve.argmax_sets == tuple(d.best_response(example42_game, i, (x,), grid, "exact") for x in sweep)
 
 
 def test_curve_reads_certified_windows_and_equals_the_reference(akerlof_game, power_cost_game):
@@ -1334,8 +1353,16 @@ def _exact_pairs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(game_grid=_exact_pairs())
+@example(game_grid=(two_agent_game(quad_agent(), quad_agent(b=8.0, belief=6.0)), d.Grid(8.0, 1)))
+@example(game_grid=(two_agent_game(quad_agent(), quad_agent(b=8.0, belief=6.0)), d.Grid(8.0, 2)))
+@example(game_grid=(two_agent_game(quad_agent(k=1e15), quad_agent(b=8.0, k=-1e15)), d.Grid(8.0, 40)))
+@example(game_grid=(two_agent_game(quad_agent(), quad_agent(a=0.75, b=-0.25, k=-5.5e15, c2=d.LinearCost(1.0),
+                                                             belief=1.3)), d.Grid(1.0, 20)))
 def test_exact_family_default_tolerance_is_the_dense_one(game_grid):
-    # max|U| over both whole tables, which the search reads from 3m cells per agent
+    # max|U| over both whole tables, which the search takes per row: a certified row's from its
+    # best and its two ends.  _concavity refuses m = 2 and rows whose rounding margin hides their
+    # curvature (|k| of 1e15 and more), which read whole rows: in the last game a float row
+    # minimum lies inside the row, so without the refusal the statistic would miss it
     game, grid = game_grid
     socials = [_reference_points([grid.points[:, None]], *_social_weights(game, a)) for a in range(2)]
     tables = [d.comprehensive_values(agent, grid, s, d.aggregate_beliefs(game, a).mean())
@@ -1349,7 +1376,7 @@ def test_exact_family_default_tolerance_is_the_dense_one(game_grid):
 
 
 def _kernel_cells(finder, game, grid):
-    """How many payoff cells ``finder`` reads through the kernel."""
+    """The payoff cells of each kernel call that ``finder`` makes."""
     cells = []
 
     def counting(*args):
@@ -1359,7 +1386,7 @@ def _kernel_cells(finder, game, grid):
 
     with mock.patch("deferral.game._comprehensive", counting):
         finder(game, grid)
-    return sum(cells)
+    return cells
 
 
 def test_certified_windows_read_under_two_percent_of_the_cells(akerlof_game, power_cost_game):
@@ -1367,9 +1394,21 @@ def test_certified_windows_read_under_two_percent_of_the_cells(akerlof_game, pow
     for game, grid, share in ((akerlof_game, d.Grid(8.0, 4000), 0.02), (power_cost_game, d.Grid(8.0, 100), 1.0)):
         whole = 3 * len(grid.points) ** 2
         for finder in (d.find_equilibria, d.find_equilibria_after_deferral):
-            cells = _kernel_cells(finder, game, grid)
+            cells = sum(_kernel_cells(finder, game, grid))
             # power costs are not certified, and their rows stay whole
             assert cells < share * whole if share < 1.0 else cells >= whole
+
+
+def test_akerlof_reads_78_cells_per_grid_point_in_few_kernel_calls(akerlof_game):
+    # both searches at the default tolerance: each probe of a certified row reads 2 or 3 cells
+    # of every row in one call, so only the windows' blocks of at most _BLOCK_CELLS cells add
+    # calls as m grows
+    for steps, calls in ((400, 30), (4000, 30), (16000, 54)):
+        grid = d.Grid(8.0, steps)
+        cells = [_kernel_cells(finder, akerlof_game, grid)
+                 for finder in (d.find_equilibria, d.find_equilibria_after_deferral)]
+        assert sum(map(sum, cells)) == 78 * len(grid.points)
+        assert sum(map(len, cells)) == calls
 
 
 def test_both_searches_hold_no_table_at_4000_steps(akerlof_game):
@@ -1487,9 +1526,9 @@ def test_the_verdict_reads_blocks_of_at_most_the_cap():
     assert all(len(certs) == 10 for certs in expected)
     cells, judging = [], []
 
-    def counting(*args):
-        values = _comprehensive(*args)
-        cells.append((bool(judging), values.size))
+    def counting(agent, own, base, socials):
+        values = _comprehensive(agent, own, base, socials)
+        cells.append((bool(judging), values.size, len(socials)))
         return values
 
     def judge(*args):
@@ -1503,9 +1542,10 @@ def test_the_verdict_reads_blocks_of_at_most_the_cap():
          mock.patch("deferral.game._judge_rows", judge):
         found = [d.find_equilibria(game, grid), d.find_equilibria_after_deferral(game, grid)]
     assert found == expected
-    assert max(size for _, size in cells) <= 3 * m
+    # a block of m-wide rows, or a probe of a few cells a row around a certified peak
+    assert all(size <= 3 * m or size <= 3 * rows for _, size, rows in cells)
     # each search's verdict reads every agent's ten rows in blocks of 3, 3, 3 and 1 rows
-    assert [size for judged, size in cells if judged] == [3 * m, 3 * m, 3 * m, m] * 6
+    assert [size for judged, size, _ in cells if judged] == [3 * m, 3 * m, 3 * m, m] * 6
 
 
 def test_no_rows_make_no_kernel_call():
