@@ -1,36 +1,32 @@
-"""Strategic layer: payoffs, best responses, and equilibrium search.
+"""Strategic layer: aggregation, payoffs, best responses, and equilibrium search.
 
 Each agent's payoff is the comprehensive utility evaluated at their own
 choice, with the current social reference point aggregated from the other
 agents' choices and the future reference point taken from the mean of the
-aggregated beliefs.  One grid best response, ``_grid_responses``, answers
-every grid best-response question: against a column of social choices it
-yields argmax masks over windows of rows, in blocks, and ``best_response``,
-``deferral_best_response``, the grid ``best_response_curve`` and the
-n-agent sweeps all read it.  Two equilibrium notions are supported:
+aggregated beliefs.  A best response is the agent's decisive choice against
+those reference points, so it reads the agent-row engine of ``choice.py``
+(``_grid_responses``): ``best_response``, ``deferral_best_response``, the
+grid ``best_response_curve`` and the n-agent sweeps hand it a column of
+social choices and the aggregated beliefs' mean.  Two equilibrium notions
+are supported:
 
 * standard: every agent's choice maximizes their payoff over the whole
   strategy interval ``[0, x_max]``, the grid's bound;
 * after deferral: every agent's choice lies in, and maximizes their payoff
   over, the consideration set induced by the others' choices.
 
-A window of a payoff row is the whole row, unless the row is certified
-concave (the exact family with ``w_u·a > 0``): then a curvature bound,
-``F(k+d) ≤ F(k) + d·D_k − w_u·a·h²·d(d−1)`` with a rounding margin, rules
-out the cells away from the row's closed-form peak.  One windowed-row
-machinery (``_peak``, ``_window``, ``_window_blocks``) serves both engines.
 For two agents the search is exhaustive on the grid (every profile tested),
-in blocks of windows that keep O(m) results between them for m grid points,
-and at the default tolerance it reads a few cells per row with the verdicts
-of whole rows.  For more agents a simultaneous best-response iteration from
-a start lattice finds fixed points without any completeness claim.  Every
-start is iterated at once, one row per start, in the grid best response's
-blocks, which read a few cells of a certified row with the argmax sets of
-whole rows.  One row pass, ``_row_bests``, gives every verdict its
-bests: the two-agent search's pass 1, and ``_judge_rows``, which judges all
-the lattice's fixed points at once and is ``classify_profile`` on one row.
-One cap on the cells of a block, ``_BLOCK_CELLS``, bounds the memory of both
-engines; the probes of certified rows read 2 and 3 cells a row in one call.
+in the engine's blocks of windows, which keep O(m) results between them for
+m grid points.  Each agent is certified on its own family (``_concavity``),
+so a quadratic agent's rows are windowed beside a tabulated opponent; only
+the default tolerance outside the exact family reads whole rows, for its
+one-step statistic.  At the default tolerance of the exact family a search
+reads a few cells per row with the verdicts of whole rows.  For more agents
+a simultaneous best-response iteration from a start lattice finds fixed
+points without any completeness claim; every start is iterated at once, one
+row per start.  One row pass, ``_row_bests``, gives every verdict its bests:
+the two-agent search's pass 1, and ``_judge_rows``, which judges all the
+lattice's fixed points at once and is ``classify_profile`` on one row.
 """
 
 from __future__ import annotations
@@ -43,7 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .choice import _comprehensive, _own_values, comprehensive_value
+from .choice import (_concavity, _exact_program, _grid_responses, _kinked_argmax, _own_row, _payoffs, _peak,
+                     _window, _window_blocks, comprehensive_value)
 from .consideration import consideration_slice, in_slice, require_closed_form
 from .errors import (
     ClosedFormUnavailable,
@@ -63,9 +60,7 @@ from .model import (
     Violation,
     _mixture,
     cost_is_linear,
-    near_best,
     require_valid,
-    utility_values,
 )
 
 Profile = tuple[float, ...]
@@ -75,10 +70,6 @@ START_LATTICE_POINTS = 11
 #: The default lattice has START_LATTICE_POINTS**n starts; cap n to keep it sane.
 MAX_LATTICE_AGENTS = 4
 _MAX_ITERATIONS = 500
-#: Cap on the cells (rows x own choices) of a block of ``_window_blocks``, the
-#: m-wide reads of both engines, whose rows a lattice's starts or a curve's
-#: sweep fill.  It bounds their memory whatever the grid or the number of rows.
-_BLOCK_CELLS = 1 << 14
 
 
 class EquilibriumKind(enum.Enum):
@@ -228,63 +219,6 @@ def _argmax_tuples(x, top):
     return tuple(tuple(sorted(dict.fromkeys(col[t].tolist()))) for col, t in zip(x.T, top.T))
 
 
-def _kinked_argmax(a, b, k, kinks, lo, hi):
-    """``kinked_concave_argmax`` on rows, each number one or one per row: each row's candidates, a
-    column with NaN where it has fewer, and their argmax mask, each float operation the row's own.
-    At most one value is stationary inside its segment, so one candidate holds it.  A candidate
-    whose objective overflows raises ``DomainError``, as no argmax can be told from it."""
-    numbers = np.array(np.broadcast_arrays(*(np.ravel(v) for v in (a, b, k, lo, np.inf if hi is None else hi,
-                                                                   *itertools.chain(*kinks)))), dtype=float)
-    given = np.delete(numbers, 4, 0) if hi is None else numbers  # no hi is no bound
-    if not np.isfinite(given).all() or (numbers[4] < numbers[3]).any():
-        raise DomainError("a kinked concave program needs finite numbers and lo <= hi")
-    (a, b, k, lo, top), t, w = numbers[:5], list(numbers[5::2]), list(numbers[6::2])
-    if not (a > 0).all():
-        raise MethodUnsupported(f"quadratic part must be strictly concave, got a={a.min()}")
-    if any((v < 0).any() for v in w):
-        raise MethodUnsupported("kink weights must be nonnegative")
-    for j in range(len(t)):  # a kink merges into the first of weight > 0 before it at its point
-        for i in range(j):
-            same = (w[i] > 0) & (t[i] == t[j])
-            w[i], w[j] = np.where(same, w[i] + w[j], w[i]), np.where(same, 0.0, w[j])
-    locs, weights = [np.where(v > 0, s, np.inf) for s, v in zip(t, w)], list(w)  # weight 0 sorts last
-    for end in range(len(locs) - 1, 0, -1):  # a stable sort of each row's kinks
-        for j in range(end):
-            swap = locs[j + 1] < locs[j]
-            for v in (locs, weights):
-                v[j], v[j + 1] = np.where(swap, v[j + 1], v[j]), np.where(swap, v[j], v[j + 1])
-    above, below, stationary = sum(weights, 0.0 * a), 0.0 * a, np.full_like(a, np.nan)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for seg_lo, seg_hi, v in zip([-np.inf] + locs, locs + [np.inf], weights + [0.0]):
-            point = (b + above - below) / (2.0 * a)
-            inside = (np.maximum(seg_lo, lo) <= point) & (point <= np.minimum(seg_hi, top))
-            stationary = np.where(inside, point, stationary)
-            above, below = above - v, below + v
-        x = np.vstack([lo, np.full_like(a, np.nan) if hi is None else top,
-                       *(np.where((v > 0) & (lo <= s) & (s <= top), s, np.nan) for s, v in zip(t, w)), stationary])
-        f = -a * x * x + b * x + k - sum(np.where(v > 0, v * np.abs(x - s), 0.0) for s, v in zip(t, w))
-    if not (np.isfinite(f) | np.isnan(x)).all():
-        raise DomainError("a kinked concave program's objective is not finite at a candidate")
-    return x, f == np.fmax.reduce(f, axis=0)
-
-
-def _exact_program(game: GameSpec, i: int, x_social, grid: Grid):
-    """Agent ``i``'s payoff as the arguments of ``kinked_concave_argmax``: kinks at the social
-    choice ``x_social``, one or one per row, and at the aggregated beliefs' mean, on the grid's bound."""
-    agent = game.agents[i]
-    u = agent.utility
-    if not isinstance(u, Quadratic):
-        raise MethodUnsupported("exact best response needs a quadratic utility")
-    for c in (agent.c1, agent.c2):
-        if not cost_is_linear(c):
-            raise MethodUnsupported("exact best response needs zero or linear costs")
-    w = agent.form
-    if w.w_u * u.a <= 0:
-        raise MethodUnsupported("exact best response needs w_u > 0")
-    kinks = [(x_social, w.w_1 * agent.c1.d), (aggregate_beliefs(game, i).mean(), w.w_2 * agent.c2.d)]
-    return w.w_u * u.a, w.w_u * u.b, w.w_u * u.k, kinks, 0.0, grid.x_max
-
-
 def _opponent_socials(game: GameSpec, i: int, opponents, grid: Grid) -> np.ndarray:
     """Agent ``i``'s social choices, a column, against rows of one choice in
     ``[0, grid.x_max]`` per other agent."""
@@ -293,76 +227,15 @@ def _opponent_socials(game: GameSpec, i: int, opponents, grid: Grid) -> np.ndarr
     return _reference_points(np.asarray(opponents, dtype=float).T[:, :, None], weights, total)
 
 
-def _own_base(game: GameSpec, i: int, grid: Grid) -> np.ndarray:
-    """Agent ``i``'s ``_own_values`` on the grid, against the aggregated beliefs' mean."""
-    agent = game.agents[i]
-    return _own_values(agent, grid.points, utility_values(agent.utility, grid),
-                       aggregate_beliefs(game, i).mean())
-
-
-def _own_rows(game: GameSpec, i: int, grid: Grid):
-    """What every payoff row of agent ``i`` shares: their ``_own_base`` and ``_concavity``."""
-    return _own_base(game, i, grid), _concavity(game, grid, i)
-
-
-def _payoffs(agent, pts: np.ndarray, base: np.ndarray, socials: np.ndarray):
-    """``payoffs(rows, cols)``: the kernel on the rows ``rows`` of the column ``socials``.
-
-    ``cols`` holds each row's own grid choices, one row of them per row, or
-    is the one row ``arange(m)`` of whole rows, which broadcasts ungathered
-    (``_window_blocks``).  ``base`` is the agent's ``_own_base``.
-    """
-    def payoffs(rows, cols):
-        own = (pts, base) if cols.ndim == 1 else (pts[cols], base[cols])
-        return _comprehensive(agent, *own, socials[rows])
-
-    return payoffs
-
-
-def _grid_responses(game: GameSpec, i: int, socials: np.ndarray, grid: Grid, restricted: bool, own=None):
-    """The one grid best response: agent ``i``'s grid argmax against a column of social choices.
-
-    Yields ``(rows, cols, near)`` for consecutive blocks of at most
-    ``_BLOCK_CELLS`` cells: the slice ``rows`` of ``socials`` (shape
-    ``(rows, 1)``, each finite and in the grid's bound), the own grid choices
-    that each row reads, ascending, one row of ``cols`` per row, and their
-    argmax mask: ``near_best`` of the payoffs, with every choice outside the
-    consideration slice at ``-inf`` when ``restricted``, as in ``grid_argmax``.
-    A row reads its whole row, unless ``_concavity`` certifies the agent.
-    Then it reads the window that ``_window`` builds for ``EXACT_TOL``
-    around its peak (``_peak``), clamped into the slice when
-    ``restricted``: the row's best over its span is at least the anchor's
-    payoff, so every choice within ``EXACT_TOL`` of it lies in the window,
-    and each mask, each smallest argmax with it, is the whole row's bit for
-    bit.  ``own`` is the agent's ``_own_rows``; without it, it is computed
-    once here, after the slice's checks when ``restricted``, so those raise first.
-    """
-    agent = game.agents[i]
-    if own is None:
-        if restricted:
-            require_closed_form(agent.utility, agent.c1)
-        own = _own_rows(game, i, grid)
-    base, certificate = own
-    pts, count, m = grid.points, len(socials), len(grid.points)
-    payoffs = _payoffs(agent, pts, base, socials)
-    span = window = np.zeros(count, dtype=np.intp), np.full(count, m - 1)
-    if restricted:
-        span = tuple(b[:, 0] for b in consideration_slice(agent.utility, agent.c1, socials, grid)[2:])
-    if certificate is not None and count:  # no rows, no kernel call
-        window = _window(payoffs, _peak(payoffs, game, i, socials, grid), span, EXACT_TOL, certificate, m)
-    for rows, cols in _window_blocks(window, m):
-        values = payoffs(rows, cols)
-        if restricted:
-            values = np.where(in_slice(cols, span[0][rows, None], span[1][rows, None]), values, -np.inf)
-        yield rows, np.broadcast_to(cols, values.shape), near_best(values)[1]
-
-
-def _argmax_sets(game: GameSpec, i: int, socials: np.ndarray, grid: Grid,
-                 restricted: bool) -> tuple[tuple[float, ...], ...]:
-    """The grid points of each argmax set of ``_grid_responses``, one per social choice."""
-    pts = grid.points
+def _argmax_sets(game: GameSpec, i: int, socials: np.ndarray, grid: Grid, restricted: bool,
+                 method: str = "grid") -> tuple[tuple[float, ...], ...]:
+    """Agent ``i``'s argmax set against each social choice: the grid points of ``_grid_responses``,
+    or with ``method="exact"`` the closed form's, every row in one ``_kinked_argmax`` call."""
+    agent, future, pts = game.agents[i], aggregate_beliefs(game, i).mean(), grid.points
+    if method == "exact":
+        return _argmax_tuples(*_kinked_argmax(*_exact_program(agent, future, socials[:, 0], grid)))
     return tuple(tuple(float(x) for x in pts[row_cols[row]])
-                 for _, cols, near in _grid_responses(game, i, socials, grid, restricted)
+                 for _, cols, _, near in _grid_responses(agent, future, socials, grid, restricted)
                  for row_cols, row in zip(cols, near))
 
 
@@ -380,11 +253,9 @@ def best_response(
     is only available for quadratic utilities with linear costs.
     """
     socials = _opponent_socials(game, i, [opponents], grid)
-    if method == "exact":
-        return kinked_concave_argmax(*_exact_program(game, i, socials.item(), grid))
-    if method != "grid":
+    if method not in ("grid", "exact"):
         raise MethodUnsupported(f"unknown best-response method {method!r}")
-    return _argmax_sets(game, i, socials, grid, False)[0]
+    return _argmax_sets(game, i, socials, grid, False, method)[0]
 
 
 def deferral_best_response(
@@ -416,10 +287,7 @@ def best_response_curve(
     if method not in ("grid", "exact"):
         raise MethodUnsupported(f"unknown best-response method {method!r}")
     socials = _opponent_socials(game, i, np.asarray(opponent_values, dtype=float)[:, None], grid)
-    if method == "exact":
-        sets = _argmax_tuples(*_kinked_argmax(*_exact_program(game, i, socials[:, 0], grid)))
-    else:
-        sets = _argmax_sets(game, i, socials, grid, False)
+    sets = _argmax_sets(game, i, socials, grid, False, method)
     return BestResponseCurve(agent=i, opponent_values=tuple(opponent_values), argmax_sets=sets)
 
 
@@ -469,25 +337,6 @@ def _tolerance(exact: bool, stats, tolerance: float | None):
         raise DomainError("the default tolerance is not finite, as a payoff is infinite; "
                           "pass a tolerance (--tolerance)")
     return tolerance
-
-
-def _window_blocks(window, m: int):
-    """Blocks ``(rows, cols)`` of at most ``_BLOCK_CELLS`` cells covering each window ``[lo, hi]``.
-
-    Each row holds m grid points.  ``rows`` is a slice of consecutive rows
-    and ``cols`` their own grid choices: each window padded to the block's
-    widest and kept on the grid, one row of ``cols`` per row.  A block of
-    whole rows shares the one row ``arange(m)``, which broadcasts.  Padding
-    adds real cells, so a verdict there is exact too; a row never costs more
-    than a whole row, and no rows make no block.
-    """
-    lo, hi = window
-    width = hi - lo + 1
-    count = max(1, _BLOCK_CELLS // int(width.max(initial=1)))
-    firsts, cols = np.arange(0, len(lo), count), np.arange(m)
-    for first, w in zip(firsts.tolist(), np.maximum.reduceat(width, firsts).tolist()):  # each block's widest
-        rows = slice(first, first + count)
-        yield rows, cols if w == m else np.minimum(lo[rows], m - w)[:, None] + cols[:w]
 
 
 def _row_bests(payoffs, window, m: int, part, stat):
@@ -591,7 +440,7 @@ def _judge_rows(game: GameSpec, grid: Grid, profiles, tolerance: float | None):
     for i, agent in enumerate(game.agents):
         socials.append(_reference_points(np.delete(xs, i, axis=1).T[:, :, None], *_social_weights(game, i)))
         future = aggregate_beliefs(game, i).mean()
-        bases.append(_own_base(game, i, grid))
+        bases.append(_own_row(agent, future, grid))
         values.append([comprehensive_value(agent, p[i], s, future)
                        for p, s in zip(profiles, socials[i][:, 0].tolist())])
     bounds = _slices(game, grid, socials)
@@ -636,83 +485,6 @@ def classify_profile(
 # exhaustive two-agent search
 
 
-#: Rounding allowance of the certified windows, in units of a payoff's size:
-#: 2^-48 is 32 units in the last place.  ``ε`` is this times the sum of the
-#: kernel terms' magnitudes, and the relative slack ``ρ`` is this times the
-#: number of grid points, as each grid point carries two roundings of its size.
-_ROUNDING = 2.0**-48
-
-
-def _concavity(game, grid, a):
-    """``(c, ε, ρ)`` certifying agent ``a``'s payoff rows as concave, else ``None``.
-
-    In the exact family a row is ``−A·x²`` plus a concave piecewise-linear
-    function of the own choice, ``A = w_u·a``.  So with ``h`` the grid step
-    and ``D_k = F(k+1) − F(k)``, ``F(k+d) ≤ F(k) + d·D_k − A·h²·d(d−1)``
-    for ``d ≥ 1``, and mirrored on the left.  ``c`` is ``A·h²`` shrunk by
-    ``ρ``, and ``ε`` bounds the distance of each float payoff from the exact
-    one.  A row lies ``A·h²·k(m−1−k)`` above the chord between its ends, so
-    ``c·(m−2) > 2ε`` puts its float minimum at an end.  ``None`` outside the
-    exact family, for ``A = 0``, for terms at the float range's end and
-    without that condition: those rows stay whole.
-    """
-    agent = game.agents[a]
-    u, w, x_max = agent.utility, agent.form, grid.x_max
-    if not is_exact_family(game) or w.w_u * u.a <= 0:
-        return None
-    terms = (w.w_u * (u.a * x_max * x_max + abs(u.b) * x_max + abs(u.k))
-             + w.w_2 * agent.c2.d * max(x_max, aggregate_beliefs(game, a).mean())
-             + w.w_1 * agent.c1.d * x_max)
-    rho = _ROUNDING * len(grid.points)
-    c = w.w_u * u.a * grid.step * grid.step * (1.0 - rho)
-    if not (np.isfinite(2.0 * terms) and c * (len(grid.points) - 2) > 2.0 * _ROUNDING * terms):
-        return None
-    return c, _ROUNDING * terms, rho
-
-
-def _peak(payoffs, game, i, socials, grid):
-    """A grid argmax of each of agent ``i``'s certified rows (``payoffs``) against the column ``socials``.
-
-    Of the two grid points around the row's smallest closed-form argmax, the
-    better, read in one kernel call: on a concave row the argmax up to float
-    rounding, which only widens the windows that ``_window`` builds around it.
-    """
-    pts = grid.points
-    x, top = _kinked_argmax(*_exact_program(game, i, socials[:, 0], grid))
-    j = np.clip(np.searchsorted(pts, np.where(top, x, np.inf).min(axis=0)), 1, len(pts) - 1)
-    pair = payoffs(np.arange(len(j)), j[:, None] + np.arange(-1, 1))
-    return j - (pair[:, 0] >= pair[:, 1])
-
-
-def _window(payoffs, k, span, tol, certificate, m):
-    """Each row's cells in its ``span`` that the curvature bound cannot put below ``F(k) − tol``.
-
-    Rows hold m cells; ``payoffs`` is a ``_payoffs``, read at the anchor ``k``
-    clamped into the span and its two neighbours, in one kernel call.  With ``(c, ε, ρ)``
-    from ``_concavity``, the cell ``d`` steps from ``k`` lies below ``F(k) − tol``, in the
-    float comparison too, once ``c·d(d−1) − d·s > tol·(1+ρ) + 3ε``, where
-    ``s = D + 3ε + 3ρ|D|`` bounds the exact slope of the step from ``k``
-    towards it.  That holds beyond the larger root of the quadratic, taken
-    in its stable form and rounded out by a cell; a root that is not finite
-    keeps the whole span.  Any anchor is sound, and the limits that a window
-    serves are never below ``F(k)``.
-    """
-    c, eps, rho = certificate
-    k = np.clip(k, *span)
-    near = payoffs(np.arange(len(k)), np.clip(k[:, None] + np.arange(-1, 2), 0, m - 1))
-    here = near[:, 1]
-    slack = tol * (1.0 + rho) + 3.0 * eps
-    reach = []
-    for side in (near[:, 0], near[:, 2]):
-        slope = side - here
-        b = c + slope + 3.0 * eps + 3.0 * rho * np.abs(slope)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            root = np.sqrt(b * b + 4.0 * c * slack)
-            d = np.where(b >= 0, (b + root) / (2.0 * c), 2.0 * slack / (root - b))
-        reach.append(np.where(d < m, np.floor(d * (1.0 + rho)) + 1, m).astype(np.intp))
-    return np.maximum(k - reach[0], span[0]), np.minimum(k + reach[1], span[1])
-
-
 def _two_player_find(game, grid, tolerance, restricted):
     """Test every grid profile ``(i1, i2)`` of a two-agent game, on row windows.
 
@@ -721,7 +493,9 @@ def _two_player_find(game, grid, tolerance, restricted):
     ``i1`` against ``i2`` and agent 1 plays ``i2`` against ``i1``.  No table
     is ever whole: every pass reads each row's window, in blocks of at most
     ``_BLOCK_CELLS`` cells (``_window_blocks``).  A window is the whole row,
-    unless ``_concavity`` certifies the agent's rows as concave.  Then it is
+    unless ``_concavity`` certifies the agent's rows as concave, which it
+    does per agent, except at the default tolerance outside the exact family,
+    whose one-step statistic reads every cell.  Then it is
     the cells around the row's peak (``_peak``) that the curvature bound of
     ``_window`` cannot rule out: about ``2·sqrt(tol / (w_u·a·h²))`` of them,
     so at tolerances of float noise, the default's, a search reads a few
@@ -743,8 +517,12 @@ def _two_player_find(game, grid, tolerance, restricted):
     m = len(pts)
     exact = is_exact_family(game)
     socials = [_reference_points([pts[:, None]], *_social_weights(game, a)) for a in range(2)]
-    bases, certificates = zip(*(_own_rows(game, a, grid) for a in range(2)))
-    payoffs = [_payoffs(agent, pts, base, s) for agent, base, s in zip(game.agents, bases, socials)]
+    futures = [aggregate_beliefs(game, a).mean() for a in range(2)]
+    payoffs = [_payoffs(agent, pts, _own_row(agent, future, grid), s)
+               for agent, future, s in zip(game.agents, futures, socials)]
+    # outside the exact family the default tolerance's one-step statistic needs whole rows
+    certificates = [_concavity(agent, future, grid) if exact or tolerance is not None else None
+                    for agent, future in zip(game.agents, futures)]
     bounds = _slices(game, grid, socials)  # O(m) per agent, so every row at once
     first, last = (None, None) if bounds is None else bounds[2:]
     whole = np.zeros(m, dtype=np.intp), np.full(m, m - 1)
@@ -757,7 +535,7 @@ def _two_player_find(game, grid, tolerance, restricted):
             best[:, a], rbest[:, a], stats[a] = _row_bests(row, whole, m, part, stat)
         else:
             # a concave row peaks in a slice where its peak is clamped to the slice
-            peaks[a] = _peak(row, game, a, socials[a], grid)
+            peaks[a] = _peak(row, game.agents[a], futures[a], socials[a], grid)
             window = _window(row, peaks[a], whole, 0.0, certificates[a], m)
             best[:, a] = _row_bests(row, window, m, None, None)[0]
             if part is not None:
@@ -822,22 +600,25 @@ def _lattice_sweep(game: GameSpec, grid: Grid, restricted: bool):
     The returned function maps a (rows x n) int array to each agent's
     smallest ``_grid_responses`` point (restricted to their consideration
     slice when ``restricted``) against the row's other choices.  Aggregator
-    weights and each agent's ``_own_rows``, their own-choice terms and
-    concavity certificate, are computed once per search here, so their
-    errors propagate before any iteration.  The restricted map reads
-    ``consideration_slice``, whose closed-form checks
-    ``find_equilibria_after_deferral`` also runs before any search.
+    weights, each agent's aggregated beliefs' mean and their ``_own_row`` are
+    computed once per search here, so their errors propagate before any
+    iteration.  The restricted map reads ``consideration_slice``, whose
+    closed-form checks ``find_equilibria_after_deferral`` also runs before
+    any search.
     """
     pts = grid.points
-    agents = [([j for j in range(game.n) if j != i], _social_weights(game, i), _own_rows(game, i, grid))
-              for i in range(game.n)]
+    agents = []
+    for i, agent in enumerate(game.agents):
+        future = aggregate_beliefs(game, i).mean()
+        agents.append((agent, [j for j in range(game.n) if j != i], _social_weights(game, i), future,
+                       _own_row(agent, future, grid)))
 
     def sweep(state: np.ndarray) -> np.ndarray:
         updated = np.empty_like(state)
         xs = pts[state]
-        for i, (others, social_weights, own) in enumerate(agents):
+        for i, (agent, others, social_weights, future, base) in enumerate(agents):
             socials = _reference_points(xs[:, others].T[:, :, None], *social_weights)
-            for rows, cols, near in _grid_responses(game, i, socials, grid, restricted, own):
+            for rows, cols, _, near in _grid_responses(agent, future, socials, grid, restricted, base):
                 updated[rows, i] = cols[np.arange(len(near)), np.argmax(near, axis=1)]
         return updated
 

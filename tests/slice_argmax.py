@@ -1,4 +1,4 @@
-"""The grid argmax rebuilt by slicing: a reference independent of ``grid_argmax``.
+"""The grid argmax rebuilt by slicing: a reference independent of ``_grid_responses``.
 
 Each function cuts the consideration slice (or the whole grid) out of the
 comprehensive values by index and keeps every value within 1e-12 of the

@@ -13,10 +13,10 @@ import deferral as d
 import dense_search
 import slice_argmax
 from conftest import X_MAX, point_mass, quad_agent, two_agent_game
-from deferral.choice import _comprehensive
-from deferral.game import (_BLOCK_CELLS, START_LATTICE_POINTS, _argmax_sets, _concavity, _judge_rows,
-                          _kinked_argmax, _opponent_socials, _own_base, _payoffs, _peak, _reference_points,
+from deferral.choice import _BLOCK_CELLS, _comprehensive, _concavity, _kinked_argmax, _own_row, _payoffs, _peak
+from deferral.game import (START_LATTICE_POINTS, _argmax_sets, _judge_rows, _opponent_socials, _reference_points,
                           _social_weights, _tolerance)
+from deferral.model import utility_values
 from slice_argmax import interval_grid_indices
 
 _INF, _NAN = float("inf"), float("nan")
@@ -308,7 +308,7 @@ def test_curve_values_need_to_be_choices_in_bound(value, method, akerlof_game):
     assert d.best_response_curve(akerlof_game, 0, (), grid, method) == d.BestResponseCurve(0, (), ())
     assert len(d.best_response_curve(akerlof_game, 0, (0.0, grid.x_max), grid, method).argmax_sets) == 2
     # the grid curve checks every value before any payoff
-    with mock.patch("deferral.game._comprehensive", side_effect=AssertionError("searched")), \
+    with mock.patch("deferral.choice._comprehensive", side_effect=AssertionError("searched")), \
          pytest.raises(d.DomainError):
         d.best_response_curve(akerlof_game, 0, (1.0, value), grid, method)
 
@@ -340,7 +340,7 @@ def test_curve_reads_certified_windows_and_equals_the_reference(akerlof_game, po
                 cells.append(values.size)
                 return values
 
-            with mock.patch("deferral.game._comprehensive", counting):
+            with mock.patch("deferral.choice._comprehensive", counting):
                 curve = d.best_response_curve(game, i, sweep, grid)
             assert cells == read
             assert curve.opponent_values == tuple(sweep)
@@ -500,7 +500,7 @@ def test_every_entry_point_refuses_a_tolerance_before_any_search(tolerance, aker
     calls = [(finder, game, starts) for finder in (d.find_equilibria, d.find_equilibria_after_deferral)
              for game, starts in searches]
     # the refusal comes before any payoff is evaluated
-    with mock.patch("deferral.game._comprehensive", side_effect=AssertionError("searched")), \
+    with mock.patch("deferral.choice._comprehensive", side_effect=AssertionError("searched")), \
          mock.patch("deferral.game.comprehensive_value", side_effect=AssertionError("searched")):
         for finder, game, starts in calls:
             with pytest.raises(d.DomainError, match="tolerance must be a finite number >= 0"):
@@ -971,7 +971,7 @@ class TestBatchedLatticeMatchesOracle:
 def test_lattice_refuses_starts_outside_the_bound(finder, start):
     # as best_response refuses such opponents, and before any payoff is evaluated
     game, grid = _three_agent_game(), d.Grid(4.0, 40)
-    with mock.patch("deferral.game._comprehensive", side_effect=AssertionError("searched")):
+    with mock.patch("deferral.choice._comprehensive", side_effect=AssertionError("searched")):
         with pytest.raises(d.DomainError, match=rf"choice {start} outside \[0, 4.0\]"):
             finder(game, grid, starts=[(1.0, 1.0, 1.0), (start, 1.0, 1.0)])
     # an off-grid start inside the bound snaps to its nearest grid point
@@ -1071,7 +1071,7 @@ _BLOCK_ROWS = {"one row": lambda m: 1, "not a divisor": lambda m: 3, "beyond m":
 def test_row_blocks_give_the_dense_certificates(block, game_grid, tolerance):
     game, grid = game_grid
     m = len(grid.points)
-    with mock.patch("deferral.game._BLOCK_CELLS", _BLOCK_ROWS[block](m) * m):
+    with mock.patch("deferral.choice._BLOCK_CELLS", _BLOCK_ROWS[block](m) * m):
         for finder, dense in ((d.find_equilibria, dense_search.find_equilibria),
                               (d.find_equilibria_after_deferral,
                                dense_search.find_equilibria_after_deferral)):
@@ -1140,14 +1140,16 @@ def test_rows_at_the_float_range_ends_stay_whole(edge):
         return d.AgentSpec(utility, d.LinearCost(1.0), d.LinearCost(0.5), (point_mass(4.0),))
 
     game = two_agent_game(agent(edge), agent(d.Quadratic(2.0, 6.0, 1.0)))
-    assert _concavity(game, grid, 0) is None and _concavity(game, grid, 1) is not None
+    futures = [d.aggregate_beliefs(game, a).mean() for a in range(2)]
+    assert _concavity(game.agents[0], futures[0], grid) is None
+    assert _concavity(game.agents[1], futures[1], grid) is not None
     for tolerance in (None, 0.0, 0.5):
         for finder, dense in ((d.find_equilibria, dense_search.find_equilibria),
                               (d.find_equilibria_after_deferral, dense_search.find_equilibria_after_deferral)):
             assert finder(game, grid, tolerance) == dense(game, grid, tolerance)
 
 
-# --- certified windows in the one grid best response ------------------------------
+# --- certified windows in the one grid argmax -------------------------------------
 
 
 @st.composite
@@ -1175,6 +1177,11 @@ def _exact_games(draw):
     return d.GameSpec(tuple(agents), choice_aggregator=aggregator), grid
 
 
+#: A cap of one cell a block: every column of social choices is past one block, so a
+#: certified agent's rows read windows however few they are, one row a block.
+_windows_always = mock.patch("deferral.choice._BLOCK_CELLS", 1)
+
+
 @settings(max_examples=200, deadline=None)
 @given(game_grid=_exact_games(), data=st.data())
 def test_windowed_argmax_sets_equal_the_slice_reference(game_grid, data):
@@ -1188,7 +1195,8 @@ def test_windowed_argmax_sets_equal_the_slice_reference(game_grid, data):
         socials = _opponent_socials(game, i, opponents, grid)
         for restricted, reference in ((False, slice_argmax.best_response),
                                       (True, slice_argmax.deferral_best_response)):
-            got = _outcome(_argmax_sets, game, i, socials, grid, restricted)
+            with _windows_always:
+                got = _outcome(_argmax_sets, game, i, socials, grid, restricted)
             want = tuple(_outcome(reference, game, i, tuple(row), grid) for row in opponents)
             assert got == (want[0] if isinstance(want[0], type) else want)
 
@@ -1227,13 +1235,14 @@ def test_the_closed_form_peak_is_a_certified_rows_best(game_grid, data):
     opponents = data.draw(st.lists(st.lists(choice, min_size=game.n - 1, max_size=game.n - 1),
                                    min_size=1, max_size=12))
     for i in range(game.n):
-        certificate = _concavity(game, grid, i)
+        agent, future = game.agents[i], d.aggregate_beliefs(game, i).mean()
+        certificate = _concavity(agent, future, grid)
         if certificate is None:
             continue
         socials = _opponent_socials(game, i, opponents, grid)
-        payoffs = _payoffs(game.agents[i], grid.points, _own_base(game, i, grid), socials)
+        payoffs = _payoffs(agent, grid.points, _own_row(agent, future, grid), socials)
         rows = payoffs(np.arange(len(socials)), np.arange(len(grid.points)))
-        peak = _peak(payoffs, game, i, socials, grid)
+        peak = _peak(payoffs, agent, future, socials, grid)
         assert (rows[np.arange(len(peak)), peak] >= rows.max(axis=1) - 2.0 * certificate[1]).all()
 
 
@@ -1247,9 +1256,10 @@ def test_windowed_lattice_certificates_equal_the_oracle_and_whole_rows(game_grid
     for restricted, finder in enumerate((d.find_equilibria, d.find_equilibria_after_deferral)):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # cycling starts are legal here
-            found = _outcome(finder, game, grid, tolerance, starts)
+            with _windows_always:  # a few starts fit one block
+                found = _outcome(finder, game, grid, tolerance, starts)
             lattice = _outcome(finder, game, grid, tolerance)
-            with mock.patch("deferral.game._concavity", return_value=None):  # whole rows
+            with mock.patch("deferral.choice._concavity", return_value=None):  # whole rows
                 assert lattice == _outcome(finder, game, grid, tolerance)
         if not isinstance(found, type):
             assert found == _oracle_certificates(game, grid, starts, restricted, tolerance)
@@ -1267,7 +1277,8 @@ def test_windowed_argmax_sets_hold_every_near_tie(a, k):
         socials = _opponent_socials(game, i, opponents, grid)
         for restricted, reference in ((False, slice_argmax.best_response),
                                       (True, slice_argmax.deferral_best_response)):
-            got = _argmax_sets(game, i, socials, grid, restricted)
+            with _windows_always:  # 15 rows of 101 cells fit one block
+                got = _argmax_sets(game, i, socials, grid, restricted)
             assert got == tuple(reference(game, i, tuple(row), grid) for row in opponents)
             assert max(map(len, got)) > 5
 
@@ -1277,7 +1288,8 @@ def test_a_trapped_window_is_anchored_in_the_slice(trap_agent):
     game, grid = two_agent_game(trap_agent, trap_agent), d.Grid(8.0, 80)
     opponents = [[float(x)] for x in grid.points[::4]]
     socials = _opponent_socials(game, 0, opponents, grid)
-    free, restricted = (_argmax_sets(game, 0, socials, grid, r) for r in (False, True))
+    with _windows_always:  # 21 rows of 81 cells fit one block
+        free, restricted = [_argmax_sets(game, 0, socials, grid, r) for r in (False, True)]
     assert restricted == tuple(slice_argmax.deferral_best_response(game, 0, tuple(row), grid) for row in opponents)
     assert sum(f[0] not in r for f, r in zip(free, restricted)) == 8
 
@@ -1301,12 +1313,13 @@ def test_the_lattice_reads_kernel_cells_that_grow_well_below_m():
 
     def counting(*args):
         values = _comprehensive(*args)
-        cells[-1] += values.size
+        if np.ndim(args[-1]):  # not comprehensive_value's payoff at a fixed point
+            cells[-1] += values.size
         return values
 
     for steps in (400, 1600, 4000):
         cells.append(0)
-        with mock.patch("deferral.game._comprehensive", counting):
+        with mock.patch("deferral.choice._comprehensive", counting):
             for finder in (d.find_equilibria, d.find_equilibria_after_deferral):
                 assert len(finder(_trio(), d.Grid(8.0, steps))) == 1
     assert cells == [230_790, 237_990, 271_422]
@@ -1375,8 +1388,8 @@ def test_exact_family_default_tolerance_is_the_dense_one(game_grid):
         assert _outcome(_tolerance, *spy.call_args.args) == dense
 
 
-def _kernel_cells(finder, game, grid):
-    """The payoff cells of each kernel call that ``finder`` makes."""
+def _kernel_cells(call, *args):
+    """The payoff cells of each kernel call that ``call(*args)`` makes."""
     cells = []
 
     def counting(*args):
@@ -1384,8 +1397,8 @@ def _kernel_cells(finder, game, grid):
         cells.append(values.size)
         return values
 
-    with mock.patch("deferral.game._comprehensive", counting):
-        finder(game, grid)
+    with mock.patch("deferral.choice._comprehensive", counting):
+        call(*args)
     return cells
 
 
@@ -1409,6 +1422,40 @@ def test_akerlof_reads_78_cells_per_grid_point_in_few_kernel_calls(akerlof_game)
                  for finder in (d.find_equilibria, d.find_equilibria_after_deferral)]
         assert sum(map(sum, cells)) == 78 * len(grid.points)
         assert sum(map(len, cells)) == calls
+
+
+def test_a_quadratic_agent_is_certified_beside_a_tabulated_copy(akerlof_game):
+    # the akerlof agent beside a tabulated copy of itself, both searches.  At tolerance 1e-9
+    # the quadratic agent's rows are windowed; pass 2 walks agent 1's rows, whole when the
+    # tabulated agent is second and windowed when it is first.  The default tolerance outside
+    # the exact family reads every row whole for its one-step statistic.  Whole rows in every
+    # pass read 15,382,408 cells at 1e-9.
+    grid = d.Grid(8.0, 1600)
+    agent = akerlof_game.agents[0]
+    copy = replace(agent, utility=d.Tabulated(tuple(utility_values(agent.utility, grid).tolist()), grid))
+    finders = ((d.find_equilibria, dense_search.find_equilibria),
+               (d.find_equilibria_after_deferral, dense_search.find_equilibria_after_deferral))
+    for game, cells in ((two_agent_game(agent, copy), 10_300_834), (two_agent_game(copy, agent), 5_193_644)):
+        for tolerance, read in ((1e-9, cells), (None, 15_665_668)):
+            assert sum(sum(_kernel_cells(finder, game, grid, tolerance)) for finder, _ in finders) == read
+            for finder, dense in finders:
+                assert finder(game, grid, tolerance) == dense(game, grid, tolerance)
+
+
+def test_a_one_row_column_reads_its_row_whole_until_it_is_past_one_block(akerlof_game):
+    # a window's probes cost more than a row that fits one block, so every one-row call reads
+    # m cells in one kernel call, up to m = _BLOCK_CELLS; past it a certified row reads the 2
+    # cells around its closed-form argmax, the window's 3-cell probe and a window of 3 cells
+    agent = akerlof_game.agents[0]
+    for steps, cells in ((400, [401]), (_BLOCK_CELLS - 1, [_BLOCK_CELLS]), (20000, [2, 3, 3])):
+        grid = d.Grid(8.0, steps)
+        for call, *args in ((d.best_response, akerlof_game, 0, (2.5,), grid),
+                            (d.deferral_best_response, akerlof_game, 0, (2.5,), grid),
+                            (d.second_stage_choice, agent, 2.5, grid), (d.unconstrained_optimum, agent, 2.5, grid),
+                            (d.detect_trap, agent, 2.5, grid)):
+            assert _kernel_cells(call, *args) == cells, call
+        # the certificate's one kernel table serves both of its routes
+        assert _kernel_cells(d.two_criteria_certificate, agent, 2.5, grid) == [steps + 1]
 
 
 def test_both_searches_hold_no_table_at_4000_steps(akerlof_game):
@@ -1528,7 +1575,8 @@ def test_the_verdict_reads_blocks_of_at_most_the_cap():
 
     def counting(agent, own, base, socials):
         values = _comprehensive(agent, own, base, socials)
-        cells.append((bool(judging), values.size, len(socials)))
+        if np.ndim(socials):  # not comprehensive_value's payoff at a fixed point
+            cells.append((bool(judging), values.size, len(socials)))
         return values
 
     def judge(*args):
@@ -1538,7 +1586,7 @@ def test_the_verdict_reads_blocks_of_at_most_the_cap():
         finally:
             judging.pop()
 
-    with mock.patch("deferral.game._BLOCK_CELLS", 3 * m), mock.patch("deferral.game._comprehensive", counting), \
+    with mock.patch("deferral.choice._BLOCK_CELLS", 3 * m), mock.patch("deferral.choice._comprehensive", counting), \
          mock.patch("deferral.game._judge_rows", judge):
         found = [d.find_equilibria(game, grid), d.find_equilibria_after_deferral(game, grid)]
     assert found == expected
@@ -1550,7 +1598,7 @@ def test_the_verdict_reads_blocks_of_at_most_the_cap():
 
 def test_no_rows_make_no_kernel_call():
     game, grid = _trio(), d.Grid(8.0, 40)
-    with mock.patch("deferral.game._comprehensive", side_effect=AssertionError("kernel")), \
+    with mock.patch("deferral.choice._comprehensive", side_effect=AssertionError("kernel")), \
          mock.patch("deferral.game.comprehensive_value", side_effect=AssertionError("kernel")):
         assert _judge_rows(game, grid, np.empty((0, 3)), None) == []
         curve = d.best_response_curve(two_agent_game(quad_agent(), quad_agent()), 0, [], grid)
