@@ -350,7 +350,8 @@ def _grid_responses(agent: AgentSpec, future_mean: float | None, socials: np.nda
     Yields ``(rows, cols, best, near)`` for consecutive blocks of at most
     ``_BLOCK_CELLS`` cells: the slice ``rows`` of ``socials`` (shape
     ``(rows, 1)``, each finite and in the grid's bound), each row's own grid
-    choices, ascending, and ``near_best`` of their values, every choice
+    choices, ascending, one row of ``cols`` per row or one that every row
+    of the block shares, and ``near_best`` of their values, every choice
     outside the consideration slice at ``-inf`` when ``restricted``.  Rows
     are whole when they all fit one block or ``_concavity`` refuses the agent;
     else each is the ``EXACT_TOL`` window of ``_window`` around its ``_peak``,
@@ -361,7 +362,7 @@ def _grid_responses(agent: AgentSpec, future_mean: float | None, socials: np.nda
     """
     pts, count, m = grid.points, len(socials), len(grid.points)
     if restricted:
-        span = tuple(b[:, 0] for b in consideration_slice(agent.utility, agent.c1, socials, grid)[2:])
+        first, last = consideration_slice(agent.utility, agent.c1, socials, grid)[2:]
     payoffs = _payoffs(agent, pts, _own_row(agent, future_mean, grid) if base is None else base, socials)
     blocks = [(slice(0, count), np.arange(m))] if count else []  # no rows, no kernel call
     if count * m > _BLOCK_CELLS:  # rows that fit one block cost less whole than a window's probes
@@ -369,14 +370,15 @@ def _grid_responses(agent: AgentSpec, future_mean: float | None, socials: np.nda
         future_mean = belief_mean(agent) if future_mean is None else future_mean
         certificate = _concavity(agent, future_mean, grid)
         if certificate is not None:
-            window = _window(payoffs, _peak(payoffs, agent, future_mean, socials, grid),
-                             span if restricted else window, EXACT_TOL, certificate, m)
+            span = (first[:, 0], last[:, 0]) if restricted else window
+            window = _window(payoffs, _peak(payoffs, agent, future_mean, socials, grid), span, EXACT_TOL,
+                             certificate, m)
         blocks = _window_blocks(window, m)
     for rows, cols in blocks:
         values = payoffs(rows, cols)
         if restricted:
-            values = np.where(in_slice(cols, span[0][rows, None], span[1][rows, None]), values, -np.inf)
-        yield (rows, np.broadcast_to(cols, values.shape), *near_best(values))
+            values = np.where(in_slice(cols, first[rows], last[rows]), values, -np.inf)
+        yield (rows, cols, *near_best(values))
 
 
 def _argmax(agent: AgentSpec, x_social: float, grid: Grid, restricted: bool):
@@ -384,7 +386,7 @@ def _argmax(agent: AgentSpec, x_social: float, grid: Grid, restricted: bool):
     the row's best and its argmax's grid indices, ascending."""
     require_nonnegative("social choice", x_social)
     _, cols, best, near = next(_grid_responses(agent, None, np.full((1, 1), x_social), grid, restricted))
-    return float(best[0]), cols[0][near[0]]
+    return float(best[0]), cols.ravel()[near[0]]  # one row of cols, shared or its own
 
 
 def second_stage_choice(agent: AgentSpec, x_social: float, grid: Grid) -> ChoiceResult:

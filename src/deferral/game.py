@@ -236,7 +236,7 @@ def _argmax_sets(game: GameSpec, i: int, socials: np.ndarray, grid: Grid, restri
         return _argmax_tuples(*_kinked_argmax(*_exact_program(agent, future, socials[:, 0], grid)))
     return tuple(tuple(float(x) for x in pts[row_cols[row]])
                  for _, cols, _, near in _grid_responses(agent, future, socials, grid, restricted)
-                 for row_cols, row in zip(cols, near))
+                 for row_cols, row in zip(np.broadcast_to(cols, near.shape), near))
 
 
 def best_response(
@@ -619,7 +619,7 @@ def _lattice_sweep(game: GameSpec, grid: Grid, restricted: bool):
         for i, (agent, others, social_weights, future, base) in enumerate(agents):
             socials = _reference_points(xs[:, others].T[:, :, None], *social_weights)
             for rows, cols, _, near in _grid_responses(agent, future, socials, grid, restricted, base):
-                updated[rows, i] = cols[np.arange(len(near)), np.argmax(near, axis=1)]
+                updated[rows, i] = np.broadcast_to(cols, near.shape)[np.arange(len(near)), np.argmax(near, axis=1)]
         return updated
 
     return sweep
