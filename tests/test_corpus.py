@@ -1,8 +1,8 @@
 """Every public answer on the corpus's seeded games, pinned by one digest.
 
 A change that moves an answer on purpose updates ``DIGEST`` and names the
-games whose lines moved; ``python tests/corpus.py 0 150`` prints them, one
-line per game, on both sides of the change.
+games whose lines moved; ``PYTHONPATH=src python tests/corpus.py`` prints
+them, one line per game, on both sides of the change.
 """
 
 import corpus
@@ -14,7 +14,7 @@ DIGEST = "3e84d76d0ca179b272930988bf2e51091d432caa155a6e6102d05d7415f822dd"
 
 
 def test_the_corpus_answers_are_pinned():
-    assert corpus.digest(range(150)) == DIGEST
+    assert corpus.digest(map(corpus.game_line, range(150))) == DIGEST
 
 
 def test_the_pinned_games_cover_every_family():
