@@ -9,16 +9,20 @@ maximization by two asymmetric relations: first strict one-many dominance,
 then strict comprehensive-utility comparison.
 
 A game agent's best response is the same choice with reference points from
-the other agents, so one engine, ``_grid_responses``, is every grid argmax,
-here and in ``game.py``.  Rows that fit one block of ``_BLOCK_CELLS`` cells
-are read whole; past that, a certified agent's rows (``_concavity``) are read
-on windows around their closed-form peak (``_peak``, ``_window``).
+the other agents, so one engine, ``_AgentRows``, reads every payoff row,
+here and in ``game.py``: ``_grid_responses`` is every grid argmax, and
+``_AgentRows.bests`` gives every equilibrium verdict its bests.  It holds the
+one window rule: rows that fit one block of ``_BLOCK_CELLS`` cells are read
+whole; past that, a certified agent's rows (``_concavity``) are read on
+windows around their closed-form peak (``_window``), except for a one-step
+default-tolerance statistic, which reads every cell.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,17 +38,15 @@ from .model import (
     EXACT_TOL,
     AgentSpec,
     Grid,
-    Quadratic,
     belief_mean,
-    cost_is_linear,
     eval_cost,
     eval_utility,
-    near_best,
+    in_exact_family,
     require_nonnegative,
     utility_values,
 )
 
-#: Cap on the cells (rows x own choices) of a block of ``_window_blocks``, the
+#: Cap on the cells (rows x own choices) of a block of ``_AgentRows.blocks``, the
 #: m-wide reads of every grid search, whose rows a lattice's starts or a curve's
 #: sweep fill.  It bounds their memory whatever the grid or the number of rows.
 _BLOCK_CELLS = 1 << 14
@@ -219,16 +221,48 @@ def _kinked_argmax(a, b, k, kinks, lo, hi):
     return x, f == np.fmax.reduce(f, axis=0)
 
 
+def _row_max(values: np.ndarray, inside=None) -> np.ndarray:
+    """Each row's maximum (last axis) over its cells ``inside``, all when ``None``: the one row
+    reduction of the engine.  numpy reduces a short last axis slowly, so a block narrower than
+    32 cells is reduced down the rows of its transposed copy: about 18 times faster at (4001, 3),
+    where a (10, 1601) block of whole rows is 15 times faster along its rows."""
+    if values.ndim == 2 and values.shape[1] < 32:
+        return (values if inside is None else np.where(inside, values, -np.inf)).T.copy().max(axis=0)
+    return values.max(axis=-1, where=True if inside is None else inside, initial=-np.inf)
+
+
+def near_best(values: np.ndarray, inside=None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's best value (last axis) over its cells ``inside`` and the mask of those within
+    ``EXACT_TOL`` of it.
+
+    This is the argmax tie rule of every grid search: the argmax set keeps
+    each point within ``EXACT_TOL`` of the best, and its smallest point is
+    the canonical one.  ``inside`` ``None`` is every cell; the mask never
+    leaves ``inside``, even when every value there is ``-inf``.
+    """
+    best = _row_max(values, inside)
+    near = values >= np.expand_dims(best, -1) - EXACT_TOL
+    return best, near if inside is None else near & inside
+
+
+def _tolerance_stat(exact: bool, rows: np.ndarray) -> np.ndarray:
+    """The default tolerance's statistic of each payoff row, own choice last.
+
+    The largest ``|U|`` in the exact family (``exact``), else the largest
+    payoff change between neighbouring own choices.
+    """
+    if exact:
+        return _row_max(np.abs(rows))
+    with np.errstate(invalid="ignore"):  # NaN between two -inf payoffs
+        return _row_max(np.abs(np.diff(rows, axis=-1)))
+
+
 def _exact_program(agent: AgentSpec, future_mean: float, x_social, grid: Grid):
     """The agent's comprehensive utility as the arguments of ``kinked_concave_argmax``: kinks at the
     social choice ``x_social``, one or one per row, and at ``future_mean``, on the grid's bound."""
-    u = agent.utility
-    if not isinstance(u, Quadratic):
-        raise MethodUnsupported("exact best response needs a quadratic utility")
-    for c in (agent.c1, agent.c2):
-        if not cost_is_linear(c):
-            raise MethodUnsupported("exact best response needs zero or linear costs")
-    w = agent.form
+    u, w = agent.utility, agent.form
+    if not in_exact_family(agent):
+        raise MethodUnsupported("exact best response needs a quadratic utility and zero or linear costs")
     if w.w_u * u.a <= 0:
         raise MethodUnsupported("exact best response needs w_u > 0")
     kinks = [(x_social, w.w_1 * agent.c1.d), (future_mean, w.w_2 * agent.c2.d)]
@@ -238,9 +272,9 @@ def _exact_program(agent: AgentSpec, future_mean: float, x_social, grid: Grid):
 def _concavity(agent: AgentSpec, future_mean: float, grid: Grid):
     """``(c, ε, ρ)`` certifying the agent's rows as concave, else ``None``.
 
-    A quadratic utility with linear costs (``cost_is_linear``) makes a row
-    ``−A·x²`` plus a concave piecewise-linear function of the own choice,
-    ``A = w_u·a``, whatever the other agents' families.  So with ``h`` the
+    An agent ``in_exact_family`` (a quadratic utility with linear costs)
+    makes a row ``−A·x²`` plus a concave piecewise-linear function of the
+    own choice, ``A = w_u·a``, whatever the other agents' families.  So with ``h`` the
     grid step and ``D_k = F(k+1) − F(k)``, ``F(k+d) ≤ F(k) + d·D_k − A·h²·d(d−1)``
     for ``d ≥ 1``, and mirrored on the left.  ``c`` is ``A·h²`` shrunk by
     ``ρ``, and ``ε`` bounds the distance of each float payoff from the exact
@@ -250,7 +284,7 @@ def _concavity(agent: AgentSpec, future_mean: float, grid: Grid):
     that condition: those rows stay whole.
     """
     u, w, x_max = agent.utility, agent.form, grid.x_max
-    if not (isinstance(u, Quadratic) and cost_is_linear(agent.c1) and cost_is_linear(agent.c2)) or w.w_u * u.a <= 0:
+    if not in_exact_family(agent) or w.w_u * u.a <= 0:
         return None
     terms = (w.w_u * (u.a * x_max * x_max + abs(u.b) * x_max + abs(u.k))
              + w.w_2 * agent.c2.d * max(x_max, future_mean)
@@ -267,38 +301,10 @@ def _own_row(agent: AgentSpec, future_mean: float | None, grid: Grid) -> np.ndar
     return _own_values(agent, grid.points, utility_values(agent.utility, grid), future_mean)
 
 
-def _payoffs(agent: AgentSpec, pts: np.ndarray, base: np.ndarray, socials: np.ndarray):
-    """``payoffs(rows, cols)``: the kernel on the rows ``rows`` of the column ``socials``.
-
-    ``cols`` holds each row's own grid choices, one row of them per row, or
-    is the one row ``arange(m)`` of whole rows, which broadcasts ungathered
-    (``_window_blocks``).  ``base`` is the agent's ``_own_row``.
-    """
-    def payoffs(rows, cols):
-        own = (pts, base) if cols.ndim == 1 else (pts[cols], base[cols])
-        return _comprehensive(agent, *own, socials[rows])
-
-    return payoffs
-
-
-def _peak(payoffs, agent: AgentSpec, future_mean: float, socials: np.ndarray, grid: Grid):
-    """A grid argmax of each of the agent's certified rows (``payoffs``) against the column ``socials``.
-
-    Of the two grid points around the row's smallest closed-form argmax, the
-    better, read in one kernel call: on a concave row the argmax up to float
-    rounding, which only widens the windows that ``_window`` builds around it.
-    """
-    pts = grid.points
-    x, top = _kinked_argmax(*_exact_program(agent, future_mean, socials[:, 0], grid))
-    j = np.clip(np.searchsorted(pts, np.where(top, x, np.inf).min(axis=0)), 1, len(pts) - 1)
-    pair = payoffs(np.arange(len(j)), j[:, None] + np.arange(-1, 1))
-    return j - (pair[:, 0] >= pair[:, 1])
-
-
 def _window(payoffs, k, span, tol, certificate, m):
     """Each row's cells in its ``span`` that the curvature bound cannot put below ``F(k) − tol``.
 
-    Rows hold m cells; ``payoffs`` is a ``_payoffs``, read at the anchor ``k``
+    Rows hold m cells; ``payoffs`` is ``_AgentRows.payoffs``, read at the anchor ``k``
     clamped into the span and its two neighbours, in one kernel call.  With ``(c, ε, ρ)``
     from ``_concavity``, the cell ``d`` steps from ``k`` lies below ``F(k) − tol``, in the
     float comparison too, once ``c·d(d−1) − d·s > tol·(1+ρ) + 3ε``, where
@@ -324,61 +330,124 @@ def _window(payoffs, k, span, tol, certificate, m):
     return np.maximum(k - reach[0], span[0]), np.minimum(k + reach[1], span[1])
 
 
-def _window_blocks(window, m: int):
-    """Blocks ``(rows, cols)`` of at most ``_BLOCK_CELLS`` cells covering each window ``[lo, hi]``.
+class _AgentRows:
+    """One agent's payoff rows against a column of social choices, read by the one window rule.
 
-    Each row holds m grid points.  ``rows`` is a slice of consecutive rows
-    and ``cols`` their own grid choices: each window padded to the block's
-    widest and kept on the grid, one row of ``cols`` per row.  A block of
-    whole rows shares the one row ``arange(m)``, which broadcasts.  Padding
-    adds real cells, so a verdict there is exact too; a row never costs more
-    than a whole row, and no rows make no block.
+    Row ``j`` holds the agent's payoff at each of the m own grid choices
+    against ``socials[j]`` (shape ``(rows, 1)``, each finite and in the grid's
+    bound) and the future mean ``future_mean``, the agent's ``belief_mean``
+    when ``None``; ``base`` is the agent's ``_own_row``, computed here
+    without it.  Rows that fit one block (``rows·m ≤ _BLOCK_CELLS``) are read
+    whole, as a window's probes cost more than such rows.  Past one block,
+    the rows of an agent that ``_concavity`` certifies are read on the
+    ``_window`` of a tolerance around their ``peak``, read once for every
+    window; other rows are read whole.  Every cell read is the one kernel's,
+    so what a window serves is the whole row's bit for bit.
     """
-    lo, hi = window
-    width = hi - lo + 1
-    count = max(1, _BLOCK_CELLS // int(width.max(initial=1)))
-    firsts, cols = np.arange(0, len(lo), count), np.arange(m)
-    for first, w in zip(firsts.tolist(), np.maximum.reduceat(width, firsts).tolist()):  # each block's widest
-        rows = slice(first, first + count)
-        yield rows, cols if w == m else np.minimum(lo[rows], m - w)[:, None] + cols[:w]
+
+    def __init__(self, agent: AgentSpec, future_mean: float | None, socials: np.ndarray, grid: Grid,
+                 base: np.ndarray | None = None):
+        future_mean = belief_mean(agent) if future_mean is None else future_mean
+        self.base = _own_row(agent, future_mean, grid) if base is None else base
+        self.agent, self.future_mean, self.socials, self.grid = agent, future_mean, socials, grid
+        self.count, self.m = len(socials), len(grid.points)
+        self.certificate = _concavity(agent, future_mean, grid) if self.count * self.m > _BLOCK_CELLS else None
+
+    def payoffs(self, rows, cols):
+        """The kernel on the rows ``rows``: ``cols`` holds each row's own grid choices, one row of
+        them per row, or is the one row ``arange(m)`` of whole rows, which broadcasts ungathered."""
+        pts, base = self.grid.points, self.base
+        own = (pts, base) if cols.ndim == 1 else (pts[cols], base[cols])
+        return _comprehensive(self.agent, *own, self.socials[rows])
+
+    @cached_property
+    def peak(self) -> np.ndarray:
+        """A grid argmax of each certified row: of the two grid points around the row's smallest
+        closed-form argmax, the better, read in one kernel call.  On a concave row it is the argmax
+        up to float rounding, which only widens the windows that ``_window`` builds around it."""
+        pts = self.grid.points
+        x, top = _kinked_argmax(*_exact_program(self.agent, self.future_mean, self.socials[:, 0], self.grid))
+        j = np.clip(np.searchsorted(pts, np.where(top, x, np.inf).min(axis=0)), 1, len(pts) - 1)
+        pair = self.payoffs(np.arange(len(j)), j[:, None] + np.arange(-1, 1))
+        return j - (pair[:, 0] >= pair[:, 1])
+
+    def blocks(self, tol, part=None):
+        """Blocks ``(rows, cols, values, inside)`` of at most ``_BLOCK_CELLS`` cells holding each row's
+        cells within ``tol`` of its best in its slice ``part``, ``(first, last)`` per row, or in the
+        whole row when ``None``; ``tol`` ``None`` reads whole rows, as do rows that are not windowed.
+
+        ``rows`` is a slice of consecutive rows and ``cols`` their own grid
+        choices: each window padded to the block's widest and kept on the
+        grid, one row of ``cols`` per row.  A block of whole rows shares the
+        one row ``arange(m)``, which broadcasts.  Padding adds real cells, so
+        a verdict there is exact too; a row never costs more than a whole
+        row, and no rows make no block.  ``values`` are their payoffs and
+        ``inside`` the mask of ``part``, or ``None``.
+        """
+        m, grid_cols = self.m, np.arange(self.m)
+        if tol is None or self.certificate is None:
+            count = max(1, _BLOCK_CELLS // m)
+            widths = [(first, m) for first in range(0, self.count, count)]
+        else:
+            span = (np.zeros(self.count, dtype=np.intp), np.full(self.count, m - 1)) if part is None else part
+            lo, hi = _window(self.payoffs, self.peak, span, tol, self.certificate, m)
+            width = hi - lo + 1
+            count = max(1, _BLOCK_CELLS // int(width.max()))
+            firsts = np.arange(0, self.count, count)
+            widths = zip(firsts.tolist(), np.maximum.reduceat(width, firsts).tolist())  # each block's widest
+        for first, w in widths:
+            rows = slice(first, first + count)
+            cols = grid_cols if w == m else np.minimum(lo[rows], m - w)[:, None] + grid_cols[:w]
+            inside = None if part is None else in_slice(cols, part[0][rows, None], part[1][rows, None])
+            yield rows, cols, self.payoffs(rows, cols), inside
+
+    def bests(self, part, stat):
+        """Each row's best, its best in its slice ``part`` and its default tolerance statistic.
+
+        ``part`` is ``(first, last)`` per row, or ``None`` and a best of
+        ``-inf``.  The statistic is ``_tolerance_stat(stat, row)`` of each
+        whole row, or ``-inf`` when ``stat`` is ``None``; the one-step one
+        (``stat`` false) reads every cell.  Windowed rows read their
+        ``tol = 0`` windows over the row and over the slice, where a concave
+        row peaks at its peak clamped into the slice, and their minimum lies
+        at an end (``_concavity``), so ``max|U|`` reads two more cells a row.
+        """
+        best, rbest, stats = np.full((3, self.count), -np.inf)
+        if self.certificate is None or stat is False:
+            for rows, _, values, inside in self.blocks(None, part):
+                best[rows] = _row_max(values)
+                if part is not None:
+                    rbest[rows] = _row_max(values, inside)
+                if stat is not None:
+                    stats[rows] = _tolerance_stat(stat, values)
+            return best, rbest, stats
+        for rows, _, values, _ in self.blocks(0.0):
+            best[rows] = _row_max(values)
+        if part is not None:
+            for rows, _, values, inside in self.blocks(0.0, part):
+                rbest[rows] = _row_max(values, inside)
+        if stat is not None:
+            ends = self.payoffs(np.arange(self.count), np.array([[0, self.m - 1]]))
+            stats = np.abs([best, *ends.T]).max(axis=0)
+        return best, rbest, stats
 
 
 def _grid_responses(agent: AgentSpec, future_mean: float | None, socials: np.ndarray, grid: Grid,
                     restricted: bool, base: np.ndarray | None = None):
     """The one grid argmax: the agent's against a column of social choices and ``future_mean``.
 
-    Yields ``(rows, cols, best, near)`` for consecutive blocks of at most
-    ``_BLOCK_CELLS`` cells: the slice ``rows`` of ``socials`` (shape
-    ``(rows, 1)``, each finite and in the grid's bound), each row's own grid
-    choices, ascending, one row of ``cols`` per row or one that every row
-    of the block shares, and ``near_best`` of their values, every choice
-    outside the consideration slice at ``-inf`` when ``restricted``.  Rows
-    are whole when they all fit one block or ``_concavity`` refuses the agent;
-    else each is the ``EXACT_TOL`` window of ``_window`` around its ``_peak``,
-    clamped into the slice, which holds every choice within ``EXACT_TOL`` of
-    the row's best, so each best and mask is the whole row's bit for bit.
-    ``base`` is the agent's ``_own_row``, computed here without it, after the
-    slice's checks; ``future_mean`` ``None`` is the agent's ``belief_mean``.
+    Yields ``(rows, cols, best, near)`` for the blocks of ``_AgentRows`` at
+    ``EXACT_TOL``: the slice ``rows`` of ``socials``, each row's own grid
+    choices, ascending, one row of ``cols`` per row or one that every row of
+    the block shares, and ``near_best`` of their values, over the
+    consideration slice when ``restricted``.  A window holds every choice
+    within ``EXACT_TOL`` of its row's best, so each best and mask is the
+    whole row's bit for bit.  The slice is checked before ``base``, the
+    agent's ``_own_row``, is computed without it.
     """
-    pts, count, m = grid.points, len(socials), len(grid.points)
-    if restricted:
-        first, last = consideration_slice(agent.utility, agent.c1, socials, grid)[2:]
-    payoffs = _payoffs(agent, pts, _own_row(agent, future_mean, grid) if base is None else base, socials)
-    blocks = [(slice(0, count), np.arange(m))] if count else []  # no rows, no kernel call
-    if count * m > _BLOCK_CELLS:  # rows that fit one block cost less whole than a window's probes
-        window = np.zeros(count, dtype=np.intp), np.full(count, m - 1)
-        future_mean = belief_mean(agent) if future_mean is None else future_mean
-        certificate = _concavity(agent, future_mean, grid)
-        if certificate is not None:
-            span = (first[:, 0], last[:, 0]) if restricted else window
-            window = _window(payoffs, _peak(payoffs, agent, future_mean, socials, grid), span, EXACT_TOL,
-                             certificate, m)
-        blocks = _window_blocks(window, m)
-    for rows, cols in blocks:
-        values = payoffs(rows, cols)
-        if restricted:
-            values = np.where(in_slice(cols, first[rows], last[rows]), values, -np.inf)
-        yield (rows, cols, *near_best(values))
+    part = consideration_slice(agent.utility, agent.c1, socials[:, 0], grid)[2:] if restricted else None
+    for rows, cols, values, inside in _AgentRows(agent, future_mean, socials, grid, base).blocks(EXACT_TOL, part):
+        yield (rows, cols, *near_best(values, inside))
 
 
 def _argmax(agent: AgentSpec, x_social: float, grid: Grid, restricted: bool):
@@ -430,7 +499,7 @@ def two_criteria_certificate(
     vals = comprehensive_values(agent, grid, x_social)
     gamma = survivors[near_best(vals[survivors])[1]]
     first, last = consideration_slice(agent.utility, agent.c1, x_social, grid)[2:]
-    chosen = near_best(np.where(in_slice(np.arange(len(vals)), first, last), vals, -np.inf))[1]
+    chosen = near_best(vals, in_slice(np.arange(len(vals)), first, last))[1]
     pts = grid.points
     return SequentialCriteriaCertificate(
         holds=np.array_equal(gamma, np.flatnonzero(chosen)),

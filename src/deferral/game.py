@@ -16,17 +16,15 @@ are supported:
   over, the consideration set induced by the others' choices.
 
 For two agents the search is exhaustive on the grid (every profile tested),
-in the engine's blocks of windows, which keep O(m) results between them for
-m grid points.  Each agent is certified on its own family (``_concavity``),
-so a quadratic agent's rows are windowed beside a tabulated opponent; only
-the default tolerance outside the exact family reads whole rows, for its
-one-step statistic.  At the default tolerance of the exact family a search
-reads a few cells per row with the verdicts of whole rows.  For more agents
-a simultaneous best-response iteration from a start lattice finds fixed
-points without any completeness claim; every start is iterated at once, one
-row per start.  One row pass, ``_row_bests``, gives every verdict its bests:
-the two-agent search's pass 1, and ``_judge_rows``, which judges all the
-lattice's fixed points at once and is ``classify_profile`` on one row.
+in the engine's blocks, which keep O(m) results between them for m grid
+points.  The engine (``_AgentRows``) decides how every payoff row is read;
+this module keeps aggregation, tolerances, verdicts and certificates.  For
+more agents a simultaneous best-response iteration from a start lattice
+finds fixed points without any completeness claim; every start is iterated
+at once, one row per start.  One row pass, ``_AgentRows.bests``, gives every
+verdict its bests: the two-agent search's pass 1, and ``_judge_rows``, which
+judges all the lattice's fixed points at once and is ``classify_profile`` on
+one row.
 """
 
 from __future__ import annotations
@@ -39,8 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .choice import (_concavity, _exact_program, _grid_responses, _kinked_argmax, _own_row, _payoffs, _peak,
-                     _window, _window_blocks, comprehensive_value)
+from .choice import _AgentRows, _exact_program, _grid_responses, _kinked_argmax, _own_row, comprehensive_value
 from .consideration import consideration_slice, in_slice, require_closed_form
 from .errors import (
     ClosedFormUnavailable,
@@ -55,11 +52,10 @@ from .model import (
     GameSpec,
     Grid,
     MeanChoice,
-    Quadratic,
     Tabulated,
     Violation,
     _mixture,
-    cost_is_linear,
+    in_exact_family,
     require_valid,
 )
 
@@ -296,21 +292,8 @@ def best_response_curve(
 
 
 def is_exact_family(game: GameSpec) -> bool:
-    """Whether every agent has quadratic utility and linear costs (``cost_is_linear``)."""
-    return all(isinstance(a.utility, Quadratic) and cost_is_linear(a.c1) and cost_is_linear(a.c2)
-               for a in game.agents)
-
-
-def _tolerance_stat(exact: bool, rows: np.ndarray) -> np.ndarray:
-    """The default tolerance's statistic of each payoff row, own choice last.
-
-    The largest ``|U|`` in the exact family (``exact``), else the largest
-    payoff change between neighbouring own choices.
-    """
-    if exact:
-        return np.abs(rows).max(axis=-1)
-    with np.errstate(invalid="ignore"):  # NaN between two -inf payoffs
-        return np.abs(np.diff(rows, axis=-1)).max(axis=-1)
+    """Whether every agent has quadratic utility and linear costs (``in_exact_family``)."""
+    return all(map(in_exact_family, game.agents))
 
 
 def _require_tolerance(tolerance: float | None) -> None:
@@ -337,26 +320,6 @@ def _tolerance(exact: bool, stats, tolerance: float | None):
         raise DomainError("the default tolerance is not finite, as a payoff is infinite; "
                           "pass a tolerance (--tolerance)")
     return tolerance
-
-
-def _row_bests(payoffs, window, m: int, part, stat):
-    """Over each row's ``window``: its best, its best in the slice ``part`` and its statistic.
-
-    ``payoffs(rows, cols)`` evaluates a block of ``_window_blocks`` on m grid
-    points.  ``part`` is ``(first, last)`` per row, or ``None`` and a best of
-    ``-inf``.  The statistic is ``_tolerance_stat(stat, row)`` of each whole
-    row, or ``-inf`` when ``stat`` is ``None``.
-    """
-    best, rbest, stats = np.full((3, len(window[0])), -np.inf)
-    for rows, cols in _window_blocks(window, m):
-        values = payoffs(rows, cols)
-        best[rows] = values.max(axis=1)
-        if part is not None:
-            inside = in_slice(cols, part[0][rows, None], part[1][rows, None])
-            rbest[rows] = values.max(axis=1, where=inside, initial=-np.inf)
-        if stat is not None:
-            stats[rows] = _tolerance_stat(stat, values)
-    return best, rbest, stats
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +351,7 @@ def _certificates(profiles, values, best, rbest, member, tol):
     ``profiles``, ``values`` and ``best`` have one row per profile and one
     column per agent: the choices, each agent's payoff and their best payoff
     over the grid.  ``rbest``, shaped like ``best``, is each agent's best
-    payoff over their consideration slice (``_row_bests``), or ``None``
+    payoff over their consideration slice (``_AgentRows.bests``), or ``None``
     without the closed form, and ``member`` says per profile whether every
     choice lies in its consideration set.  With ``tol``, one or a column of
     one per profile, the standard test passes when
@@ -423,33 +386,36 @@ def _slices(game: GameSpec, grid: Grid, socials):
     return None if None in parts else tuple(np.hstack(c) for c in zip(*parts))
 
 
+def _bests(readers, bounds, stat):
+    """Each agent's ``_AgentRows.bests``, one column per agent: bests over the grid and over the
+    slices of ``bounds`` (``_slices``, or ``None``), and statistics ``stat`` (``None`` for none)."""
+    parts = [None if bounds is None else (bounds[2][:, a], bounds[3][:, a]) for a in range(len(readers))]
+    return (np.stack(c, axis=1) for c in zip(*(r.bests(p, stat) for r, p in zip(readers, parts))))
+
+
 def _judge_rows(game: GameSpec, grid: Grid, profiles, tolerance: float | None):
     """The batch verdict: ``_certificates`` of rows of profiles, one choice per agent.
 
     Each agent's social choices are ``_reference_points``, its slices
-    ``_slices``, and ``_row_bests`` reads its whole rows for its bests and a
-    default tolerance per profile.  The payoff at a profile is
+    ``_slices``, and ``_bests`` reads its rows for its bests and a default
+    tolerance per profile.  The payoff at a profile is
     ``comprehensive_value``, so a choice may lie off the grid; it is in its
     consideration set when it lies in its interval or grid slice, within
     ``EXACT_TOL``.  No rows, no kernel call.
     """
     if not len(profiles):
         return []
-    xs, pts, m = np.array(profiles, dtype=float), grid.points, len(grid.points)
-    socials, bases, values = [], [], []
+    xs, pts = np.array(profiles, dtype=float), grid.points
+    socials, readers, values = [], [], []
     for i, agent in enumerate(game.agents):
         socials.append(_reference_points(np.delete(xs, i, axis=1).T[:, :, None], *_social_weights(game, i)))
         future = aggregate_beliefs(game, i).mean()
-        bases.append(_own_row(agent, future, grid))
+        readers.append(_AgentRows(agent, future, socials[i], grid))
         values.append([comprehensive_value(agent, p[i], s, future)
                        for p, s in zip(profiles, socials[i][:, 0].tolist())])
     bounds = _slices(game, grid, socials)
-    exact, whole = is_exact_family(game), (np.zeros(len(xs), dtype=np.intp), np.full(len(xs), m - 1))
-    bests = [_row_bests(_payoffs(agent, pts, base, s), whole, m,
-                        None if bounds is None else (bounds[2][:, i], bounds[3][:, i]),
-                        exact if tolerance is None else None)
-             for i, (agent, base, s) in enumerate(zip(game.agents, bases, socials))]
-    best, rbest, stats = (np.stack(c, axis=1) for c in zip(*bests))
+    exact = is_exact_family(game)
+    best, rbest, stats = _bests(readers, bounds, exact if tolerance is None else None)
     tol = np.expand_dims(_tolerance(exact, stats, tolerance), -1)  # one per row
     if bounds is None:
         return _certificates(xs, np.array(values).T, best, None, None, tol)
@@ -486,82 +452,46 @@ def classify_profile(
 
 
 def _two_player_find(game, grid, tolerance, restricted):
-    """Test every grid profile ``(i1, i2)`` of a two-agent game, on row windows.
+    """Test every grid profile ``(i1, i2)`` of a two-agent game, reading rows through ``_AgentRows``.
 
     Row ``j`` of agent ``a``'s payoff table holds their payoff for each own
     grid choice against the opponent's grid choice ``j``; agent 0 plays
     ``i1`` against ``i2`` and agent 1 plays ``i2`` against ``i1``.  No table
-    is ever whole: every pass reads each row's window, in blocks of at most
-    ``_BLOCK_CELLS`` cells (``_window_blocks``).  A window is the whole row,
-    unless ``_concavity`` certifies the agent's rows as concave, which it
-    does per agent, except at the default tolerance outside the exact family,
-    whose one-step statistic reads every cell.  Then it is
-    the cells around the row's peak (``_peak``) that the curvature bound of
-    ``_window`` cannot rule out: about ``2·sqrt(tol / (w_u·a·h²))`` of them,
-    so at tolerances of float noise, the default's, a search reads a few
-    dozen cells per row instead of 3m.  Every cell read is the one kernel's,
-    so the results are the whole rows' bit for bit.
+    is ever whole: the engine reads blocks of at most ``_BLOCK_CELLS`` cells,
+    and a certified agent's windows, so at tolerances of float noise, the
+    default's in the exact family, a search reads a few dozen cells per row
+    instead of 3m, with the whole rows' results bit for bit.
 
-    Pass 1 keeps O(m) results per agent: each row's best over the row and
-    ``rbest`` over its slice, the slices' bounds and each row's default
-    tolerance statistic, as ``_judge_rows`` takes it.  On concave rows the row
-    maximum is in the ``tol = 0`` window and the minimum at an end of the row
-    (``_concavity``), so their ``max|U|`` reads two more cells a row.  Pass 2
-    goes over agent 1's windows for ``tol`` and runs the searched test there
-    (after deferral when ``restricted``, else standard).  It evaluates agent
-    0's payoff only at the surviving profiles and runs agent 0's test on them.
+    Pass 1 keeps O(m) results per agent (``_bests``): each row's best over
+    the row and ``rbest`` over its slice, the slices' bounds and each row's
+    default tolerance statistic, as ``_judge_rows`` takes them.  Pass 2 reads
+    agent 1's cells within ``tol`` of its best, windowed when agent 1 is
+    certified, and runs the searched test there (after deferral when
+    ``restricted``, else standard).  It evaluates agent 0's payoff only at
+    the surviving profiles and runs agent 0's test on them.
     ``_certificates`` then runs both tests on the profiles that pass both
     agents' searched test, in the order of ``(i1, i2)``.
     """
     pts = grid.points
-    m = len(pts)
     exact = is_exact_family(game)
     socials = [_reference_points([pts[:, None]], *_social_weights(game, a)) for a in range(2)]
     futures = [aggregate_beliefs(game, a).mean() for a in range(2)]
-    payoffs = [_payoffs(agent, pts, _own_row(agent, future, grid), s)
-               for agent, future, s in zip(game.agents, futures, socials)]
-    # outside the exact family the default tolerance's one-step statistic needs whole rows
-    certificates = [_concavity(agent, future, grid) if exact or tolerance is not None else None
-                    for agent, future in zip(game.agents, futures)]
+    readers = [_AgentRows(agent, future, s, grid) for agent, future, s in zip(game.agents, futures, socials)]
     bounds = _slices(game, grid, socials)  # O(m) per agent, so every row at once
-    first, last = (None, None) if bounds is None else bounds[2:]
-    whole = np.zeros(m, dtype=np.intp), np.full(m, m - 1)
-    best, rbest = np.empty((m, 2)), np.empty((m, 2))
-    stats, peaks = [[-np.inf], [-np.inf]], [None, None]
-    stat = exact if tolerance is None else None
-    for a, row in enumerate(payoffs):
-        part = None if bounds is None else (first[:, a], last[:, a])
-        if certificates[a] is None:
-            best[:, a], rbest[:, a], stats[a] = _row_bests(row, whole, m, part, stat)
-        else:
-            # a concave row peaks in a slice where its peak is clamped to the slice
-            peaks[a] = _peak(row, game.agents[a], futures[a], socials[a], grid)
-            window = _window(row, peaks[a], whole, 0.0, certificates[a], m)
-            best[:, a] = _row_bests(row, window, m, None, None)[0]
-            if part is not None:
-                window = _window(row, peaks[a], part, 0.0, certificates[a], m)
-                rbest[:, a] = _row_bests(row, window, m, part, None)[1]
-            if stat is not None:
-                ends = row(np.arange(m), np.array([[0, m - 1]]))
-                stats[a] = np.abs([best[:, a], *ends.T]).max(axis=0)
-    tol = _tolerance(exact, np.concatenate(stats), tolerance)
+    best, rbest, stats = _bests(readers, bounds, exact if tolerance is None else None)
+    tol = _tolerance(exact, stats.ravel(), tolerance)
     # the searched test: payoff >= limit - tol, and each choice in its slice after deferral
     limit = rbest if restricted else best
-    window = whole
-    if certificates[1] is not None:
-        span = (first[:, 1], last[:, 1]) if restricted else whole
-        window = _window(payoffs[1], peaks[1], span, tol, certificates[1], m)
-
+    first, last = (None, None) if bounds is None else bounds[2:]
     hits = []
-    for rows, cols in _window_blocks(window, m):
-        values = payoffs[1](rows, cols)
+    for rows, cols, values, inside in readers[1].blocks(tol, (first[:, 1], last[:, 1]) if restricted else None):
         ok = values >= limit[rows, 1:] - tol
         if restricted:
-            ok &= in_slice(cols, first[rows, 1:], last[rows, 1:])
+            ok &= inside
         r, c = np.nonzero(ok)
         i1, i2 = r + rows.start, np.broadcast_to(cols, ok.shape)[r, c]
         # agent 0's payoffs at the hits only, as columns so that w_1 = 0 keeps one value per hit
-        v0 = payoffs[0](i2, i1[:, None])[:, 0]
+        v0 = readers[0].payoffs(i2, i1[:, None])[:, 0]
         ok = v0 >= limit[i2, 0] - tol
         if restricted:
             ok &= in_slice(i1, first[i2, 0], last[i2, 0])

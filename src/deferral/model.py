@@ -27,17 +27,6 @@ from .errors import DomainError, GridLookupError, SpecValidationError
 EXACT_TOL = 1e-12
 
 
-def near_best(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's best value (last axis) and the mask of values within ``EXACT_TOL`` of it.
-
-    This is the argmax tie rule of every grid search: the argmax set keeps
-    each point within ``EXACT_TOL`` of the best, and its smallest point is
-    the canonical one.
-    """
-    best = vals.max(axis=-1)
-    return best, vals >= np.expand_dims(best, -1) - EXACT_TOL
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid over ``[0, x_max]`` with points ``j * x_max / steps``.
@@ -300,9 +289,10 @@ def eval_cost(c: CostFunction, delta, weight: float = 1.0) -> float | np.ndarray
         return weight * (c.d * np.asarray(delta, dtype=np.float64)**c.p)
 
 
-def cost_is_linear(c: CostFunction) -> bool:
-    """Whether ``c`` is ``d * delta``: a linear cost, or a zero slope, zero everywhere."""
-    return isinstance(c, LinearCost) or c.d == 0.0
+def in_exact_family(agent: AgentSpec) -> bool:
+    """Whether the agent has a quadratic utility and both costs ``d * delta``: linear, or of zero slope."""
+    return isinstance(agent.utility, Quadratic) and all(
+        isinstance(c, LinearCost) or c.d == 0.0 for c in (agent.c1, agent.c2))
 
 
 def _mixture(beliefs, weights=None) -> FiniteRandomVariable:

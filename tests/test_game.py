@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import tracemalloc
 import warnings
@@ -13,9 +14,9 @@ import deferral as d
 import dense_search
 import slice_argmax
 from conftest import X_MAX, point_mass, quad_agent, two_agent_game
-from deferral.choice import _BLOCK_CELLS, _comprehensive, _concavity, _kinked_argmax, _own_row, _payoffs, _peak
-from deferral.game import (START_LATTICE_POINTS, _argmax_sets, _judge_rows, _opponent_socials, _reference_points,
-                          _social_weights, _tolerance)
+from deferral.choice import _BLOCK_CELLS, _AgentRows, _comprehensive, _concavity, _kinked_argmax
+from deferral.game import (START_LATTICE_POINTS, _argmax_sets, _judge_rows, _lattice_sweep, _opponent_socials,
+                          _reference_points, _social_weights, _tolerance)
 from deferral.model import utility_values
 from slice_argmax import interval_grid_indices
 
@@ -1146,7 +1147,8 @@ def test_rows_at_the_float_range_ends_stay_whole(edge):
     for tolerance in (None, 0.0, 0.5):
         for finder, dense in ((d.find_equilibria, dense_search.find_equilibria),
                               (d.find_equilibria_after_deferral, dense_search.find_equilibria_after_deferral)):
-            assert finder(game, grid, tolerance) == dense(game, grid, tolerance)
+            with _windows_always:  # 31 rows of 31 cells fit one block
+                assert finder(game, grid, tolerance) == dense(game, grid, tolerance)
 
 
 # --- certified windows in the one grid argmax -------------------------------------
@@ -1239,10 +1241,9 @@ def test_the_closed_form_peak_is_a_certified_rows_best(game_grid, data):
         certificate = _concavity(agent, future, grid)
         if certificate is None:
             continue
-        socials = _opponent_socials(game, i, opponents, grid)
-        payoffs = _payoffs(agent, grid.points, _own_row(agent, future, grid), socials)
-        rows = payoffs(np.arange(len(socials)), np.arange(len(grid.points)))
-        peak = _peak(payoffs, agent, future, socials, grid)
+        reader = _AgentRows(agent, future, _opponent_socials(game, i, opponents, grid), grid)
+        rows = reader.payoffs(np.arange(reader.count), np.arange(reader.m))
+        peak = reader.peak
         assert (rows[np.arange(len(peak)), peak] >= rows.max(axis=1) - 2.0 * certificate[1]).all()
 
 
@@ -1381,11 +1382,34 @@ def test_exact_family_default_tolerance_is_the_dense_one(game_grid):
     tables = [d.comprehensive_values(agent, grid, s, d.aggregate_beliefs(game, a).mean())
               for a, (agent, s) in enumerate(zip(game.agents, socials))]
     dense = _outcome(dense_search._tolerance, game, tables, None)
-    for finder in (d.find_equilibria, d.find_equilibria_after_deferral):
-        with mock.patch("deferral.game._tolerance", wraps=_tolerance) as spy:
+    # rows that fit one block are whole, so a cap of one cell a block puts certified rows on windows
+    for finder, windows in itertools.product((d.find_equilibria, d.find_equilibria_after_deferral),
+                                             (contextlib.nullcontext(), _windows_always)):
+        with windows, mock.patch("deferral.game._tolerance", wraps=_tolerance) as spy:
             if _outcome(finder, game, grid) is d.ClosedFormUnavailable:
                 continue  # no search after deferral without the closed form
         assert _outcome(_tolerance, *spy.call_args.args) == dense
+
+
+@settings(max_examples=100, deadline=None)
+@given(game_grid=_exact_pairs(), tolerance=st.sampled_from([None, 0.0, 1e-9, 0.5]), data=st.data())
+def test_the_verdict_is_the_same_on_windows_and_on_whole_rows(game_grid, tolerance, data):
+    # windows forced on every row, whole rows, and the one-block rule give the same certificates,
+    # from the batch verdict and from classify_profile on each of its profiles
+    game, grid = game_grid
+    choice = st.floats(0.0, 1.0).map(lambda f: f * grid.x_max) | st.integers(0, grid.steps).map(
+        lambda j: float(grid.points[j]))
+    profiles = data.draw(st.lists(st.tuples(choice, choice), min_size=1, max_size=12))
+    verdicts = []
+    for patch in (_windows_always, mock.patch("deferral.choice._concavity", return_value=None),
+                  contextlib.nullcontext()):
+        with patch:
+            verdicts.append((_outcome(_judge_rows, game, grid, profiles, tolerance),
+                             [_outcome(d.classify_profile, game, p, grid, tolerance) for p in profiles]))
+    assert verdicts[0] == verdicts[1] == verdicts[2]
+    judged, classified = verdicts[0]
+    if not isinstance(judged, type):
+        assert judged == [c for c in classified if c is not None]
 
 
 def _kernel_cells(call, *args):
@@ -1428,15 +1452,17 @@ def test_a_quadratic_agent_is_certified_beside_a_tabulated_copy(akerlof_game):
     # the akerlof agent beside a tabulated copy of itself, both searches.  At tolerance 1e-9
     # the quadratic agent's rows are windowed; pass 2 walks agent 1's rows, whole when the
     # tabulated agent is second and windowed when it is first.  The default tolerance outside
-    # the exact family reads every row whole for its one-step statistic.  Whole rows in every
-    # pass read 15,382,408 cells at 1e-9.
+    # the exact family reads every row whole in pass 1 for its one-step statistic, and pass 2
+    # windows the quadratic agent when it is second.  Whole rows in every pass read 15,382,408
+    # cells at 1e-9 and 15,665,668 at the default tolerance.
     grid = d.Grid(8.0, 1600)
     agent = akerlof_game.agents[0]
     copy = replace(agent, utility=d.Tabulated(tuple(utility_values(agent.utility, grid).tolist()), grid))
     finders = ((d.find_equilibria, dense_search.find_equilibria),
                (d.find_equilibria_after_deferral, dense_search.find_equilibria_after_deferral))
-    for game, cells in ((two_agent_game(agent, copy), 10_300_834), (two_agent_game(copy, agent), 5_193_644)):
-        for tolerance, read in ((1e-9, cells), (None, 15_665_668)):
+    for game, cells in ((two_agent_game(agent, copy), (10_300_834, 15_665_668)),
+                        (two_agent_game(copy, agent), (5_193_644, 10_874_942))):
+        for tolerance, read in zip((1e-9, None), cells):
             assert sum(sum(_kernel_cells(finder, game, grid, tolerance)) for finder, _ in finders) == read
             for finder, dense in finders:
                 assert finder(game, grid, tolerance) == dense(game, grid, tolerance)
@@ -1550,6 +1576,20 @@ def test_the_default_tolerance_does_not_depend_on_the_agents_order():
     assert kinds == [d.EquilibriumKind.BOTH] * 2
 
 
+def test_an_argmax_over_a_slice_of_minus_inf_payoffs_stays_in_the_slice():
+    # 8**400 is inf, so c2 = PowerCost(1, 400) makes every payoff -inf from 6 on, and the
+    # consideration interval at 7.5 is [7, 7.5]: each cell there ties at -inf, and no cell
+    # outside the slice may join the argmax
+    agent = quad_agent(a=1.0, b=14.0, k=0.0, c2=d.PowerCost(1.0, 400.0), belief=0.0)
+    game, grid = two_agent_game(agent, agent), d.Grid(8.0, 16)
+    assert d.consideration_interval(agent.utility, agent.c1, 7.5) == d.ClosedInterval(7.0, 7.5)
+    assert d.second_stage_choice(agent, 7.5, grid).chosen == (7.0, 7.5)
+    assert d.deferral_best_response(game, 0, (7.5,), grid) == (7.0, 7.5)
+    assert d.two_criteria_certificate(agent, 7.5, grid).holds
+    # the restricted lattice sweep moves each agent to the slice's smallest point, index 14
+    assert _lattice_sweep(game, grid, True)(np.array([[15, 15]])).tolist() == [[14, 14]]
+
+
 # --- the batch verdict: one row pass for classify_profile and the lattice -------------
 
 
@@ -1566,7 +1606,7 @@ def _conformist_trio():
 
 
 def test_the_verdict_reads_blocks_of_at_most_the_cap():
-    # ten fixed points, judged three rows a block, and every sweep's blocks as small
+    # ten fixed points past a cap of three rows, and every block within the cap
     game, grid = _conformist_trio(), d.Grid(8.0, 40)
     m = len(grid.points)
     expected = [d.find_equilibria(game, grid), d.find_equilibria_after_deferral(game, grid)]
@@ -1592,8 +1632,10 @@ def test_the_verdict_reads_blocks_of_at_most_the_cap():
     assert found == expected
     # a block of m-wide rows, or a probe of a few cells a row around a certified peak
     assert all(size <= 3 * m or size <= 3 * rows for _, size, rows in cells)
-    # each search's verdict reads every agent's ten rows in blocks of 3, 3, 3 and 1 rows
-    assert [size for judged, size, _ in cells if judged] == [3 * m, 3 * m, 3 * m, m] * 6
+    # ten rows are past one block, so each search's verdict reads every agent's ten rows on
+    # windows: the 2 cells around the closed-form argmax, a 3-cell probe and a 3-cell window for
+    # the best, a 3-cell probe and a 2-cell window for the best in the slice, and the two ends
+    assert [size for judged, size, _ in cells if judged] == [20, 30, 30, 30, 20, 20] * 6
 
 
 def test_no_rows_make_no_kernel_call():
@@ -1608,7 +1650,7 @@ def test_no_rows_make_no_kernel_call():
         d.AgentSpec(d.Quadratic(a, b, k), d.LinearCost(c1), d.LinearCost(c2), tuple(map(point_mass, beliefs)))
         for a, b, k, c1, c2, beliefs in ((2, 8, 5, 3, 1, [4, 5]), (1, 5, 0, 2, 1, [3, 4]),
                                          (1.5, 9, 2, 4, 2, [5, 3]))))
-    with mock.patch("deferral.game._row_bests", side_effect=AssertionError("judged")), \
+    with mock.patch("deferral.choice._AgentRows.bests", side_effect=AssertionError("judged")), \
          mock.patch("deferral.game.comprehensive_value", side_effect=AssertionError("judged")):
         with pytest.warns(RuntimeWarning, match="0 of 1 starts converged, 1 cycled"):
             assert d.find_equilibria(cycling, grid, starts=[(0.0, 0.0, 5.6)]) == []

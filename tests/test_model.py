@@ -266,7 +266,7 @@ def test_tabulated_verdict_is_cached_and_still_enforced():
 
 
 def test_near_best_keeps_a_plateau_within_the_tie_tolerance():
-    from deferral.model import near_best
+    from deferral.choice import near_best
 
     # 5e-13 below the best is a tie; 2e-12 below is not
     vals = np.array([1.0, 3.0 - 5e-13, 3.0, 3.0 - 2e-12, 3.0 - 5e-13])
