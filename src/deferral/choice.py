@@ -15,7 +15,10 @@ here and in ``game.py``: ``_grid_responses`` is every grid argmax, and
 one window rule: rows that fit one block of ``_BLOCK_CELLS`` cells are read
 whole; past that, a certified agent's rows (``_concavity``) are read on
 windows around their closed-form peak (``_window``), except for a one-step
-default-tolerance statistic, which reads every cell.
+default-tolerance statistic, which reads every cell.  Other rows are read
+whole once, and given a reach, that pass records each row's window of cells
+within the reach of its best, which a later pass reads at any tolerance up to
+the reach: the two-agent search reads an uncertified agent's rows once.
 """
 
 from __future__ import annotations
@@ -222,13 +225,28 @@ def _kinked_argmax(a, b, k, kinks, lo, hi):
 
 
 def _row_max(values: np.ndarray, inside=None) -> np.ndarray:
-    """Each row's maximum (last axis) over its cells ``inside``, all when ``None``: the one row
-    reduction of the engine.  numpy reduces a short last axis slowly, so a block narrower than
-    32 cells is reduced down the rows of its transposed copy: about 18 times faster at (4001, 3),
-    where a (10, 1601) block of whole rows is 15 times faster along its rows."""
+    """Each row's maximum (last axis) over its cells ``inside``, all when ``None``: the engine's row
+    reduction, except on the whole rows of ``bests``, which take an argmax.  numpy reduces a short
+    last axis slowly, so a block narrower than 32 cells is reduced down the rows of its transposed
+    copy: about 18 times faster at (4001, 3), where a (10, 1601) block of whole rows is 15 times
+    faster along its rows."""
     if values.ndim == 2 and values.shape[1] < 32:
         return (values if inside is None else np.where(inside, values, -np.inf)).T.copy().max(axis=0)
     return values.max(axis=-1, where=True if inside is None else inside, initial=-np.inf)
+
+
+def _slice_max(values: np.ndarray, top, best, first, last) -> np.ndarray:
+    """Each whole row's maximum over its cells ``first..last``, one pair per row, given its argmax
+    ``top`` and its ``best``: the best where ``top`` lies in the slice, else one segmented reduction
+    over the rows that need it.  A slice mask would cost an m-wide comparison more, about 5 ms on
+    1,601 rows of 1,601 cells."""
+    far = np.flatnonzero((top < first) | (top > last))
+    if len(far):
+        starts = far * values.shape[-1] + first[far]
+        bounds = np.column_stack([starts, starts + (last - first + 1)[far]]).ravel()
+        best = best.copy()
+        best[far] = np.maximum.reduceat(values.ravel(), bounds[bounds < values.size])[::2]  # segments and gaps
+    return best
 
 
 def near_best(values: np.ndarray, inside=None) -> tuple[np.ndarray, np.ndarray]:
@@ -341,8 +359,10 @@ class _AgentRows:
     whole, as a window's probes cost more than such rows.  Past one block,
     the rows of an agent that ``_concavity`` certifies are read on the
     ``_window`` of a tolerance around their ``peak``, read once for every
-    window; other rows are read whole.  Every cell read is the one kernel's,
-    so what a window serves is the whole row's bit for bit.
+    window.  Other rows are read whole, except that once ``bests`` has read
+    them whole at a ``reach``, ``blocks`` reads the windows it recorded at any
+    tolerance up to that reach (``recorded``).  Every cell read is the one
+    kernel's, so what a window serves is the whole row's bit for bit.
     """
 
     def __init__(self, agent: AgentSpec, future_mean: float | None, socials: np.ndarray, grid: Grid,
@@ -352,6 +372,7 @@ class _AgentRows:
         self.agent, self.future_mean, self.socials, self.grid = agent, future_mean, socials, grid
         self.count, self.m = len(socials), len(grid.points)
         self.certificate = _concavity(agent, future_mean, grid) if self.count * self.m > _BLOCK_CELLS else None
+        self.recorded = None  # (reach, lo, hi) of the windows that ``bests`` records
 
     def payoffs(self, rows, cols):
         """The kernel on the rows ``rows``: ``cols`` holds each row's own grid choices, one row of
@@ -371,26 +392,51 @@ class _AgentRows:
         pair = self.payoffs(np.arange(len(j)), j[:, None] + np.arange(-1, 1))
         return j - (pair[:, 0] >= pair[:, 1])
 
+    def step_bound(self) -> float:
+        """An upper bound on every row's one-step default-tolerance statistic, from O(m) cells.
+
+        A row is ``base − w_1·c1(|own − s|)`` with every distance in
+        ``[0, x_max]``, and neighbouring distances differ by at most the
+        widest grid gap ``g``.  ``c1`` is convex and increasing, so ``w_1·c1``
+        changes over such a gap by at most ``w_1·(c1(x_max) − c1(x_max − g))``;
+        add the largest change of ``base`` between neighbours, and a rounding
+        margin of ``2·_ROUNDING`` times the kernel terms' magnitudes.  NaN or
+        ``inf`` when a term is not finite.  Nothing exact rests on it: ``blocks``
+        checks each tolerance against the reach that windows were recorded at.
+        """
+        pts, base = self.grid.points, self.base
+        cost = eval_cost(self.agent.c1, np.array([pts[-1] - np.diff(pts).max(), pts[-1]]), self.agent.form.w_1)
+        with np.errstate(invalid="ignore", over="ignore"):  # -inf in base, or an infinite cost
+            bound = np.abs(np.diff(base)).max() + (cost[1] - cost[0])
+            return float(bound + 2.0 * _ROUNDING * (np.abs(base).max() + cost[1]))
+
     def blocks(self, tol, part=None):
         """Blocks ``(rows, cols, values, inside)`` of at most ``_BLOCK_CELLS`` cells holding each row's
         cells within ``tol`` of its best in its slice ``part``, ``(first, last)`` per row, or in the
         whole row when ``None``; ``tol`` ``None`` reads whole rows, as do rows that are not windowed.
 
-        ``rows`` is a slice of consecutive rows and ``cols`` their own grid
-        choices: each window padded to the block's widest and kept on the
-        grid, one row of ``cols`` per row.  A block of whole rows shares the
-        one row ``arange(m)``, which broadcasts.  Padding adds real cells, so
-        a verdict there is exact too; a row never costs more than a whole
-        row, and no rows make no block.  ``values`` are their payoffs and
-        ``inside`` the mask of ``part``, or ``None``.
+        A certified agent's windows are its ``_window``s at ``tol``; an
+        uncertified agent's are those that ``bests`` recorded, when ``tol``
+        is at most their reach.  ``rows`` is a slice of consecutive rows and
+        ``cols`` their own grid choices: each window padded to the block's
+        widest and kept on the grid, one row of ``cols`` per row.  A block of
+        whole rows shares the one row ``arange(m)``, which broadcasts.
+        Padding adds real cells, so a verdict there is exact too; a row never
+        costs more than a whole row, and no rows make no block.  ``values``
+        are their payoffs and ``inside`` the mask of ``part``, or ``None``.
         """
         m, grid_cols = self.m, np.arange(self.m)
-        if tol is None or self.certificate is None:
+        if tol is not None and self.certificate is not None:
+            span = (np.zeros(self.count, dtype=np.intp), np.full(self.count, m - 1)) if part is None else part
+            lo, hi = _window(self.payoffs, self.peak, span, tol, self.certificate, m)
+        elif tol is not None and self.recorded is not None and tol <= self.recorded[0]:
+            lo, hi = self.recorded[1:]
+        else:
+            lo = hi = None
+        if lo is None:
             count = max(1, _BLOCK_CELLS // m)
             widths = [(first, m) for first in range(0, self.count, count)]
         else:
-            span = (np.zeros(self.count, dtype=np.intp), np.full(self.count, m - 1)) if part is None else part
-            lo, hi = _window(self.payoffs, self.peak, span, tol, self.certificate, m)
             width = hi - lo + 1
             count = max(1, _BLOCK_CELLS // int(width.max()))
             firsts = np.arange(0, self.count, count)
@@ -401,7 +447,7 @@ class _AgentRows:
             inside = None if part is None else in_slice(cols, part[0][rows, None], part[1][rows, None])
             yield rows, cols, self.payoffs(rows, cols), inside
 
-    def bests(self, part, stat):
+    def bests(self, part, stat, reach=None, restricted=False):
         """Each row's best, its best in its slice ``part`` and its default tolerance statistic.
 
         ``part`` is ``(first, last)`` per row, or ``None`` and a best of
@@ -411,15 +457,34 @@ class _AgentRows:
         ``tol = 0`` windows over the row and over the slice, where a concave
         row peaks at its peak clamped into the slice, and their minimum lies
         at an end (``_concavity``), so ``max|U|`` reads two more cells a row.
+
+        Whole rows take their best at their argmax, and their best in the
+        slice there too when the argmax lies in it (``_slice_max``).  An
+        uncertified agent's rows are read whole here, and with a finite
+        ``reach`` each row also records its window for ``blocks``: its first
+        and last own choice whose payoff is ``>= limit − reach``, the limit
+        being its best, or its best in its slice when ``restricted``, the
+        window then clipped to the slice.  Float subtraction is monotone, so
+        at any ``tol ≤ reach`` the window holds every cell ``>= limit − tol``.
         """
         best, rbest, stats = np.full((3, self.count), -np.inf)
         if self.certificate is None or stat is False:
-            for rows, _, values, inside in self.blocks(None, part):
-                best[rows] = _row_max(values)
+            record = self.certificate is None and reach is not None and np.isfinite(reach)
+            lo, hi = np.zeros((2, self.count), dtype=np.intp)
+            for rows, _, values, _ in self.blocks(None):
+                top = values.argmax(axis=-1)
+                best[rows] = values[np.arange(len(top)), top]
                 if part is not None:
-                    rbest[rows] = _row_max(values, inside)
+                    rbest[rows] = _slice_max(values, top, best[rows], part[0][rows], part[1][rows])
                 if stat is not None:
                     stats[rows] = _tolerance_stat(stat, values)
+                if record:
+                    near = values >= np.expand_dims((rbest if restricted else best)[rows] - reach, -1)
+                    lo[rows], hi[rows] = near.argmax(axis=-1), self.m - 1 - near[:, ::-1].argmax(axis=-1)
+            if record:
+                if restricted:
+                    lo, hi = np.maximum(lo, part[0]), np.minimum(hi, part[1])
+                self.recorded = reach, lo, hi
             return best, rbest, stats
         for rows, _, values, _ in self.blocks(0.0):
             best[rows] = _row_max(values)

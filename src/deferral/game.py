@@ -18,13 +18,14 @@ are supported:
 For two agents the search is exhaustive on the grid (every profile tested),
 in the engine's blocks, which keep O(m) results between them for m grid
 points.  The engine (``_AgentRows``) decides how every payoff row is read;
-this module keeps aggregation, tolerances, verdicts and certificates.  For
-more agents a simultaneous best-response iteration from a start lattice
-finds fixed points without any completeness claim; every start is iterated
-at once, one row per start.  One row pass, ``_AgentRows.bests``, gives every
-verdict its bests: the two-agent search's pass 1, and ``_judge_rows``, which
-judges all the lattice's fixed points at once and is ``classify_profile`` on
-one row.
+this module keeps aggregation, tolerances, verdicts and certificates, and
+the reach up to which the windows that pass 1 records in agent 1's rows
+serve pass 2.  For more agents a simultaneous best-response iteration from
+a start lattice finds fixed points without any completeness claim; every
+start is iterated at once, one row per start.  One row pass,
+``_AgentRows.bests``, gives every verdict its bests: the two-agent search's
+pass 1, and ``_judge_rows``, which judges all the lattice's fixed points at
+once and is ``classify_profile`` on one row.
 """
 
 from __future__ import annotations
@@ -386,11 +387,14 @@ def _slices(game: GameSpec, grid: Grid, socials):
     return None if None in parts else tuple(np.hstack(c) for c in zip(*parts))
 
 
-def _bests(readers, bounds, stat):
+def _bests(readers, bounds, stat, reach=None, restricted=False):
     """Each agent's ``_AgentRows.bests``, one column per agent: bests over the grid and over the
-    slices of ``bounds`` (``_slices``, or ``None``), and statistics ``stat`` (``None`` for none)."""
+    slices of ``bounds`` (``_slices``, or ``None``), and statistics ``stat`` (``None`` for none).
+    The last agent's ``bests`` gets ``reach`` and ``restricted``: the two-agent pass 2 reads its rows."""
     parts = [None if bounds is None else (bounds[2][:, a], bounds[3][:, a]) for a in range(len(readers))]
-    return (np.stack(c, axis=1) for c in zip(*(r.bests(p, stat) for r, p in zip(readers, parts))))
+    columns = [r.bests(p, stat) for r, p in zip(readers[:-1], parts)]
+    columns.append(readers[-1].bests(parts[-1], stat, reach, restricted))
+    return (np.stack(c, axis=1) for c in zip(*columns))
 
 
 def _judge_rows(game: GameSpec, grid: Grid, profiles, tolerance: float | None):
@@ -464,13 +468,18 @@ def _two_player_find(game, grid, tolerance, restricted):
 
     Pass 1 keeps O(m) results per agent (``_bests``): each row's best over
     the row and ``rbest`` over its slice, the slices' bounds and each row's
-    default tolerance statistic, as ``_judge_rows`` takes them.  Pass 2 reads
-    agent 1's cells within ``tol`` of its best, windowed when agent 1 is
-    certified, and runs the searched test there (after deferral when
-    ``restricted``, else standard).  It evaluates agent 0's payoff only at
-    the surviving profiles and runs agent 0's test on them.
-    ``_certificates`` then runs both tests on the profiles that pass both
-    agents' searched test, in the order of ``(i1, i2)``.
+    default tolerance statistic, as ``_judge_rows`` takes them.  Reading an
+    uncertified agent 1's rows whole, it also records each row's window of
+    cells within ``reach`` of its searched best: ``reach`` is the tolerance
+    when one is given, else, outside the exact family, the larger agent's
+    ``step_bound`` on the one-step default.  Pass 2 reads agent 1's cells
+    within ``tol`` of its best, on its certified windows, or on the recorded
+    ones when ``tol ≤ reach``, else whole, and runs the searched test there
+    (after deferral when ``restricted``, else standard).  So an uncertified
+    agent 1's rows are read once, and about 2m² cells where 3m² were.  It
+    evaluates agent 0's payoff only at the surviving profiles and runs agent
+    0's test on them.  ``_certificates`` then runs both tests on the profiles
+    that pass both agents' searched test, in the order of ``(i1, i2)``.
     """
     pts = grid.points
     exact = is_exact_family(game)
@@ -478,7 +487,9 @@ def _two_player_find(game, grid, tolerance, restricted):
     futures = [aggregate_beliefs(game, a).mean() for a in range(2)]
     readers = [_AgentRows(agent, future, s, grid) for agent, future, s in zip(game.agents, futures, socials)]
     bounds = _slices(game, grid, socials)  # O(m) per agent, so every row at once
-    best, rbest, stats = _bests(readers, bounds, exact if tolerance is None else None)
+    # the exact family's default records no windows
+    reach = tolerance if tolerance is not None else None if exact else np.max([r.step_bound() for r in readers])
+    best, rbest, stats = _bests(readers, bounds, exact if tolerance is None else None, reach, restricted)
     tol = _tolerance(exact, stats.ravel(), tolerance)
     # the searched test: payoff >= limit - tol, and each choice in its slice after deferral
     limit = rbest if restricted else best

@@ -1428,12 +1428,14 @@ def _kernel_cells(call, *args):
 
 def test_certified_windows_read_under_two_percent_of_the_cells(akerlof_game, power_cost_game):
     # whole rows are 3m² cells: both tables in pass 1 and agent 1's in pass 2
-    for game, grid, share in ((akerlof_game, d.Grid(8.0, 4000), 0.02), (power_cost_game, d.Grid(8.0, 100), 1.0)):
-        whole = 3 * len(grid.points) ** 2
-        for finder in (d.find_equilibria, d.find_equilibria_after_deferral):
-            cells = sum(_kernel_cells(finder, game, grid))
-            # power costs are not certified, and their rows stay whole
-            assert cells < share * whole if share < 1.0 else cells >= whole
+    grid = d.Grid(8.0, 4000)
+    for finder in (d.find_equilibria, d.find_equilibria_after_deferral):
+        assert sum(_kernel_cells(finder, akerlof_game, grid)) < 0.02 * 3 * len(grid.points) ** 2
+    # power costs are not certified: pass 1 reads both tables whole (2m² = 20,402 cells) and
+    # pass 2 the windows it recorded in agent 1's rows, where whole rows read 33,906 and 32,787
+    grid = d.Grid(8.0, 100)
+    assert [sum(_kernel_cells(finder, power_cost_game, grid))
+            for finder in (d.find_equilibria, d.find_equilibria_after_deferral)] == [27_139, 25_919]
 
 
 def test_akerlof_reads_78_cells_per_grid_point_in_few_kernel_calls(akerlof_game):
@@ -1450,22 +1452,121 @@ def test_akerlof_reads_78_cells_per_grid_point_in_few_kernel_calls(akerlof_game)
 
 def test_a_quadratic_agent_is_certified_beside_a_tabulated_copy(akerlof_game):
     # the akerlof agent beside a tabulated copy of itself, both searches.  At tolerance 1e-9
-    # the quadratic agent's rows are windowed; pass 2 walks agent 1's rows, whole when the
-    # tabulated agent is second and windowed when it is first.  The default tolerance outside
-    # the exact family reads every row whole in pass 1 for its one-step statistic, and pass 2
-    # windows the quadratic agent when it is second.  Whole rows in every pass read 15,382,408
-    # cells at 1e-9 and 15,665,668 at the default tolerance.
+    # the quadratic agent's rows are windowed; pass 2 walks agent 1's rows: the windows that
+    # pass 1 recorded in the copy's whole rows when it is second, the certified windows when
+    # it is first.  The default tolerance outside the exact family reads every row whole in
+    # pass 1 for its one-step statistic.  Whole rows in every pass read 15,382,408 cells at
+    # 1e-9 and 15,665,668 at the default tolerance; whole rows in pass 2 read 10,300,834 and
+    # 15,665,668 with the copy second.
     grid = d.Grid(8.0, 1600)
     agent = akerlof_game.agents[0]
     copy = replace(agent, utility=d.Tabulated(tuple(utility_values(agent.utility, grid).tolist()), grid))
     finders = ((d.find_equilibria, dense_search.find_equilibria),
                (d.find_equilibria_after_deferral, dense_search.find_equilibria_after_deferral))
-    for game, cells in ((two_agent_game(agent, copy), (10_300_834, 15_665_668)),
+    for game, cells in ((two_agent_game(agent, copy), (5_177_634, 10_850_260)),
                         (two_agent_game(copy, agent), (5_193_644, 10_874_942))):
         for tolerance, read in zip((1e-9, None), cells):
             assert sum(sum(_kernel_cells(finder, game, grid, tolerance)) for finder, _ in finders) == read
             for finder, dense in finders:
                 assert finder(game, grid, tolerance) == dense(game, grid, tolerance)
+
+
+def _bell_pair(steps):
+    """Two bell-shaped tabulated utilities on [0, 8], peaks 3.6 and 4.4, height 6 and width 2, with
+    ``c1 = 2·δ``, ``c2 = 0.5·δ`` and belief 4: the benchmark's ``pair_tabulated`` unshifted."""
+    grid = d.Grid(8.0, steps)
+    return d.GameSpec(tuple(
+        d.AgentSpec(d.Tabulated(tuple((6.0 * np.exp(-0.5 * ((grid.points - peak) / 2.0) ** 2)).tolist()), grid),
+                    d.LinearCost(2.0), d.LinearCost(0.5), (point_mass(4.0),)) for peak in (3.6, 4.4))), grid
+
+
+def test_pass_2_reads_under_a_tenth_of_a_tabulated_agents_cells():
+    # tabulated agents are not certified, and the bells' rows have two local maxima: pass 1
+    # reads both tables whole, 2m² cells, and records agent 1's windows at a bound on the
+    # one-step default tolerance; pass 2 reads those windows and agent 0's payoff at each hit,
+    # where whole rows read m² and more
+    game, grid = _bell_pair(1600)
+    m = len(grid.points)
+    for finder, dense in ((d.find_equilibria, dense_search.find_equilibria),
+                          (d.find_equilibria_after_deferral, dense_search.find_equilibria_after_deferral)):
+        cells, passes = [0, 0], []
+
+        def counting(*args):
+            values = _comprehensive(*args)
+            cells[bool(passes)] += values.size
+            return values
+
+        def bests(*args):
+            passes.append(1)
+            try:
+                return _unpatched_bests(*args)
+            finally:
+                passes.pop()
+
+        with mock.patch("deferral.choice._comprehensive", counting), mock.patch.object(_AgentRows, "bests", bests):
+            found = finder(game, grid)
+        assert cells[1] == 2 * m * m
+        assert cells[0] < 0.1 * m * m
+        assert found == dense(game, grid)
+
+
+_unpatched_bests = _AgentRows.bests
+
+
+def _halved_reach(self, part, stat, reach=None, restricted=False):
+    """``_AgentRows.bests`` recording its windows at half the reach, rounded down: below every
+    explicit tolerance but 0, and too narrow for it, so ``blocks`` must read whole rows."""
+    return _unpatched_bests(self, part, stat, None if reach is None else np.nextafter(reach / 2, -np.inf), restricted)
+
+
+@st.composite
+def _uncertified_games(draw):
+    """A two-agent game outside the exact family: bell-shaped tabulated utilities, whose rows have
+    several local maxima; quadratic utilities with power costs; or a quadratic agent with
+    linear costs beside a bell, in either order.  131 points are past one block."""
+    grid = d.Grid(8.0, draw(st.sampled_from([6, 16, 40, 130])))
+    family = draw(st.sampled_from(["tabulated", "power", "mixed"]))
+    agents = []
+    for a in range(2):
+        peak = float(grid.points[draw(st.integers(0, grid.steps))])
+        if family == "tabulated" or (family == "mixed" and a == 1):
+            width = draw(st.sampled_from([0.5, 1.0, 2.0]))
+            utility = d.Tabulated(tuple((6.0 * np.exp(-0.5 * ((grid.points - peak) / width) ** 2)).tolist()), grid)
+        else:
+            curvature = draw(st.sampled_from([0.5, 1.0, 2.0]))
+            utility = d.Quadratic(curvature, 2.0 * curvature * peak, draw(st.sampled_from([0.0, 5.0])))
+        if family == "power":
+            costs = st.builds(d.PowerCost, st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([1.5, 2.0, 2.5]))
+        else:
+            costs = st.sampled_from([0.5, 1.0, 3.0]).map(d.LinearCost)
+        form = d.ComprehensiveUtilityForm(1.0, draw(st.sampled_from([0.0, 1.0, 2.5])), 1.0)
+        agents.append(d.AgentSpec(utility, draw(costs), draw(costs), (point_mass(draw(st.integers(0, 8))),), form))
+    return d.GameSpec(tuple(agents[::draw(st.sampled_from([1, -1]))])), grid
+
+
+_READS = {"windows everywhere": lambda: _windows_always,
+          "reach below the tolerance": lambda: mock.patch.object(_AgentRows, "bests", _halved_reach),
+          "no patch": contextlib.nullcontext}
+
+
+@pytest.mark.parametrize("reads", _READS)
+@settings(max_examples=60, deadline=None)
+@given(game_grid=_uncertified_games(), tolerance=st.sampled_from([None, 0.0, 1e-9, 0.5]))
+def test_recorded_windows_give_the_dense_certificates(reads, game_grid, tolerance):
+    game, grid = game_grid
+    for finder, dense in ((d.find_equilibria, dense_search.find_equilibria),
+                          (d.find_equilibria_after_deferral, dense_search.find_equilibria_after_deferral)):
+        expected = _outcome(dense, game, grid, tolerance)
+        with _READS[reads]():
+            assert _outcome(finder, game, grid, tolerance) == expected
+
+
+def test_windows_recorded_below_the_tolerance_are_not_read(power_cost_game):
+    # whole rows in pass 2, as before windows were recorded: 3m² cells and agent 0's at the hits
+    grid = d.Grid(8.0, 100)
+    with mock.patch.object(_AgentRows, "bests", _halved_reach):
+        assert [sum(_kernel_cells(finder, power_cost_game, grid))
+                for finder in (d.find_equilibria, d.find_equilibria_after_deferral)] == [33_906, 32_787]
 
 
 def test_a_one_row_column_reads_its_row_whole_until_it_is_past_one_block(akerlof_game):
