@@ -27,7 +27,6 @@ from .consideration import (
     one_many_compare,
 )
 from .errors import (
-    ClosedFormUnavailable,
     DeferralError,
     DomainError,
     GridLookupError,
@@ -81,7 +80,6 @@ __all__ = [
     "BeliefMixture",
     "BestResponseCurve",
     "ChoiceResult",
-    "ClosedFormUnavailable",
     "ClosedInterval",
     "ComprehensiveUtilityForm",
     "DeferralError",

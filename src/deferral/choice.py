@@ -272,7 +272,8 @@ def _tolerance_stat(exact: bool, rows: np.ndarray) -> np.ndarray:
     if exact:
         return _row_max(np.abs(rows))
     with np.errstate(invalid="ignore"):  # NaN between two -inf payoffs
-        return _row_max(np.abs(np.diff(rows, axis=-1)))
+        step = np.subtract(rows[..., 1:], rows[..., :-1])  # np.diff's one temporary, made absolute in place
+        return _row_max(np.abs(step, out=step))
 
 
 def _exact_program(agent: AgentSpec, future_mean: float, x_social, grid: Grid):
@@ -450,8 +451,8 @@ class _AgentRows:
     def bests(self, part, stat, reach=None, restricted=False):
         """Each row's best, its best in its slice ``part`` and its default tolerance statistic.
 
-        ``part`` is ``(first, last)`` per row, or ``None`` and a best of
-        ``-inf``.  The statistic is ``_tolerance_stat(stat, row)`` of each
+        ``part`` is ``(first, last)`` per row, the consideration slice's
+        grid indices.  The statistic is ``_tolerance_stat(stat, row)`` of each
         whole row, or ``-inf`` when ``stat`` is ``None``; the one-step one
         (``stat`` false) reads every cell.  Windowed rows read their
         ``tol = 0`` windows over the row and over the slice, where a concave
@@ -474,8 +475,7 @@ class _AgentRows:
             for rows, _, values, _ in self.blocks(None):
                 top = values.argmax(axis=-1)
                 best[rows] = values[np.arange(len(top)), top]
-                if part is not None:
-                    rbest[rows] = _slice_max(values, top, best[rows], part[0][rows], part[1][rows])
+                rbest[rows] = _slice_max(values, top, best[rows], part[0][rows], part[1][rows])
                 if stat is not None:
                     stats[rows] = _tolerance_stat(stat, values)
                 if record:
@@ -488,9 +488,8 @@ class _AgentRows:
             return best, rbest, stats
         for rows, _, values, _ in self.blocks(0.0):
             best[rows] = _row_max(values)
-        if part is not None:
-            for rows, _, values, inside in self.blocks(0.0, part):
-                rbest[rows] = _row_max(values, inside)
+        for rows, _, values, inside in self.blocks(0.0, part):
+            rbest[rows] = _row_max(values, inside)
         if stat is not None:
             ends = self.payoffs(np.arange(self.count), np.array([[0, self.m - 1]]))
             stats = np.abs([best, *ends.T]).max(axis=0)

@@ -5,8 +5,8 @@ stdout and writes machine-readable CSV files.  Error detail goes to stderr,
 never into the CSV outputs.
 
 Exit codes: 0 success, 2 scenario validation failure, 3 precondition failure
-(for example a consideration interval requested with a non-increasing
-current-distance cost) or a grid too large for memory, 4 I/O failure.
+(for example a utility that is not finite on the grid, or a default regret
+tolerance that is not finite) or a grid too large for memory, 4 I/O failure.
 """
 
 from __future__ import annotations

@@ -3,10 +3,11 @@
 An indecisive agent keeps exactly the alternatives that are undominated under
 the one-many ordering: ``x`` beats ``y`` when it gives weakly higher personal
 utility *and* weakly lower cost of distance to the current social choice.
-With a strictly quasiconcave utility, a strictly increasing current-distance
-cost and the Euclidean metric, the undominated set is the closed interval
-between the social choice and the personal optimum; without those conditions
-only the grid oracle ``maximal_indices_grid`` defines it.
+With a strictly quasiconcave utility, a valid current-distance cost and the
+Euclidean metric, the undominated set is the closed interval between the
+social choice and the personal optimum when the cost is strictly increasing,
+and the optimum alone when its slope is zero, as every cost then ties; the
+grid oracle ``maximal_indices_grid`` defines it without those conditions.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClosedFormUnavailable, DomainError
+from .errors import DomainError
 from .model import (
     EXACT_TOL,
     CostFunction,
@@ -78,20 +79,6 @@ def one_many_compare(
     return DominanceVerdict(weak=weak, strict=weak and not reverse)
 
 
-def require_closed_form(u: UtilityFunction, c1: CostFunction) -> None:
-    """Raise unless the closed-form consideration interval applies to ``(u, c1)``.
-
-    The utility must be valid (else ``SpecValidationError``) and the
-    current-distance cost strictly increasing (else ``ClosedFormUnavailable``,
-    and only ``maximal_set_grid`` defines the consideration set).
-    """
-    require_valid(u)
-    if not c1.d > 0:
-        raise ClosedFormUnavailable(
-            "the interval form needs a strictly increasing current-distance cost"
-        )
-
-
 def consideration_interval(
     u: UtilityFunction,
     c1: CostFunction,
@@ -101,7 +88,8 @@ def consideration_interval(
 
     Returns the interval between the social choice and the personal optimum,
     degenerating to the optimum itself when the two coincide (within
-    ``EXACT_TOL``).  Raises as ``consideration_bounds`` does.
+    ``EXACT_TOL``) or the current-distance cost has slope zero.  Raises as
+    ``consideration_bounds`` does.
     """
     lo, hi = consideration_bounds(u, c1, x_social)
     return ClosedInterval(float(lo), float(hi))
@@ -111,15 +99,18 @@ def consideration_bounds(u: UtilityFunction, c1: CostFunction, x_social) -> tupl
     """Endpoints of the consideration interval for each social choice (vectorized).
 
     The interval runs between ``x_social`` and the peak of ``u`` and
-    degenerates to the peak when the two coincide within ``EXACT_TOL``.
-    Raises ``DomainError`` unless each social choice is finite and ``>= 0``,
-    then as ``require_closed_form`` does when the closed form does not apply.
+    degenerates to the peak when the two coincide within ``EXACT_TOL``, and
+    at every social choice when ``c1`` has slope zero: every cost then ties,
+    so only the peak is undominated.  Raises ``DomainError`` unless each
+    social choice is finite and ``>= 0``, then ``SpecValidationError`` for an
+    invalid ``u``, then for an invalid ``c1``.
     """
     social = np.asarray(x_social, dtype=float)
     require_nonnegative("social choice", x_social)
-    require_closed_form(u, c1)
+    require_valid(u)
+    require_valid(c1)
     peak = u.peak
-    at_peak = np.abs(social - peak) <= EXACT_TOL
+    at_peak = (np.abs(social - peak) <= EXACT_TOL) | (c1.d == 0)
     lo = np.where(at_peak, peak, np.minimum(social, peak))
     hi = np.where(at_peak, peak, np.maximum(social, peak))
     return lo, hi
@@ -131,7 +122,7 @@ def interval_index_bounds(lo, hi, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     Endpoints snap to the nearest grid point, with exact half-step ties
     rounding inward; this is precisely the boundary behaviour of the dominance
     oracle on the grid, so the indexed set equals
-    ``maximal_set_grid`` under the closed-form preconditions.  A degenerate
+    ``maximal_set_grid`` for a strictly quasiconcave utility.  A degenerate
     interval maps to the nearest grid point (two points if exactly halfway
     between neighbours, matching the mutual-weak-dominance tie).  A proper
     interval's first index never exceeds its last: the distance from the grid

@@ -28,15 +28,6 @@ class SpecValidationError(DeferralError, ValueError):
         super().__init__(f"invalid specification ({summary})")
 
 
-class ClosedFormUnavailable(DeferralError):
-    """The closed-form consideration interval does not apply.
-
-    Raised when the current-distance cost is not strictly increasing (a
-    slope of zero), in which case only the grid oracle defines the
-    consideration set.
-    """
-
-
 class MethodUnsupported(DeferralError):
     """A solver method was requested for a function family it cannot handle."""
 

@@ -39,14 +39,8 @@ from typing import Sequence
 import numpy as np
 
 from .choice import _AgentRows, _exact_program, _grid_responses, _kinked_argmax, _own_row, comprehensive_value
-from .consideration import consideration_slice, in_slice, require_closed_form
-from .errors import (
-    ClosedFormUnavailable,
-    DomainError,
-    GridLookupError,
-    MethodUnsupported,
-    SpecValidationError,
-)
+from .consideration import consideration_slice, in_slice
+from .errors import DomainError, GridLookupError, MethodUnsupported, SpecValidationError
 from .model import (
     EXACT_TOL,
     FiniteRandomVariable,
@@ -352,21 +346,19 @@ def _certificates(profiles, values, best, rbest, member, tol):
     ``profiles``, ``values`` and ``best`` have one row per profile and one
     column per agent: the choices, each agent's payoff and their best payoff
     over the grid.  ``rbest``, shaped like ``best``, is each agent's best
-    payoff over their consideration slice (``_AgentRows.bests``), or ``None``
-    without the closed form, and ``member`` says per profile whether every
-    choice lies in its consideration set.  With ``tol``, one or a column of
-    one per profile, the standard test passes when
-    every payoff is ``>= best - tol``; the after-deferral test needs
-    ``member`` and every payoff ``>= rbest - tol``.  The kind follows from
-    the tests passed, and ``max_regret`` is the largest regret over them:
-    each passing profile costs one certificate and its profile tuple.
+    payoff over their consideration slice (``_AgentRows.bests``), and
+    ``member`` says per profile whether every choice lies in its
+    consideration set.  With ``tol``, one or a column of one per profile,
+    the standard test passes when every payoff is ``>= best - tol``; the
+    after-deferral test needs ``member`` and every payoff ``>= rbest - tol``.
+    The kind follows from the tests passed, and ``max_regret`` is the
+    largest regret over them: each passing profile costs one certificate
+    and its profile tuple.
     """
     standard = (values >= best - tol).all(axis=1)
-    deferral = np.zeros_like(standard)
-    regret = np.where(standard, _regret(best, values), -np.inf)
-    if rbest is not None:
-        deferral = member & (values >= rbest - tol).all(axis=1)
-        regret = np.maximum(regret, np.where(deferral, _regret(rbest, values), -np.inf))
+    deferral = member & (values >= rbest - tol).all(axis=1)
+    regret = np.maximum(np.where(standard, _regret(best, values), -np.inf),
+                        np.where(deferral, _regret(rbest, values), -np.inf))
     rows = zip(profiles.tolist(), standard.tolist(), deferral.tolist(), regret.tolist())
     return [EquilibriumCertificate(tuple(p), _KINDS[s, d], r) for p, s, d, r in rows if s or d]
 
@@ -374,24 +366,18 @@ def _certificates(profiles, values, best, rbest, member, tol):
 def _slices(game: GameSpec, grid: Grid, socials):
     """``(lo, hi, first, last)`` of each agent's ``consideration_slice``, one column per agent.
 
-    ``socials[a]`` is a column of agent ``a``'s social choices.  ``None``
-    when some agent lacks the closed form; every agent's slice is still
-    checked, so an invalid utility raises whatever the agents' order.
+    ``socials[a]`` is a column of agent ``a``'s social choices.  An agent
+    whose ``c1`` has slope zero has its peak's slice in every row.
     """
-    parts = []
-    for agent, s in zip(game.agents, socials):
-        try:
-            parts.append(consideration_slice(agent.utility, agent.c1, s, grid))
-        except ClosedFormUnavailable:
-            parts.append(None)
-    return None if None in parts else tuple(np.hstack(c) for c in zip(*parts))
+    parts = [consideration_slice(agent.utility, agent.c1, s, grid) for agent, s in zip(game.agents, socials)]
+    return tuple(np.hstack(c) for c in zip(*parts))
 
 
 def _bests(readers, bounds, stat, reach=None, restricted=False):
     """Each agent's ``_AgentRows.bests``, one column per agent: bests over the grid and over the
-    slices of ``bounds`` (``_slices``, or ``None``), and statistics ``stat`` (``None`` for none).
-    The last agent's ``bests`` gets ``reach`` and ``restricted``: the two-agent pass 2 reads its rows."""
-    parts = [None if bounds is None else (bounds[2][:, a], bounds[3][:, a]) for a in range(len(readers))]
+    slices of ``bounds`` (``_slices``), and statistics ``stat`` (``None`` for none).  The last
+    agent's ``bests`` gets ``reach`` and ``restricted``: the two-agent pass 2 reads its rows."""
+    parts = [(bounds[2][:, a], bounds[3][:, a]) for a in range(len(readers))]
     columns = [r.bests(p, stat) for r, p in zip(readers[:-1], parts)]
     columns.append(readers[-1].bests(parts[-1], stat, reach, restricted))
     return (np.stack(c, axis=1) for c in zip(*columns))
@@ -421,8 +407,6 @@ def _judge_rows(game: GameSpec, grid: Grid, profiles, tolerance: float | None):
     exact = is_exact_family(game)
     best, rbest, stats = _bests(readers, bounds, exact if tolerance is None else None)
     tol = np.expand_dims(_tolerance(exact, stats, tolerance), -1)  # one per row
-    if bounds is None:
-        return _certificates(xs, np.array(values).T, best, None, None, tol)
     lo, hi, first, last = bounds
     inside = (np.minimum(lo, pts[first]) - EXACT_TOL <= xs) & (xs <= np.maximum(hi, pts[last]) + EXACT_TOL)
     return _certificates(xs, np.array(values).T, best, rbest, inside.all(axis=1), tol)
@@ -442,9 +426,8 @@ def classify_profile(
     tabulated utility must choose one of its grid points (else
     ``DomainError``).  A choice is in its consideration set when it lies in
     its interval or its grid slice, within ``EXACT_TOL``; on grid points that
-    is the search's slice mask.  When the closed-form consideration interval
-    is unavailable the after-deferral test is skipped and only standard
-    classification is possible.  A tolerance is refused as in ``find_equilibria``.
+    is the search's slice mask; a ``c1`` of slope zero makes the set its
+    peak alone.  A tolerance is refused as in ``find_equilibria``.
     """
     _require_tolerance(tolerance)
     _check_profile(game, profile, grid.x_max)
@@ -493,7 +476,7 @@ def _two_player_find(game, grid, tolerance, restricted):
     tol = _tolerance(exact, stats.ravel(), tolerance)
     # the searched test: payoff >= limit - tol, and each choice in its slice after deferral
     limit = rbest if restricted else best
-    first, last = (None, None) if bounds is None else bounds[2:]
+    first, last = bounds[2:]
     hits = []
     for rows, cols, values, inside in readers[1].blocks(tol, (first[:, 1], last[:, 1]) if restricted else None):
         ok = values >= limit[rows, 1:] - tol
@@ -515,8 +498,8 @@ def _two_player_find(game, grid, tolerance, restricted):
         pts[profiles],
         np.stack([v0, v1], axis=1),
         best[at_opponent],
-        None if bounds is None else rbest[at_opponent],
-        None if bounds is None else in_slice(profiles, first[at_opponent], last[at_opponent]).all(axis=1),
+        rbest[at_opponent],
+        in_slice(profiles, first[at_opponent], last[at_opponent]).all(axis=1),
         tol,
     )
 
@@ -544,8 +527,8 @@ def _lattice_sweep(game: GameSpec, grid: Grid, restricted: bool):
     weights, each agent's aggregated beliefs' mean and their ``_own_row`` are
     computed once per search here, so their errors propagate before any
     iteration.  The restricted map reads ``consideration_slice``, whose
-    closed-form checks ``find_equilibria_after_deferral`` also runs before
-    any search.
+    validation of each utility and cost ``find_equilibria_after_deferral``
+    also runs before any search.
     """
     pts = grid.points
     agents = []
@@ -648,16 +631,17 @@ def find_equilibria_after_deferral(
 ) -> list[EquilibriumCertificate]:
     """All equilibria after deferral on the grid (two-agent case exhaustive).
 
-    Requires the closed-form consideration interval for every agent
-    (strictly increasing current-distance costs) and a tolerance as for
-    ``find_equilibria``, checked before any search, every utility first.  For
-    more than two agents the iteration warns about non-converging starts as it does.
+    Every agent's utility and then every agent's current-distance cost must
+    be valid (else ``SpecValidationError``), and the tolerance as for
+    ``find_equilibria``, checked before any search.  An agent whose ``c1``
+    has slope zero considers only their peak.  For more than two agents the
+    iteration warns about non-converging starts as ``find_equilibria`` does.
     """
     _require_tolerance(tolerance)
     for agent in game.agents:
         require_valid(agent.utility)
     for agent in game.agents:
-        require_closed_form(agent.utility, agent.c1)
+        require_valid(agent.c1)
     if game.n == 2:
         return _two_player_find(game, grid, tolerance, True)
     return _lattice_find(game, grid, tolerance, True, starts)

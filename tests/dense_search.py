@@ -16,8 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 import deferral as d
-from deferral.consideration import consideration_slice, in_slice, require_closed_form
+from deferral.consideration import consideration_slice, in_slice
 from deferral.game import _certificates, _reference_points, _social_weights
+from deferral.model import require_valid
 
 
 def _tolerance(game, tables, tolerance):
@@ -37,14 +38,10 @@ def _tolerance(game, tables, tolerance):
 
 
 def _slices(game, grid, socials, tables):
-    """``rbest``, each row's best over its slice, and the m×m slice masks, or
-    ``(None, None)`` without the closed form."""
+    """``rbest``, each row's best over its slice, and the m×m slice masks."""
     own = np.arange(len(grid.points))
-    try:
-        first, last = zip(*(consideration_slice(a.utility, a.c1, s, grid)[2:]
-                            for a, s in zip(game.agents, socials)))
-    except d.ClosedFormUnavailable:
-        return None, None
+    first, last = zip(*(consideration_slice(a.utility, a.c1, s, grid)[2:]
+                        for a, s in zip(game.agents, socials)))
     masks = [in_slice(own, f, l) for f, l in zip(first, last)]
     rbest = [t.max(axis=-1, where=mask, initial=-np.inf) for t, mask in zip(tables, masks)]
     return np.stack(rbest, axis=1), masks
@@ -70,8 +67,8 @@ def dense_find(game, grid, tolerance, restricted):
         pts[np.stack([i1, i2], axis=1)],
         np.stack([tables[0][i2, i1], tables[1][i1, i2]], axis=1),
         best[at_opponent],
-        None if rbest is None else rbest[at_opponent],
-        None if rbest is None else masks[0][i2, i1] & masks[1][i1, i2],
+        rbest[at_opponent],
+        masks[0][i2, i1] & masks[1][i1, i2],
         tol,
     )
 
@@ -83,6 +80,6 @@ def find_equilibria(game, grid, tolerance=None):
 
 def find_equilibria_after_deferral(game, grid, tolerance=None):
     """``deferral.find_equilibria_after_deferral`` of a two-agent game, on whole tables."""
-    for agent in game.agents:
-        require_closed_form(agent.utility, agent.c1)
+    for spec in [a.utility for a in game.agents] + [a.c1 for a in game.agents]:
+        require_valid(spec)  # every utility before any cost, as the public search checks them
     return dense_find(game, grid, tolerance, True)

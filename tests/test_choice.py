@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import deferral as d
 from conftest import point_mass, quad_agent
@@ -292,3 +293,14 @@ def test_affine_rescaling_keeps_argmax(example_agent):
             form=d.ComprehensiveUtilityForm(1.0, alpha, alpha),
         )
         assert d.second_stage_choice(scaled, 4.0, grid).chosen == base.chosen
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(float, st.tuples(st.integers(1, 5), st.sampled_from([2, 3, 31, 32, 40])),
+              elements=st.floats(-1e300, 1e300) | st.sampled_from([np.nan, np.inf, -np.inf])))
+def test_the_one_step_statistic_is_the_row_max_of_abs_diff_bit_for_bit(values):
+    # one temporary made absolute in place reads as np.abs(np.diff(...)) does, NaN and infinities
+    # included, on blocks narrow enough for the transposed reduction and wide enough for the other
+    with np.errstate(invalid="ignore"):
+        expected = choice._row_max(np.abs(np.diff(values, axis=-1)))
+    assert choice._tolerance_stat(False, values).tobytes() == expected.tobytes()

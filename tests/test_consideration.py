@@ -2,12 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import deferral as d
 from conftest import quad_agent
-from deferral.consideration import _undominated, maximal_indices_grid
+from deferral.consideration import _undominated, consideration_slice, in_slice, maximal_indices_grid
 from dominance_scan import maximal_indices_scan, undominated_scan
 from slice_argmax import interval_grid_indices
 
@@ -53,9 +53,13 @@ class TestConsiderationInterval:
     def test_social_below_peak(self):
         assert d.consideration_interval(U, d.LinearCost(1.0), 0.25) == d.ClosedInterval(0.25, 1.0)
 
-    def test_zero_cost_unavailable(self):
-        for slope in (0.0, float("nan")):
-            with pytest.raises(d.ClosedFormUnavailable):
+    def test_zero_cost_keeps_only_the_peak(self):
+        # every cost ties, so the peak alone is undominated, wherever the social choice is
+        for c1 in (d.LinearCost(0.0), d.PowerCost(0.0, 2.0)):
+            for x_social in (0.0, 1.0, 4.0):
+                assert d.consideration_interval(U, c1, x_social) == d.ClosedInterval(1.0, 1.0)
+        for slope in (-1.0, float("nan")):  # not a cost: refused as validate refuses it
+            with pytest.raises(d.SpecValidationError):
                 d.consideration_interval(U, d.LinearCost(slope), 4.0)
 
     def test_bounds_out_of_order_rejected(self):
@@ -180,7 +184,6 @@ def test_index_bounds_of_many_intervals_match_one_at_a_time():
 
     # the slice of a column of social choices: half-step tie at the peak, sub-cell,
     # clipped beyond x_max and ordinary rows, each as its interval's grid indices
-    from deferral.consideration import consideration_slice, in_slice
 
     def slice_mask(first, last):
         return in_slice(np.arange(len(grid.points)), first, last)
@@ -200,8 +203,10 @@ def test_index_bounds_of_many_intervals_match_one_at_a_time():
     assert np.flatnonzero(mask[0]).tolist() == [4, 5]
     with pytest.raises(d.DomainError):
         consideration_slice(u, c1, np.array([[2.0], [-0.5]]), grid)
-    with pytest.raises(d.ClosedFormUnavailable):
-        consideration_slice(u, d.LinearCost(0.0), socials[:, None], grid)
+    # a zero slope gives every row the slice of a social choice at the peak: the tie [4, 5]
+    lo, hi, first, last = consideration_slice(u, d.LinearCost(0.0), socials[:, None], grid)
+    assert (lo == u.peak).all() and (hi == u.peak).all()
+    assert (first == 4).all() and (last == 5).all()
 
 
 def _ulps(x: float, k: int) -> float:
@@ -297,6 +302,49 @@ _BUMPY = d.Tabulated((0.0, 2.0, 1.0, 3.0, 3.0, 1.0, 2.0, 0.0, 0.0, 4.0, 1.0, 1.0
 @example((U, d.LinearCost(2.0), 11.0, _BUMPY.grid))
 def test_grid_oracle_equals_scan(case):
     assert maximal_indices_grid(*case).tolist() == maximal_indices_scan(*case).tolist()
+
+
+@st.composite
+def _zero_slope_cases(draw):
+    """A strictly quasiconcave utility, a cost of slope zero, social choices and a grid.
+
+    A tabulated utility rises strictly to a peak on a grid point and falls
+    after it.  A quadratic peak lies anywhere from below 0, clamped to 0,
+    to past ``x_max``, but never halfway between two grid points: there the
+    snap keeps both, and float utilities break the tie as the oracle sees it.
+    """
+    grid = d.Grid(draw(st.sampled_from([1.0, 6.0, 8.0, 24.0])), draw(st.integers(1, 60)))
+    m = grid.steps + 1
+    if draw(st.booleans()):
+        top = draw(st.integers(0, m - 1))
+        steps = draw(st.lists(st.floats(0.01, 10.0), min_size=m - 1, max_size=m - 1))
+        rise, fall = np.cumsum([0.0] + steps[:top]), np.cumsum(steps[top:])
+        u = d.Tabulated(tuple((np.r_[rise, rise[-1] - fall] + draw(st.floats(-5, 5))).tolist()), grid)
+    else:
+        a = draw(st.floats(0.1, 5.0))
+        u = d.Quadratic(a, 2.0 * a * draw(st.floats(-0.5, 1.5)) * grid.x_max, draw(st.floats(-5, 5)))
+        cell = u.peak / grid.step
+        assume(abs(cell - np.floor(cell) - 0.5) > 1e-6)
+    c1 = draw(st.just(d.LinearCost(0.0)) | st.builds(d.PowerCost, st.just(0.0), st.floats(1.0, 4.0)))
+    socials = draw(st.lists(st.floats(0.0, 2.0 * grid.x_max)
+                            | st.integers(0, 2 * grid.steps).map(lambda j: j * grid.step / 2),
+                            min_size=1, max_size=6))
+    return u, c1, socials, grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(_zero_slope_cases())
+def test_a_zero_slope_slice_is_the_oracles_peak(case):
+    # one rule, independent of the slice code: the dominance oracle keeps the utility's grid
+    # argmax alone, and the closed form is [peak, peak] at every social choice
+    u, c1, socials, grid = case
+    lo, hi, first, last = consideration_slice(u, c1, np.array(socials)[:, None], grid)
+    for k, x_social in enumerate(socials):
+        assert d.consideration_interval(u, c1, x_social) == d.ClosedInterval(u.peak, u.peak)
+        assert (lo[k, 0], hi[k, 0]) == (u.peak, u.peak)
+        oracle = maximal_indices_grid(u, c1, x_social, grid)
+        assert list(range(first[k, 0], last[k, 0] + 1)) == oracle.tolist()
+        assert len(oracle) == 1
 
 
 class TestNonFiniteValues:

@@ -5,12 +5,15 @@ games whose lines moved; ``PYTHONPATH=src python tests/corpus.py`` prints
 them, one line per game, on both sides of the change.
 """
 
+from dataclasses import replace
+from unittest import mock
+
 import corpus
 
 import deferral as d
 
 #: SHA-256 of ``corpus.game_line`` for seeds 0 to 149, each line ending in a newline.
-DIGEST = "3e84d76d0ca179b272930988bf2e51091d432caa155a6e6102d05d7415f822dd"
+DIGEST = "beef91b124d32dfa92fb4100a575f1fe6a559c2fc757179908746687d511d06f"
 
 
 def test_the_corpus_answers_are_pinned():
@@ -32,3 +35,22 @@ def test_the_pinned_games_cover_every_family():
     # quadratic beside tabulated, in both orders
     mixed = {tuple(type(a.utility) for a in game.agents) for game, _ in games[4::5]}
     assert mixed == {(d.Quadratic, d.Tabulated), (d.Tabulated, d.Quadratic)}
+
+
+def test_a_zero_power_cost_answers_every_question_as_the_zero_linear_cost():
+    # 0 · δ**p is zero, so PowerCost(0, p) is LinearCost(0) to every public answer, and a
+    # zero-slope agent's consideration set is their peak alone under either
+    random_game = corpus.random_game
+
+    def powered(seed):
+        game, grid = random_game(seed)
+        agents = tuple(replace(a, c1=d.PowerCost(0.0, 400.0)) if a.c1 == d.LinearCost(0.0) else a
+                       for a in game.agents)
+        return replace(game, agents=agents), grid
+
+    seeds = [s for s in range(150) if any(a.c1 == d.LinearCost(0.0) for a in corpus.random_game(s)[0].agents)]
+    assert len(seeds) == 47
+    for seed in seeds:
+        linear = corpus.game_answers(seed)
+        with mock.patch.object(corpus, "random_game", powered):
+            assert corpus.game_answers(seed) == linear

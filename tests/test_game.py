@@ -274,9 +274,10 @@ _BELL = d.Tabulated(tuple(float(v) for v in -(_OTHER.points - 3.0) ** 2), _OTHER
 @pytest.mark.parametrize("utility,c1,x_social,error", [
     (_BUMPY, d.LinearCost(0.0), -1.0, d.DomainError),
     (_BUMPY, d.LinearCost(0.0), 2.0, d.SpecValidationError),
-    (_BELL, d.LinearCost(0.0), 2.0, d.ClosedFormUnavailable),
+    (_BELL, d.LinearCost(-1.0), 2.0, d.SpecValidationError),
+    (_BELL, d.LinearCost(0.0), 2.0, d.GridLookupError),
     (_BELL, d.LinearCost(1.0), 2.0, d.GridLookupError),
-], ids=["domain", "spec", "closed-form", "kernel"])
+], ids=["domain", "spec", "cost", "zero-slope", "kernel"])
 @pytest.mark.parametrize("call", ["second_stage_choice", "deferral_best_response", "detect_trap"])
 def test_restricted_choices_raise_in_check_order(call, utility, c1, x_social, error):
     # both utilities are bound to another grid, so the kernel would raise GridLookupError
@@ -287,6 +288,20 @@ def test_restricted_choices_raise_in_check_order(call, utility, c1, x_social, er
         else:
             getattr(d, call)(agent, x_social, _GRID)
     assert raised.type is error
+
+
+@pytest.mark.parametrize("cost", [d.LinearCost(0.0), d.PowerCost(0.0, 2.0)])
+def test_a_zero_slope_restricts_every_choice_to_the_peak(cost):
+    # every current-distance cost ties, so the consideration set is the peak 3 alone, wherever
+    # the social choice and the belief pull
+    bell = d.Tabulated(tuple(float(v) for v in -(_GRID.points - 3.0) ** 2), _GRID)
+    agent = d.AgentSpec(bell, cost, d.LinearCost(1.0), (point_mass(6.0),))
+    for x_social in (0.0, 3.0, 7.5):
+        assert d.second_stage_choice(agent, x_social, _GRID).chosen == (3.0,)
+        assert d.deferral_best_response(d.GameSpec((agent, agent)), 0, (x_social,), _GRID) == (3.0,)
+        trap = d.detect_trap(agent, x_social, _GRID)
+        assert trap.interval == d.ClosedInterval(3.0, 3.0)
+        assert (trap.x_hat, trap.trapped, trap.utility_gap) == (3.5, False, 0.0)  # one step from the set
 
 
 @pytest.mark.parametrize("call", [d.best_response, d.deferral_best_response])
@@ -450,33 +465,40 @@ class TestFindEquilibriaAfterDeferral:
             c.kind in (d.EquilibriumKind.AFTER_DEFERRAL, d.EquilibriumKind.BOTH) for c in certs
         )
 
-    def test_zero_c1_propagates_precondition(self):
+    def test_zero_c1_considers_only_the_peak(self):
+        # after deferral each agent keeps their peak 1 whatever the other chooses; the standard
+        # search, free of c1, finds the belief's pull to 1.5 instead
         agent = quad_agent(c1=d.LinearCost(0.0), c2=d.LinearCost(2.0), belief=3.0)
-        game = two_agent_game(agent, agent)
-        with pytest.raises(d.ClosedFormUnavailable):
-            d.find_equilibria_after_deferral(game, d.Grid(8.0, 400))
+        game, grid = two_agent_game(agent, agent), d.Grid(8.0, 400)
+        deferred = [d.EquilibriumCertificate((1.0, 1.0), d.EquilibriumKind.AFTER_DEFERRAL, 0.0)]
+        assert d.find_equilibria_after_deferral(game, grid) == deferred
+        assert dense_search.find_equilibria_after_deferral(game, grid) == deferred
+        assert d.classify_profile(game, (1.0, 1.0), grid) == deferred[0]
+        assert d.find_equilibria(game, grid) == [
+            d.EquilibriumCertificate((1.5, 1.5), d.EquilibriumKind.STANDARD, 0.0)]
 
-    def test_zero_c1_propagates_precondition_for_three_agents(self):
+    def test_zero_c1_considers_only_the_peak_for_three_agents(self):
         game = _three_agent_game()
         zero = d.AgentSpec(utility=d.Quadratic(2, 4, 5), c1=d.LinearCost(0.0), c2=d.LinearCost(0.0),
                            beliefs=(point_mass(2.0), point_mass(6.0)))
-        game = d.GameSpec(agents=game.agents[:2] + (zero,))
-        with pytest.raises(d.ClosedFormUnavailable):
-            d.find_equilibria_after_deferral(game, d.Grid(10.0, 40))
+        game = d.GameSpec(agents=game.agents[:2] + (zero,), belief_aggregator=game.belief_aggregator)
+        both = [d.EquilibriumCertificate((1.0, 1.0, 1.0), d.EquilibriumKind.BOTH, 0.0)]
+        assert d.find_equilibria_after_deferral(game, d.Grid(10.0, 40)) == both
+        assert d.find_equilibria(game, d.Grid(10.0, 40)) == both
 
     def test_precondition_is_checked_before_the_search_starts(self):
-        # The closed-form check runs before the lattice looks at its starts,
+        # The validation of every cost runs before the lattice looks at its starts,
         # so it wins over the lattice's own errors and over an empty start list.
-        agent = d.AgentSpec(utility=d.Quadratic(2, 4, 5), c1=d.LinearCost(0.0), c2=d.LinearCost(0.0),
+        agent = d.AgentSpec(utility=d.Quadratic(2, 4, 5), c1=d.LinearCost(-1.0), c2=d.LinearCost(0.0),
                             beliefs=(point_mass(1.0),) * 4)
         five = d.GameSpec(agents=(agent,) * 5)
         with pytest.raises(d.MethodUnsupported):
             d.find_equilibria(five, d.Grid(4.0, 20))
-        with pytest.raises(d.ClosedFormUnavailable):
+        with pytest.raises(d.SpecValidationError, match="NegativeCostSlope"):
             d.find_equilibria_after_deferral(five, d.Grid(4.0, 20))
         three = d.GameSpec(agents=tuple(replace(a, beliefs=a.beliefs[:2]) for a in five.agents[:3]))
         for starts in ([], [(1.0,)]):
-            with pytest.raises(d.ClosedFormUnavailable):
+            with pytest.raises(d.SpecValidationError, match="NegativeCostSlope"):
                 d.find_equilibria_after_deferral(three, d.Grid(4.0, 20), starts=starts)
 
     def test_deferral_but_not_standard(self, belief_heavy_game):
@@ -707,21 +729,15 @@ def _classification_oracle(game, profile, grid, tolerance):
               for a, x, s, f in zip(agents, profile, socials, futures)]
     standard_regret = max(max(0.0, float(v.max()) - x) for v, x in zip(vectors, values))
     standard = all(x >= float(v.max()) - tolerance for v, x in zip(vectors, values))
-    deferral, intervals = False, None
-    try:
-        intervals = tuple(
-            d.consideration_interval(a.utility, a.c1, s) for a, s in zip(agents, socials))
-    except d.ClosedFormUnavailable:
-        pass
-    if intervals is not None:
-        slices = [interval_grid_indices(iv, grid) for iv in intervals]
-        deferral_regret = max(max(0.0, float(v[idx].max()) - x)
+    intervals = [d.consideration_interval(a.utility, a.c1, s) for a, s in zip(agents, socials)]
+    slices = [interval_grid_indices(iv, grid) for iv in intervals]
+    deferral_regret = max(max(0.0, float(v[idx].max()) - x)
+                          for v, idx, x in zip(vectors, slices, values))
+    pts = grid.points
+    inside = all(min(iv.lo, pts[idx[0]]) - 1e-12 <= x <= max(iv.hi, pts[idx[-1]]) + 1e-12
+                 for iv, idx, x in zip(intervals, slices, profile))
+    deferral = inside and all(x >= float(v[idx].max()) - tolerance
                               for v, idx, x in zip(vectors, slices, values))
-        pts = grid.points
-        inside = all(min(iv.lo, pts[idx[0]]) - 1e-12 <= x <= max(iv.hi, pts[idx[-1]]) + 1e-12
-                     for iv, idx, x in zip(intervals, slices, profile))
-        deferral = inside and all(x >= float(v[idx].max()) - tolerance
-                                  for v, idx, x in zip(vectors, slices, values))
     if standard and deferral:
         return d.EquilibriumKind.BOTH, max(standard_regret, deferral_regret)
     if standard:
@@ -1053,7 +1069,7 @@ def _two_agent_games(draw):
         costs = power if family == "power" else linear
         c1, c2 = draw(costs), draw(costs | st.just(d.LinearCost(0.0)))
         if family == "zero c1" and a == 0:
-            c1 = d.LinearCost(0.0)  # no closed form: the standard search only
+            c1 = d.LinearCost(0.0)  # every slice is the peak alone
         form = d.ComprehensiveUtilityForm(1.0, 0.0 if family == "w_1 = 0" and a == 1 else 1.0, 1.0)
         agents.append(d.AgentSpec(utility, c1, c2, (point_mass(draw(st.integers(0, 8))),), form))
     weights = draw(st.sampled_from([(0.3, 0.7), (0.9, 0.1)]))
@@ -1329,7 +1345,7 @@ def test_the_lattice_reads_kernel_cells_that_grow_well_below_m():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_an_invalid_utility_refuses_every_search_in_either_order(n):
-    # the zero c1 has no closed form: the slices of later agents are still checked
+    # the zero c1 is valid and considers its peak alone, so only the tabulated utility refuses
     grid = d.Grid(8.0, 6)
     free = d.AgentSpec(d.Quadratic(1.0, 2.0, 0.0), d.LinearCost(0.0), d.LinearCost(1.0), (point_mass(1.0),) * (n - 1))
     tied = d.AgentSpec(d.Tabulated((2.0, 2.0, 0.0, -3.0, -7.0, -11.0, -16.0), grid), d.LinearCost(1.0),
@@ -1341,9 +1357,13 @@ def test_an_invalid_utility_refuses_every_search_in_either_order(n):
             d.find_equilibria(game, grid, starts=[profile])
         with pytest.raises(d.SpecValidationError):
             d.classify_profile(game, profile, grid)
-        # every utility is validated before any closed-form check
         with pytest.raises(d.SpecValidationError):
             d.find_equilibria_after_deferral(game, grid, starts=[profile])
+        # every utility is validated before any cost, so a negative slope beside it is reported later
+        sloped = d.GameSpec(tuple(replace(a, c1=d.LinearCost(-1.0)) if a is free else a for a in agents))
+        with pytest.raises(d.SpecValidationError, match="NotQuasiconcave") as raised:
+            d.find_equilibria_after_deferral(sloped, grid, starts=[profile])
+        assert "NegativeCostSlope" not in str(raised.value)
 
 
 @st.composite
@@ -1386,8 +1406,7 @@ def test_exact_family_default_tolerance_is_the_dense_one(game_grid):
     for finder, windows in itertools.product((d.find_equilibria, d.find_equilibria_after_deferral),
                                              (contextlib.nullcontext(), _windows_always)):
         with windows, mock.patch("deferral.game._tolerance", wraps=_tolerance) as spy:
-            if _outcome(finder, game, grid) is d.ClosedFormUnavailable:
-                continue  # no search after deferral without the closed form
+            _outcome(finder, game, grid)
         assert _outcome(_tolerance, *spy.call_args.args) == dense
 
 

@@ -12,7 +12,7 @@ import pytest
 import deferral as d
 from conftest import point_mass
 from deferral.cli import main
-from deferral.reproduce import load_bundled_scenario, run_case
+from deferral.reproduce import _diagonal_extent, _run_example42, load_bundled_scenario, run_case
 
 
 def _write(tmp_path: Path, name: str, data) -> str:
@@ -192,11 +192,23 @@ class TestCliExitCodes:
         assert "NonPositiveCurvature" in capsys.readouterr().err
 
     def test_precondition_failure_is_3(self, tmp_path, capsys):
+        # w_u = 1e200 and a = 1e200 each pass validate, but w_u·u is not finite on the grid
+        data = _single_agent_scenario()
+        data["agent"]["utility"] = {"variant": "quadratic", "a": 1e200, "b": 1.0, "k": 0.0}
+        data["agent"]["form"] = {"w_u": 1e200}
+        scenario = _write(tmp_path, "s.json", data)
+        assert main(["choose", scenario, "--output-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_current_distance_cost_considers_the_peak(self, tmp_path, capsys):
+        # every cost ties, so the interval and the grid set are the peak 1 alone
         data = _single_agent_scenario()
         data["agent"]["c1"] = {"variant": "zero"}
         scenario = _write(tmp_path, "s.json", data)
-        assert main(["consider", scenario, "--output-dir", str(tmp_path / "out")]) == 3
-        assert capsys.readouterr().err.startswith("error:")
+        assert main(["consider", scenario, "--output-dir", str(tmp_path / "out")]) == 0
+        assert "consideration interval: [1, 1]" in capsys.readouterr().out
+        assert (tmp_path / "out" / "consideration.csv").read_text().splitlines() == ["x", "1"]
 
     def test_io_failure_is_4(self, tmp_path, capsys):
         assert main(["choose", str(tmp_path / "missing.json")]) == 4
@@ -256,19 +268,19 @@ class TestNonFiniteAndOutOfRangeNumbers:
         assert "utility is not finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_zero_power_current_distance_cost_certifies_as_linear_zero(self, tmp_path, capsys):
-        # 0 · 8**400 is zero, though 8**400 overflows; consider and choose refuse slope 0 first
-        errors = []
+    def test_zero_power_current_distance_cost_certifies_as_linear_zero(self, tmp_path):
+        # 0 · 8**400 is zero, though 8**400 overflows: both costs certify, choose and consider alike
+        written = []
         for name, c1 in (("power", {"variant": "power", "d": 0.0, "p": 400.0}),
                          ("linear", {"variant": "linear", "d": 0.0})):
             data = _single_agent_scenario(steps=8, x_s=0.0)
             data["agent"]["c1"] = c1
             scenario = _write(tmp_path, f"{name}.json", data)
-            assert main(["certify", scenario, "--output-dir", str(tmp_path / name)]) == 3
-            errors.append(capsys.readouterr().err)
-            assert not (tmp_path / name).exists()
-        assert errors[0] == errors[1]
-        assert "needs a strictly increasing current-distance cost" in errors[0]
+            for command in ("certify", "choose", "consider"):
+                assert main([command, scenario, "--output-dir", str(tmp_path / name)]) == 0
+            written.append(sorted((p.name, p.read_bytes()) for p in (tmp_path / name).iterdir()))
+        assert written[0] == written[1]
+        assert dict(written[0])["certify.csv"] == b"holds,selection_size,stage1_size\n1,1,1\n"
 
     def test_zero_power_future_distance_cost_chooses_as_linear_zero(self, tmp_path):
         # far from the belief at 0, 0 · δ**400 is zero though δ**400 overflows; x_hat is 1, not 0
@@ -753,6 +765,16 @@ class TestReproduce:
         assert quantities["reference_pair_is_after_deferral"].oracle == 0.0
         csv_text = (tmp_path / "e42" / "discrepancy.csv").read_text()
         assert csv_text.startswith("quantity,oracle_value,reference_value,note")
+
+    def test_example42_runner_reports_an_accepted_guarded_loss(self, belief_heavy_game, tmp_path):
+        # in the belief-heavy reading the reference pair (3.75, 4) is standard and (1, 1) after
+        # deferral, so the guarded loss passes its gate and reports the welfare gap
+        scenario = d.Scenario("game", d.Grid(40.0, 160), None, None, game=belief_heavy_game)
+        rows = {r.quantity: r for r in _run_example42(scenario, tmp_path).rows}
+        assert (rows["guarded_loss_vs_1_1"].oracle, rows["guarded_loss_vs_1_1"].note) == (32.125, "")
+
+    def test_no_certificates_have_no_diagonal_extent(self):
+        assert np.isnan(_diagonal_extent([])).all()
 
     def test_unknown_case_is_refused(self, tmp_path):
         with pytest.raises(ValueError, match="unknown case 'nope'; choose from akerlof, example42, trap"):
